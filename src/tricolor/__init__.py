@@ -11,22 +11,21 @@ __version__ = "0.1.0"
 from .embedding import DEGREE_CAP, PlaneGraph, build, validate
 from .graphio import parse, serialize
 from .multigram import (
-    ConstraintCycle, Multigram, admissible, candidates_at,
-    find_secure_with_pivot, is_safe, is_secure,
+    ConstraintCycle, Multigram, admissible, find_secure_with_pivot,
+    is_secure,
 )
 from .reducer import ReductionRecord, extend, reduce, unwind
 from .solver import (
-    Solver, SolverStats, close_set, dirty_set, edge_close_set,
-    three_color, three_color_precolored,
+    Solver, SolverStats, close_set, three_color, three_color_precolored,
 )
 
 __all__ = [
     "DEGREE_CAP", "PlaneGraph", "build", "validate",
     "parse", "serialize",
-    "ConstraintCycle", "Multigram", "admissible", "candidates_at",
-    "find_secure_with_pivot", "is_safe", "is_secure",
+    "ConstraintCycle", "Multigram", "admissible", "find_secure_with_pivot",
+    "is_secure",
     "ReductionRecord", "extend", "reduce", "unwind",
-    "Solver", "SolverStats", "close_set", "dirty_set", "edge_close_set",
-    "three_color", "three_color_precolored",
+    "Solver", "SolverStats", "close_set", "three_color",
+    "three_color_precolored",
     "__version__",
 ]

@@ -8,7 +8,8 @@ Subcommands:
     oracle INPUT
     bench --kind K --sizes LIST --seed S [--repeats R]
 
-Exit codes: 0 success, 1 check/validation failure, 2 usage error.
+Exit codes: 0 success, 1 check, validation or solver failure, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from .graphio import (
 )
 from .multigram import KIND_ORDER
 from .oracle import SimpleGraph, TooLarge, brute_force_3color, is_proper, is_triangle_free
+from .reducer import ExtensionFailure
 from .solver import (
-    ImproperPrecoloring, NotAFacialCycle, Solver, precolored_solver,
+    ExhaustedQueueNonempty, ImproperPrecoloring, NotAFacialCycle, Solver,
+    TriangleFound, precolored_solver,
 )
 
 
@@ -69,7 +72,7 @@ def _cmd_color(args) -> int:
     if args.validate:
         validate(g)
         if not is_triangle_free(SimpleGraph.from_plane_graph(g)):
-            raise _CliError("input graph has a triangle")
+            raise TriangleFound("input graph has a triangle")
     if args.precolor:
         phi = parse_coloring(_read_text(args.precolor))
         cycle = _precolor_cycle(g, phi)
@@ -79,7 +82,7 @@ def _cmd_color(args) -> int:
     coloring = solver.run()
     sys.stdout.write(format_coloring(coloring))
     if args.stats:
-        _print_stats(solver.run_statistics())
+        _print_stats(solver.stats)
     return 0
 
 
@@ -130,6 +133,7 @@ def _cmd_bench(args) -> int:
         raise _CliError("empty size list")
     kinds_hdr = "\t".join(KIND_ORDER)
     sys.stdout.write(f"# n\tseconds\tinsertions\t{kinds_hdr}\n")
+    medians = []
     for size in sizes:
         spec = GenSpec(kind=args.kind, size=size, seed=args.seed)
         g0 = generate(spec)
@@ -141,12 +145,16 @@ def _cmd_bench(args) -> int:
             t0 = time.perf_counter()
             solver.run()
             times.append(time.perf_counter() - t0)
-            stats = solver.run_statistics()
+            stats = solver.stats
         med = statistics.median(times)
+        medians.append((g0.n_alive, med))
         kinds = "\t".join(str(stats.reductions[k]) for k in KIND_ORDER)
         sys.stdout.write(
             f"{g0.n_alive}\t{med:.6f}\t{stats.insertions}\t{kinds}\n")
         sys.stdout.flush()
+    for (na, ta), (nb, tb) in zip(medians, medians[1:]):
+        sys.stdout.write(
+            f"# {na} -> {nb}: size x{nb / na:.2f}, time x{tb / ta:.2f}\n")
     return 0
 
 
@@ -204,7 +212,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (EmbeddingError, GraphSyntaxError, InvalidSpec, TooLarge,
-            NotAFacialCycle, ImproperPrecoloring, _CliError,
+            NotAFacialCycle, ImproperPrecoloring, ExhaustedQueueNonempty,
+            ExtensionFailure, TriangleFound, _CliError,
             FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -17,8 +17,8 @@ are never stored; they are read off by tracing.  A "facial cycle" here is
 any closed orbit that is a simple cycle, regardless of whether some other
 connected component is drawn inside it.
 
-Vertices of degree >= 60 are *big*; bounded queries (adjacency, distance
-two, vicinity scans) insist that at least one involved vertex is small
+Vertices of degree >= 60 are *big*; bounded queries (adjacency, vicinity
+scans) insist that at least one involved vertex is small
 (degree <= DEGREE_CAP = 59) and cost O(1) with constants depending only
 on the cap.  The ``work`` counter accumulates primitive step counts so
 tests can assert the constant-work contracts.
@@ -34,79 +34,15 @@ BIG_DEGREE = DEGREE_CAP + 1
 
 
 class EmbeddingError(Exception):
-    """Base class for plane-graph structure errors."""
-
-
-class AsymmetricRotation(EmbeddingError):
-    """An edge {u, v} appears in only one of the two rotation lists."""
-
-
-class DuplicateEdge(EmbeddingError):
-    """An edge {u, v} appears twice in the same rotation list."""
-
-
-class SelfLoop(EmbeddingError):
-    """A rotation list mentions its own vertex."""
+    """A plane-graph structure error; the message names the fault."""
 
 
 class NonPlanarEmbedding(EmbeddingError):
     """Some connected component fails the genus-0 Euler check."""
 
 
-class DeadDart(EmbeddingError):
-    pass
-
-
-class DeadVertex(EmbeddingError):
-    pass
-
-
-class NotIsolated(EmbeddingError):
-    pass
-
-
-class DifferentFaces(EmbeddingError):
-    """add_edge endpoints do not lie on the same facial walk."""
-
-
-class SameOrigin(EmbeddingError):
-    pass
-
-
-class BothBig(EmbeddingError):
-    """Adjacency query between two big vertices (caller bug)."""
-
-
-class DegreeCapExceeded(EmbeddingError):
-    pass
-
-
-class NotSameFace(EmbeddingError):
-    """identify_across_face positions are on different facial walks."""
-
-
-class AdjacentEndpoints(EmbeddingError):
-    pass
-
-
 class EmbeddingCorruption(EmbeddingError):
     """Raised by the validator when an invariant is broken."""
-
-
-@dataclass
-class SubgraphView:
-    """Result of a bounded exploration: vertex -> depth plus seen edges.
-
-    ``edges`` contains every edge incident to an expanded (small,
-    depth < t) vertex whose other end was also reached.
-    """
-
-    depths: dict[int, int]
-    edges: list[tuple[int, int]]
-
-    @property
-    def vertices(self) -> set[int]:
-        return set(self.depths)
 
 
 @dataclass
@@ -126,7 +62,7 @@ class PlaneGraph:
     __slots__ = (
         "v_alive", "v_deg", "v_dart", "v_mark",
         "d_origin", "d_twin", "d_next", "d_prev", "d_alive",
-        "n_alive", "m_alive", "work", "debug", "_epoch",
+        "n_alive", "m_alive", "work", "_epoch",
     )
 
     def __init__(self) -> None:
@@ -142,7 +78,6 @@ class PlaneGraph:
         self.n_alive = 0
         self.m_alive = 0
         self.work = 0
-        self.debug = False
         self._epoch = 0
 
     def next_epoch(self) -> int:
@@ -184,7 +119,6 @@ class PlaneGraph:
         g.d_alive = list(self.d_alive)
         g.n_alive = self.n_alive
         g.m_alive = self.m_alive
-        g.debug = self.debug
         return g
 
     # ------------------------------------------------------------------
@@ -194,24 +128,8 @@ class PlaneGraph:
         alive = self.v_alive
         return (v for v in range(len(alive)) if alive[v])
 
-    def degree(self, v: int) -> int:
-        if not self.v_alive[v]:
-            raise DeadVertex(v)
-        self.work += 1
-        return self.v_deg[v]
-
-    def is_big(self, v: int) -> bool:
-        return self.v_deg[v] > DEGREE_CAP
-
     def head(self, d: int) -> int:
         return self.d_origin[self.d_twin[d]]
-
-    def face_next(self, d: int) -> int:
-        """sigma(d) = next(twin(d))."""
-        return self.d_next[self.d_twin[d]]
-
-    def face_prev(self, d: int) -> int:
-        return self.d_twin[self.d_prev[d]]
 
     def darts_at(self, v: int) -> Iterator[int]:
         """Outgoing darts of v in clockwise rotation order."""
@@ -245,14 +163,14 @@ class PlaneGraph:
         du, dv = self.v_deg[u], self.v_deg[v]
         if du <= dv:
             if du > DEGREE_CAP:
-                raise BothBig((u, v))
+                raise EmbeddingError(f"adjacency query between big {u} and {v}")
             self.work += du
             for d in self.darts_at(u):
                 if self.head(d) == v:
                     return d
             return None
         if dv > DEGREE_CAP:
-            raise BothBig((u, v))
+            raise EmbeddingError(f"adjacency query between big {u} and {v}")
         self.work += dv
         for d in self.darts_at(v):
             if self.head(d) == u:
@@ -262,24 +180,13 @@ class PlaneGraph:
     def adjacent(self, u: int, v: int) -> bool:
         return self.dart_between(u, v) is not None
 
-    def distance_at_most_two(self, u: int, v: int) -> bool:
-        if max(self.v_deg[u], self.v_deg[v]) > DEGREE_CAP:
-            raise DegreeCapExceeded((u, v))
-        if u == v:
-            return True
-        if self.adjacent(u, v):
-            return True
-        nu = set(self.neighbors(u))
-        self.work += self.v_deg[u] + self.v_deg[v]
-        return any(w in nu for w in self.neighbors(v))
-
     # ------------------------------------------------------------------
     # face tracing
 
     def trace_face(self, d: int) -> list[int]:
         """Full sigma orbit of d (cost proportional to its length)."""
         if not self.d_alive[d]:
-            raise DeadDart(d)
+            raise EmbeddingError(f"dead dart {d}")
         out = [d]
         nxt, twin = self.d_next, self.d_twin
         e = nxt[twin[d]]
@@ -292,7 +199,7 @@ class PlaneGraph:
     def walk_face(self, d: int, limit: int) -> tuple[list[int], bool]:
         """Up to ``limit`` sigma steps from d: (darts, closed-within-limit)."""
         if not self.d_alive[d]:
-            raise DeadDart(d)
+            raise EmbeddingError(f"dead dart {d}")
         out = [d]
         nxt, twin = self.d_next, self.d_twin
         e = nxt[twin[d]]
@@ -325,31 +232,12 @@ class PlaneGraph:
         self.work += 2
         return sorted(set(picks)), False
 
-    def small_reachable(self, v0: int, t: int) -> SubgraphView:
-        """Vertices on paths v0..v_t whose non-final vertices are small.
-
-        Big vertices enter the view as frontier endpoints but are never
-        expanded.  Work is bounded by a function of DEGREE_CAP and t only.
-        """
-        if not self.v_alive[v0]:
-            raise DeadVertex(v0)
-        depths = {v0: 0}
-        edge_set: set[tuple[int, int]] = set()
-        frontier = [v0]
-        deg = self.v_deg
-        for depth in range(1, t + 1):
-            nxt_frontier: list[int] = []
-            for u in frontier:
-                if deg[u] > DEGREE_CAP:
-                    continue
-                self.work += deg[u]
-                for w in self.neighbors(u):
-                    if w not in depths:
-                        depths[w] = depth
-                        nxt_frontier.append(w)
-                    edge_set.add((u, w) if u < w else (w, u))
-            frontier = nxt_frontier
-        return SubgraphView(depths, sorted(edge_set))
+    def edge_window(self, d: int) -> tuple[int, ...]:
+        """Vertices within facial-walk distance 2 of edge(d)'s ends on both
+        sides of the edge, sorted; at most 10 of them."""
+        verts = set(self.edge_vicinity(d)[0])
+        verts.update(self.edge_vicinity(self.d_twin[d])[0])
+        return tuple(sorted(verts))
 
     # ------------------------------------------------------------------
     # mutation
@@ -371,7 +259,7 @@ class PlaneGraph:
 
     def remove_edge(self, d: int) -> None:
         if not self.d_alive[d]:
-            raise DeadDart(d)
+            raise EmbeddingError(f"dead dart {d}")
         t = self.d_twin[d]
         self._excise(d)
         self._excise(t)
@@ -397,22 +285,20 @@ class PlaneGraph:
 
         A position of None is allowed only for an isolated endpoint.
         Returns the dart u->v.  The face holding both positions is split
-        in two; with debug set, the same-face precondition is verified.
+        in two; positions on two different faces break the Euler formula,
+        which ``validate`` reports.
         """
         if u == v:
-            raise SameOrigin(u)
+            raise EmbeddingError(f"edge from vertex {u} to itself")
         for w in (u, v):
             if not self.v_alive[w]:
-                raise DeadVertex(w)
+                raise EmbeddingError(f"dead vertex {w}")
         for w, ref in ((u, d_u), (v, d_v)):
             if ref is None:
                 if self.v_deg[w] != 0:
                     raise EmbeddingError(f"position required at vertex {w}")
             elif not self.d_alive[ref] or self.d_origin[ref] != w:
-                raise DeadDart(ref)
-        if self.debug and d_u is not None and d_v is not None:
-            if not self._same_orbit(d_u, d_v):
-                raise DifferentFaces((d_u, d_v))
+                raise EmbeddingError(f"dart {ref} is dead or not at vertex {w}")
         n1 = self._new_dart(u)
         n2 = self._new_dart(v)
         self.d_twin[n1] = n2
@@ -427,29 +313,19 @@ class PlaneGraph:
         """Split the face along d_u's walk with a new chord (spec surface)."""
         for d in (d_u, d_v):
             if not self.d_alive[d]:
-                raise DeadDart(d)
+                raise EmbeddingError(f"dead dart {d}")
         return self.add_edge_at(self.d_origin[d_u], d_u,
                                 self.d_origin[d_v], d_v)
 
     def remove_isolated_vertex(self, v: int) -> None:
         if not self.v_alive[v]:
-            raise DeadVertex(v)
+            raise EmbeddingError(f"dead vertex {v}")
         if self.v_deg[v] != 0:
-            raise NotIsolated(v)
+            raise EmbeddingError(f"vertex {v} is not isolated")
         self.v_alive[v] = False
         self.v_dart[v] = -1
         self.n_alive -= 1
         self.work += 1
-
-    def _same_orbit(self, d_a: int, d_b: int) -> bool:
-        nxt, twin = self.d_next, self.d_twin
-        e = d_a
-        while True:
-            if e == d_b:
-                return True
-            e = nxt[twin[e]]
-            if e == d_a:
-                return False
 
     def identify_across_face(self, a: int, b: int, d_a: int | None,
                              d_b: int | None) -> IdentifyResult:
@@ -463,23 +339,20 @@ class PlaneGraph:
         """
         for w in (a, b):
             if not self.v_alive[w]:
-                raise DeadVertex(w)
+                raise EmbeddingError(f"dead vertex {w}")
         if a == b:
-            raise AdjacentEndpoints("cannot identify a vertex with itself")
+            raise EmbeddingError(f"cannot identify vertex {a} with itself")
         deg_a, deg_b = self.v_deg[a], self.v_deg[b]
         if deg_b > DEGREE_CAP:
-            raise DegreeCapExceeded(f"absorbed vertex {b} is big")
+            raise EmbeddingError(f"absorbed vertex {b} is big")
         if deg_b and self.adjacent(a, b):
-            raise AdjacentEndpoints((a, b))
+            raise EmbeddingError(f"cannot identify adjacent {a} and {b}")
         for w, deg, ref in ((a, deg_a, d_a), (b, deg_b, d_b)):
             if ref is None:
                 if deg != 0:
                     raise EmbeddingError(f"position required at vertex {w}")
             elif not self.d_alive[ref] or self.d_origin[ref] != w:
-                raise DeadDart(ref)
-        if self.debug and d_a is not None and d_b is not None:
-            if not self._same_orbit(d_a, d_b):
-                raise NotSameFace((d_a, d_b))
+                raise EmbeddingError(f"dart {ref} is dead or not at vertex {w}")
 
         origin, twin = self.d_origin, self.d_twin
         moved: list[tuple[int, int]] = []
@@ -522,10 +395,9 @@ class PlaneGraph:
                         f"parallel pair at identify({a},{b}) not one-per-side")
                 doomed = seam if seam_moved else e
                 w = a if origin[doomed] != a else origin[twin[doomed]]
-                window = set(self.edge_vicinity(doomed)[0])
-                window.update(self.edge_vicinity(twin[doomed])[0])
+                window = self.edge_window(doomed)
                 self.remove_edge(doomed)
-                collapsed.append((w, tuple(sorted(window))))
+                collapsed.append((w, window))
         return IdentifyResult(a, b, moved, collapsed)
 
 
@@ -547,11 +419,11 @@ def build(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
         prev = -1
         for w in rot:
             if not 0 <= w < n:
-                raise AsymmetricRotation(f"vertex {u} lists unknown {w}")
+                raise EmbeddingError(f"vertex {u} lists unknown {w}")
             if w == u:
-                raise SelfLoop(u)
+                raise EmbeddingError(f"vertex {u} lists itself")
             if (u, w) in pos:
-                raise DuplicateEdge((u, w))
+                raise EmbeddingError(f"vertex {u} lists {w} twice")
             d = g._new_dart(u)
             pos[(u, w)] = d
             if first < 0:
@@ -568,7 +440,7 @@ def build(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
     for (u, w), d in pos.items():
         t = pos.get((w, u))
         if t is None:
-            raise AsymmetricRotation((u, w))
+            raise EmbeddingError(f"edge {u}-{w} missing from the rotation of {w}")
         g.d_twin[d] = t
     g.m_alive = len(pos) // 2
     _check_euler(g)
@@ -624,7 +496,7 @@ def validate(g: PlaneGraph) -> None:
 
     Verifies twin involution, rotation consistency, degree counters,
     loop/parallel freedom and the per-component Euler formula.  Linear
-    cost; intended for tests and debug runs only.
+    cost; run by tests, audit hooks and `tricolor color --validate`.
     """
     nd = len(g.d_origin)
     alive_darts = 0

@@ -169,28 +169,6 @@ def _shape_ok(g: PlaneGraph, kind: str, verts: tuple[int, ...]) -> bool:
     return False
 
 
-def candidates_at(g: PlaneGraph, v: int) -> list[Multigram]:
-    """Every shape-valid multigram with pivot v.
-
-    Only vertices of degree <= 3 can pivot a secure multigram, so higher
-    degrees yield nothing; both traversal directions of each incident
-    short facial cycle are emitted.
-    """
-    if not g.v_alive[v]:
-        return []
-    deg = g.v_deg[v]
-    out: list[Multigram] = []
-    if deg <= 2:
-        out.append(Multigram(MONOGRAM, (v,)))
-    if deg > 3:
-        return out
-    for verts, darts in cycle_candidates(g, v):
-        for kind in (TETRAGRAM, OCTAGRAM, PENTAGRAM, DECAGRAM, HEXAGRAM):
-            if _shape_ok(g, kind, verts):
-                out.append(Multigram(kind, verts, _aux_for(g, kind, verts), darts))
-    return out
-
-
 # ----------------------------------------------------------------------
 # safety
 
@@ -306,38 +284,6 @@ def _decagram_safe(g: PlaneGraph, x1: int, x3: int) -> bool:
     n3 = set(g.neighbors(x3))
     g.work += g.v_deg[x1] + g.v_deg[x3]
     return not any(w in n3 for w in g.neighbors(x1))
-
-
-def is_safe(g: PlaneGraph, m: Multigram) -> bool:
-    """Per-kind safety; monograms and octagrams are always safe.
-
-    Bounded evaluation: callers must have established the security side
-    conditions that cap the path searches (pivot degree 3 and the
-    relevant admissibility clauses).
-    """
-    if m.kind in (MONOGRAM, OCTAGRAM):
-        return True
-    if m.kind == TETRAGRAM:
-        if not m.aux:
-            # degree-2 pivot: both its edges lie on the cycle, and paths
-            # leaving through v2/v4 would close a triangle, so every
-            # short v1-v3 path is a cycle subgraph
-            if g.v_deg[m.vertices[0]] != 2:
-                raise ValueError("tetragram pivot of degree > 3")
-            return True
-        return _tetragram_safe(g, m.vertices[0], m.vertices[2], m.aux[0])
-    if m.kind == HEXAGRAM:
-        if not m.aux and g.v_deg[m.vertices[0]] != 2:
-            raise ValueError("hexagram pivot of degree > 3")
-        return _hexagram_safe(g, m.vertices, m.aux[0] if m.aux else None)
-    if m.kind == DECAGRAM:
-        return _decagram_safe(g, m.aux[0], m.aux[2])
-    if m.kind == PENTAGRAM:
-        v5, x2, x3 = m.vertices[4], m.aux[1], m.aux[2]
-        side25 = v5 if _no_forbidden_neighbor(g, v5, _EMPTY) else x2
-        side34 = x3 if _no_forbidden_neighbor(g, x3, _EMPTY) else m.aux[3]
-        return _pentagram_safe(g, m.vertices, m.aux, side25, side34)
-    raise ValueError(m.kind)
 
 
 # ----------------------------------------------------------------------

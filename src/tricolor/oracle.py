@@ -317,34 +317,23 @@ def is_secure_slow(g: PlaneGraph, m: Multigram,
     raise ValueError(kind)
 
 
-def all_secure_multigrams_slow(g: PlaneGraph,
-                               C: ConstraintCycle | None = None,
-                               cap: int = 200) -> list[Multigram]:
-    """All (C-)secure multigrams, from the definitions.
+def multigram_shapes_slow(g: PlaneGraph, cap: int = 200,
+                          sg: SimpleGraph | None = None,
+                          cycles=None) -> list[Multigram]:
+    """Every multigram listing whose degrees fit its kind, secure or not.
 
     Enumerates every vertex of degree <= 2 and every facial cycle of
-    length 4/5/6 in all rotations and both orientations.
+    length 4/5/6 in all rotations and both orientations, with pivots of
+    any degree.
     """
     if g.n_alive > cap:
         raise TooLarge(g.n_alive)
-    sg = SimpleGraph.from_plane_graph(g)
-    cycles = facial_cycles(g)
-    out: list[Multigram] = []
-    seen: set[tuple] = set()
-
-    def consider(m: Multigram) -> None:
-        key = (m.kind, m.vertices)
-        if key in seen:
-            return
-        if is_secure_slow(g, m, C, sg, cycles):
-            seen.add(key)
-            out.append(m)
-
-    for v in sorted(sg.adj):
-        if len(sg.adj[v]) <= 2:
-            consider(Multigram(MONOGRAM, (v,)))
-
+    if sg is None:
+        sg = SimpleGraph.from_plane_graph(g)
+    if cycles is None:
+        cycles = facial_cycles(g)
     deg = {v: len(sg.adj[v]) for v in sg.adj}
+    out = [Multigram(MONOGRAM, (v,)) for v in sorted(sg.adj) if deg[v] <= 2]
     for verts, darts in cycles:
         k = len(verts)
         if k not in (4, 5, 6):
@@ -382,7 +371,27 @@ def all_secure_multigrams_slow(g: PlaneGraph,
                         extra = set(sg.adj[lv[i]]) - {prv, lv[i + 1]}
                         xs.append(extra.pop())
                     aux = tuple(xs)
-                consider(Multigram(kind, lv, aux, ld))
+                out.append(Multigram(kind, lv, aux, ld))
+    return out
+
+
+def all_secure_multigrams_slow(g: PlaneGraph,
+                               C: ConstraintCycle | None = None,
+                               cap: int = 200) -> list[Multigram]:
+    """All (C-)secure multigrams, from the definitions: the secure
+    listings of multigram_shapes_slow, first one per kind and vertex
+    tuple."""
+    if g.n_alive > cap:
+        raise TooLarge(g.n_alive)
+    sg = SimpleGraph.from_plane_graph(g)
+    cycles = facial_cycles(g)
+    out: list[Multigram] = []
+    seen: set[tuple] = set()
+    for m in multigram_shapes_slow(g, cap, sg, cycles):
+        key = (m.kind, m.vertices)
+        if key not in seen and is_secure_slow(g, m, C, sg, cycles):
+            seen.add(key)
+            out.append(m)
     return out
 
 

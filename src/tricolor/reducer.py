@@ -22,12 +22,8 @@ from itertools import product
 from .embedding import DEGREE_CAP, IdentifyResult, PlaneGraph
 from .multigram import (
     DECAGRAM, HEXAGRAM, MONOGRAM, OCTAGRAM, PENTAGRAM, TETRAGRAM,
-    ConstraintCycle, Multigram, is_secure, _third_dart,
+    Multigram, _third_dart,
 )
-
-
-class InsecureMultigram(Exception):
-    pass
 
 
 class ExtensionFailure(Exception):
@@ -52,15 +48,9 @@ class ReductionRecord:
         return len(self.removed) + len(self.identifications)
 
 
-def _edge_window(g: PlaneGraph, d: int) -> tuple[int, ...]:
-    verts = set(g.edge_vicinity(d)[0])
-    verts.update(g.edge_vicinity(g.d_twin[d])[0])
-    return tuple(sorted(verts))
-
-
 def _delete_edge(g: PlaneGraph, d: int, sink) -> None:
     if sink is not None:
-        sink.edge_event("deleted", g.d_origin[d], g.head(d), _edge_window(g, d))
+        sink.edge_event("deleted", g.d_origin[d], g.head(d), g.edge_window(d))
     g.remove_edge(d)
 
 
@@ -68,12 +58,12 @@ def _identify(g: PlaneGraph, a: int, b: int, d_a: int | None,
               d_b: int | None, sink) -> IdentifyResult:
     if sink is not None:
         for d in g.darts_at(b):
-            sink.edge_event("deleted", b, g.head(d), _edge_window(g, d))
+            sink.edge_event("deleted", b, g.head(d), g.edge_window(d))
     res = g.identify_across_face(a, b, d_a, d_b)
     if sink is not None:
         for w, d in res.moved:
             # a collapsed copy's window is reported with its deletion below
-            window = _edge_window(g, d) if g.d_alive[d] else ()
+            window = g.edge_window(d) if g.d_alive[d] else ()
             sink.edge_event("added", a, w, window)
         for w, window in res.collapsed:
             sink.edge_event("deleted", a, w, window)
@@ -120,15 +110,11 @@ def event_endpoints(g: PlaneGraph, m: Multigram) -> set[int]:
     return out
 
 
-def reduce(g: PlaneGraph, m: Multigram,
-           C: ConstraintCycle | None = None,
-           sink=None, verify: bool = False) -> ReductionRecord:
+def reduce(g: PlaneGraph, m: Multigram, sink=None) -> ReductionRecord:
     """Apply the per-kind reduction of m, mutating g.
 
-    With verify set, (C-)security is re-checked first (debug guard).
+    m must be (C-)secure; the reduction does not re-check it.
     """
-    if verify and not is_secure(g, m, C):
-        raise InsecureMultigram(m)
     kind = m.kind
     if kind == MONOGRAM:
         return _reduce_monogram(g, m, sink)
@@ -197,7 +183,7 @@ def _reduce_decagram(g: PlaneGraph, m: Multigram, sink) -> ReductionRecord:
         g.remove_isolated_vertex(v)
     nd = g.add_edge_at(x1, r1, x3, r3)
     if sink is not None:
-        sink.edge_event("added", x1, x3, _edge_window(g, nd))
+        sink.edge_event("added", x1, x3, g.edge_window(nd))
     return ReductionRecord(m.kind, verts, m.aux, removed, (),
                            ((x1, x3),), 10, 1)
 

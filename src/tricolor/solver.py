@@ -25,12 +25,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .embedding import DEGREE_CAP, PlaneGraph, validate
+from .embedding import DEGREE_CAP, PlaneGraph
 from .multigram import (
     KIND_ORDER, ConstraintCycle, find_secure_with_pivot,
 )
 from .multigram import DECAGRAM, HEXAGRAM, PENTAGRAM, TETRAGRAM
-from .oracle import SimpleGraph, is_triangle_free
 from .reducer import ReductionRecord, event_endpoints, reduce, unwind
 
 
@@ -141,35 +140,6 @@ def close_set(g: PlaneGraph, sources: Iterable[int],
     return out
 
 
-def edge_close_set(g: PlaneGraph, d: int) -> set[int]:
-    """Vertices within facial-walk distance 2 of edge(d)'s ends, both
-    sides; at most 10 of them."""
-    out = set(g.edge_vicinity(d)[0])
-    out.update(g.edge_vicinity(g.d_twin[d])[0])
-    return out
-
-
-def dirty_set(g: PlaneGraph, action: str, u: int, v: int,
-              edge_window: Iterable[int] = ()) -> set[int]:
-    """Per-event re-insertion candidates for one edge change.
-
-    ``g`` is the state after the event.  For a deletion the caller must
-    capture the edge's window (edge_close_set) before mutating and pass
-    it in; for an addition the window is read off here.  Endpoint
-    closeness is taken in g, a conservative choice for additions (the
-    solver's batched path also covers the pre state).
-    """
-    out = close_set(g, (u, v))
-    out.add(u)
-    out.add(v)
-    out.update(edge_window)
-    if action == "added":
-        dd = g.dart_between(u, v)
-        if dd is not None:
-            out.update(edge_close_set(g, dd))
-    return out
-
-
 class _EventSink:
     __slots__ = ("endpoints", "windows", "max_window", "deleted", "added")
 
@@ -207,20 +177,18 @@ class Solver:
 
     ``audit`` is called at every loop head with the graph, a queue
     snapshot and the constraint; tests use it to replay the worklist
-    invariant against the slow oracle.  ``validate`` turns on full
-    structural checks after every reduction (tests only).
+    invariant against the slow oracle and to validate the embedding
+    after every reduction.
     """
 
     def __init__(self, g: PlaneGraph,
                  constraint: ConstraintCycle | None = None,
                  precoloring: dict[int, int] | None = None,
-                 audit: AuditHook | None = None,
-                 validate_steps: bool = False) -> None:
+                 audit: AuditHook | None = None) -> None:
         self.graph = g
         self.constraint = constraint
         self.phi = dict(precoloring) if precoloring else {}
         self.audit = audit
-        self.validate_steps = validate_steps
         self.stats = SolverStats()
         self.records: list[ReductionRecord] = []
 
@@ -242,7 +210,8 @@ class Solver:
             self.audit(g, tuple(queue), C)
         while g.n_alive > target:
             if not queue:
-                raise ExhaustedQueueNonempty(g.n_alive)
+                raise ExhaustedQueueNonempty(
+                    f"worklist empty with {g.n_alive} vertices left")
             v = queue.popleft()
             in_queue[v] = False
             stats.pops += 1
@@ -260,7 +229,7 @@ class Solver:
             else:
                 dirty = set()
             sink = _EventSink()
-            record = reduce(g, m, C, sink)
+            record = reduce(g, m, sink)
             self.records.append(record)
             stats.reductions[m.kind] += 1
             stats.vertices_removed += record.vertices_removed
@@ -282,8 +251,6 @@ class Solver:
                     in_queue[w] = True
                     queue.append(w)
                     stats.insertions += 1
-            if self.validate_steps:
-                self._validate_step()
             if self.audit:
                 self.audit(g, tuple(queue), C)
 
@@ -295,14 +262,6 @@ class Solver:
             base = {}
         stats.work = g.work
         return unwind(self.records, base)
-
-    def run_statistics(self) -> SolverStats:
-        return self.stats
-
-    def _validate_step(self) -> None:
-        validate(self.graph)
-        if not is_triangle_free(SimpleGraph.from_plane_graph(self.graph)):
-            raise TriangleFound("reduction produced a triangle")
 
 
 def three_color(g: PlaneGraph, **kwargs) -> dict[int, int]:

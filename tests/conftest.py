@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import pytest
 
+from tricolor.embedding import validate
 from tricolor.generators import augmented, grid, quad
 from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph, grid_graph,
     hexagram_flower, k23_graph, path_graph, pentagram_flower,
 )
+from tricolor.oracle import SimpleGraph, is_triangle_free
+from tricolor.solver import TriangleFound
 
 HAND_BUILDERS = [
     ("c4", lambda: cycle_graph(4)),
@@ -51,6 +54,14 @@ def small_corpus_builders():
 
 def small_corpus():
     return [(name, make()) for name, make in small_corpus_builders()]
+
+
+def validating_audit(g, queue, C):
+    """Solver audit hook: full structural check and triangle test at
+    every loop head, so after every reduction."""
+    validate(g)
+    if not is_triangle_free(SimpleGraph.from_plane_graph(g)):
+        raise TriangleFound("graph has a triangle")
 
 
 @pytest.fixture(scope="session")

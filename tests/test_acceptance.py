@@ -16,10 +16,11 @@ from tricolor.generators import GenSpec, generate
 from tricolor.instances import (
     cube_graph, cycle_graph, dodecahedron_graph, grid_graph, k23_graph,
 )
-from tricolor.multigram import candidates_at, find_secure_with_pivot, is_secure
+from tricolor.multigram import find_secure_with_pivot, is_secure
 from tricolor.oracle import (
     SimpleGraph, all_secure_multigrams_slow, brute_force_3color,
     enumerate_3colorings, facial_cycles, is_proper, is_secure_slow,
+    multigram_shapes_slow,
 )
 from tricolor.solver import Solver, precolored_solver
 
@@ -141,7 +142,7 @@ def test_criterion_2_desk_scale_theorems():
 
 
 def test_criterion_3_lemma6_equivalence():
-    vertices = discrepancies = 0
+    vertices = listings = discrepancies = 0
     for name, g in small_corpus():
         slow = all_secure_multigrams_slow(g)
         slow_pivots = {m.pivot for m in slow}
@@ -152,12 +153,16 @@ def test_criterion_3_lemma6_equivalence():
                 discrepancies += 1
             elif fast is not None and not is_secure_slow(g, fast):
                 discrepancies += 1
-            for m in candidates_at(g, v):
-                if is_secure(g, m) != is_secure_slow(g, m):
-                    discrepancies += 1
+        sg = SimpleGraph.from_plane_graph(g)
+        cycles = facial_cycles(g)
+        for m in multigram_shapes_slow(g, sg=sg, cycles=cycles):
+            listings += 1
+            if is_secure(g, m) != is_secure_slow(g, m, None, sg, cycles):
+                discrepancies += 1
     assert discrepancies == 0
     _report("3 lemma6-equivalence",
-            f"{vertices} pivot queries, 0 discrepancies")
+            f"{vertices} pivot queries, {listings} multigram listings, "
+            f"0 discrepancies")
 
 
 def test_criterion_4_worklist_invariant():

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 
 from tricolor.cli import main
 from tricolor.graphio import parse, parse_coloring, serialize
-from tricolor.instances import cube_graph, cycle_graph
+from tricolor.instances import cube_graph, cycle_graph, graph_from_faces
 from tricolor.oracle import SimpleGraph, facial_cycles, is_proper
 
 
@@ -82,23 +84,40 @@ def test_oracle_command(tmp_path, capsys):
     assert is_proper(sg, coloring)
 
 
-def test_validate_catches_triangle(tmp_path, capsys):
+@pytest.fixture
+def k4_file(tmp_path):
     path = tmp_path / "k4.graph"
-    from tricolor.instances import graph_from_faces
     k4 = graph_from_faces([(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)])
     path.write_text(serialize(k4))
-    assert main(["color", "--validate", str(path)]) == 1
+    return path
+
+
+def test_validate_catches_triangle(k4_file, capsys):
+    assert main(["color", "--validate", str(k4_file)]) == 1
+    assert capsys.readouterr().err == "error: input graph has a triangle\n"
+
+
+def test_solver_failure_is_one_error_line(k4_file, capsys):
+    # without --validate the solver itself runs dry on the triangles
+    assert main(["color", str(k4_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_bench_rows(capsys):
     assert main(["bench", "--kind", "grid", "--sizes", "100,200,400",
                  "--seed", "0", "--repeats", "2"]) == 0
-    rows = [l for l in capsys.readouterr().out.splitlines()
-            if l and not l.startswith("#")]
+    out = capsys.readouterr().out
+    rows = [l for l in out.splitlines() if l and not l.startswith("#")]
     assert len(rows) == 3
     ns = [int(r.split("\t")[0]) for r in rows]
     assert ns == sorted(ns)
     assert all(len(r.split("\t")) == 9 for r in rows)
+    summary = [l for l in out.splitlines() if " -> " in l]
+    assert [l.split(":")[0] for l in summary] == [
+        f"# {a} -> {b}" for a, b in zip(ns, ns[1:])]
+    assert all(re.fullmatch(r"# \d+ -> \d+: size x[\d.]+, time x[\d.]+", l)
+               for l in summary)
 
 
 def test_usage_error_exit_code():

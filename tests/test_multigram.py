@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tricolor.embedding import build
+from tricolor.embedding import DEGREE_CAP, build
 from tricolor.generators import augmented
 from tricolor.instances import (
     big_hub_graph, cube_graph, dodecahedron_graph, hexagram_flower,
@@ -10,11 +10,12 @@ from tricolor.instances import (
 )
 from tricolor.multigram import (
     DECAGRAM, HEXAGRAM, KIND_ORDER, MONOGRAM, OCTAGRAM, PENTAGRAM, TETRAGRAM,
-    ConstraintCycle, Multigram, admissible, candidates_at,
-    find_secure_with_pivot, is_safe, is_secure,
+    ConstraintCycle, Multigram, admissible, find_secure_with_pivot,
+    is_secure,
 )
 from tricolor.oracle import (
-    all_secure_multigrams_slow, facial_cycles, is_secure_slow,
+    all_secure_multigrams_slow, facial_cycles, is_safe_slow, is_secure_slow,
+    multigram_shapes_slow,
 )
 
 from conftest import small_corpus
@@ -22,6 +23,10 @@ from conftest import small_corpus
 #: regression ceiling for the work of one find_secure_with_pivot call
 #: (max observed across the corpus: 159)
 WORK_CEILING = 400
+
+
+def shapes_at(g, v):
+    return [m for m in multigram_shapes_slow(g) if m.pivot == v]
 
 
 class TestAdmissible:
@@ -42,12 +47,12 @@ class TestAdmissible:
 class TestCandidates:
     def test_isolated_vertex(self):
         g = build([[]])
-        ms = candidates_at(g, 0)
+        ms = shapes_at(g, 0)
         assert [m.kind for m in ms] == [MONOGRAM]
 
     def test_cube_vertex(self):
         g = cube_graph()
-        ms = candidates_at(g, 0)
+        ms = shapes_at(g, 0)
         kinds = [m.kind for m in ms]
         # 3 incident 4-faces, both orientations each
         assert kinds.count(TETRAGRAM) == 6
@@ -56,54 +61,58 @@ class TestCandidates:
 
     def test_dodecahedron_vertex(self):
         g = dodecahedron_graph()
-        ms = candidates_at(g, 0)
+        ms = shapes_at(g, 0)
         kinds = [m.kind for m in ms]
         assert kinds.count(PENTAGRAM) == 6
         assert kinds.count(DECAGRAM) == 6
 
     def test_degree_four_vertex_empty(self):
         g = pentagram_flower()
-        assert candidates_at(g, 4) == []   # v5 has degree 4
+        assert g.v_deg[4] == 4             # v5 pivots no secure multigram
+        assert not any(is_secure(g, m) for m in shapes_at(g, 4))
+        assert find_secure_with_pivot(g, 4) is None
 
 
 class TestSafety:
     def test_k23_tetragram_unsafe(self):
         # pivot 0 (degree 3): the third path 0-4-1 leaves the 4-face
         g = k23_graph()
-        m = next(m for m in candidates_at(g, 0) if m.kind == TETRAGRAM)
-        assert not is_safe(g, m)
+        m = next(m for m in shapes_at(g, 0) if m.kind == TETRAGRAM)
+        assert not is_secure(g, m)
 
     def test_k23_degree2_pivot_tetragram_safe(self):
         g = k23_graph()
-        m = next(m for m in candidates_at(g, 2) if m.kind == TETRAGRAM)
-        assert is_safe(g, m)   # all short v1-v3 paths run along the cycle
+        m = next(m for m in shapes_at(g, 2) if m.kind == TETRAGRAM)
+        assert is_safe_slow(g, m)   # all short v1-v3 paths run along the cycle
+        assert not is_secure(g, m)  # but security wants a degree-3 pivot
 
     def test_cube_tetragram_safe(self):
         g = cube_graph()
-        m = next(m for m in candidates_at(g, 0) if m.kind == TETRAGRAM)
-        assert is_safe(g, m)
+        m = next(m for m in shapes_at(g, 0) if m.kind == TETRAGRAM)
+        assert is_secure(g, m)
 
     def test_dodecahedron_decagram_safe(self):
         g = dodecahedron_graph()
-        m = next(m for m in candidates_at(g, 0) if m.kind == DECAGRAM)
-        assert is_safe(g, m)
+        m = next(m for m in shapes_at(g, 0) if m.kind == DECAGRAM)
+        assert is_secure(g, m)
 
     def test_flower_pentagram_safe(self):
         g = pentagram_flower()
-        ms = [m for m in candidates_at(g, 0)
+        ms = [m for m in shapes_at(g, 0)
               if m.kind == PENTAGRAM and m.vertices == (0, 1, 2, 3, 4)]
-        assert ms and is_safe(g, ms[0])
+        assert ms and is_secure(g, ms[0])
 
     def test_flower_hexagram_safe(self):
         g = hexagram_flower()
-        m = next(m for m in candidates_at(g, 0) if m.kind == HEXAGRAM)
-        assert is_safe(g, m)
+        m = next(m for m in shapes_at(g, 0) if m.kind == HEXAGRAM)
+        assert is_secure(g, m)
 
     def test_monogram_octagram_always_safe(self):
+        # their security is degrees and admissibility only
         g = cube_graph()
-        m = next(m for m in candidates_at(g, 0) if m.kind == OCTAGRAM)
-        assert is_safe(g, m)
-        assert is_safe(g, Multigram(MONOGRAM, (0,)))
+        m = next(m for m in shapes_at(g, 0) if m.kind == OCTAGRAM)
+        assert is_secure(g, m)
+        assert is_secure(build([[1], [0]]), Multigram(MONOGRAM, (0,)))
 
 
 class TestSecurity:
@@ -113,17 +122,17 @@ class TestSecurity:
 
     def test_cube_tetragram_secure(self):
         g = cube_graph()
-        m = next(m for m in candidates_at(g, 0) if m.kind == TETRAGRAM)
+        m = next(m for m in shapes_at(g, 0) if m.kind == TETRAGRAM)
         assert is_secure(g, m, None)
 
     def test_own_cycle_blocks_security(self):
         g = cube_graph()
-        m = next(m for m in candidates_at(g, 0) if m.kind == TETRAGRAM)
+        m = next(m for m in shapes_at(g, 0) if m.kind == TETRAGRAM)
         assert not is_secure(g, m, ConstraintCycle(m.vertices))
 
     def test_octagram_needs_admissible_vertices(self):
         g = cube_graph()
-        m = next(m for m in candidates_at(g, 0) if m.kind == OCTAGRAM)
+        m = next(m for m in shapes_at(g, 0) if m.kind == OCTAGRAM)
         assert is_secure(g, m, None)
         assert not is_secure(g, m, ConstraintCycle((m.vertices[1],
                                                     m.vertices[2],
@@ -151,7 +160,7 @@ class TestFind:
         g = big_hub_graph()
         m = find_secure_with_pivot(g, 1)
         assert m is not None and m.kind == TETRAGRAM
-        assert g.is_big(m.vertices[2])
+        assert g.v_deg[m.vertices[2]] > DEGREE_CAP
 
     def test_deterministic(self):
         g = pentagram_flower()

@@ -1,21 +1,21 @@
 import pytest
 
-from tricolor.embedding import build, validate
+from tricolor.embedding import DEGREE_CAP, build, validate
 from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph,
     hexagram_flower, pentagram_flower,
 )
 from tricolor.multigram import (
     DECAGRAM, HEXAGRAM, MONOGRAM, OCTAGRAM, PENTAGRAM, TETRAGRAM,
-    Multigram, candidates_at, find_secure_with_pivot,
+    Multigram, find_secure_with_pivot, is_secure,
 )
 from tricolor.oracle import (
     SimpleGraph, all_secure_multigrams_slow, enumerate_3colorings, is_proper,
-    is_triangle_free,
+    is_triangle_free, multigram_shapes_slow,
 )
 from tricolor.reducer import (
-    ExtensionFailure, InsecureMultigram, ReductionRecord,
-    _pentagram_proof_order, extend, reduce, unwind,
+    ExtensionFailure, ReductionRecord, _pentagram_proof_order, extend, reduce,
+    unwind,
 )
 
 from conftest import small_corpus
@@ -31,14 +31,17 @@ def oracle_multigram(g, kind, pivot=None):
 class TestReduceKinds:
     def test_monogram_isolated(self):
         g = build([[]])
-        rec = reduce(g, Multigram(MONOGRAM, (0,)), verify=True)
+        m = Multigram(MONOGRAM, (0,))
+        assert is_secure(g, m)
+        rec = reduce(g, m)
         assert g.n_alive == 0
         assert rec.vertices_removed == 1 and rec.edges_deleted == 0
 
     def test_tetragram_standalone_c4(self):
         # not secure (degree-2 pivot) but safe: the reduction is forced
         g = cycle_graph(4)
-        m = next(m for m in candidates_at(g, 0) if m.kind == TETRAGRAM)
+        m = next(m for m in multigram_shapes_slow(g)
+                 if m.kind == TETRAGRAM and m.pivot == 0)
         rec = reduce(g, m)
         validate(g)
         assert (g.n_alive, g.m_alive) == (3, 2)
@@ -48,7 +51,8 @@ class TestReduceKinds:
     def test_octagram_on_cube(self):
         g = cube_graph()
         m = oracle_multigram(g, OCTAGRAM)
-        rec = reduce(g, m, verify=True)
+        assert is_secure(g, m)
+        rec = reduce(g, m)
         validate(g)
         assert (g.n_alive, g.m_alive) == (4, 4)
         assert rec.edges_deleted == 8 and rec.edges_added == 0
@@ -57,7 +61,8 @@ class TestReduceKinds:
     def test_decagram_on_dodecahedron(self):
         g = dodecahedron_graph()
         m = oracle_multigram(g, DECAGRAM)
-        rec = reduce(g, m, verify=True)
+        assert is_secure(g, m)
+        rec = reduce(g, m)
         validate(g)
         assert (g.n_alive, g.m_alive) == (15, 21)
         assert rec.edges_deleted == 10 and rec.edges_added == 1
@@ -68,7 +73,8 @@ class TestReduceKinds:
         g = pentagram_flower()
         m = next(m for m in all_secure_multigrams_slow(g)
                  if m.kind == PENTAGRAM and m.vertices == (0, 1, 2, 3, 4))
-        rec = reduce(g, m, verify=True)
+        assert is_secure(g, m)
+        rec = reduce(g, m)
         validate(g)
         assert rec.identifications == ((m.aux[1], m.vertices[4]),
                                        (m.aux[2], m.aux[3]))
@@ -80,7 +86,8 @@ class TestReduceKinds:
         g = hexagram_flower()
         m = next(m for m in all_secure_multigrams_slow(g)
                  if m.kind == HEXAGRAM)
-        rec = reduce(g, m, verify=True)
+        assert is_secure(g, m)
+        rec = reduce(g, m)
         validate(g)
         assert rec.identifications == ((m.vertices[0], m.vertices[2]),)
         assert g.n_alive == 17
@@ -89,23 +96,25 @@ class TestReduceKinds:
     def test_big_v3_absorbs_pivot(self):
         g = big_hub_graph()
         m = find_secure_with_pivot(g, 1)
-        assert m.kind == TETRAGRAM and g.is_big(m.vertices[2])
-        rec = reduce(g, m, verify=True)
+        assert m.kind == TETRAGRAM and g.v_deg[m.vertices[2]] > DEGREE_CAP
+        assert is_secure(g, m)
+        rec = reduce(g, m)
         validate(g)
         assert rec.identifications == ((m.vertices[2], m.vertices[0]),)
         assert is_triangle_free(SimpleGraph.from_plane_graph(g))
 
     def test_insecure_guard(self):
+        # the check every test above makes before it reduces
         g = cube_graph()
         bogus = Multigram(MONOGRAM, (0,))   # degree 3: not a monogram
-        with pytest.raises(InsecureMultigram):
-            reduce(g, bogus, verify=True)
+        assert not is_secure(g, bogus)
 
 
 class TestExtend:
     def test_tetragram_identification_colors(self):
         g = cycle_graph(4)
-        m = next(m for m in candidates_at(g, 0) if m.kind == TETRAGRAM)
+        m = next(m for m in multigram_shapes_slow(g)
+                 if m.kind == TETRAGRAM and m.pivot == 0)
         rec = reduce(g, m)
         v1, v3 = m.vertices[0], m.vertices[2]
         coloring = {v1: 0, m.vertices[1]: 1, m.vertices[3]: 2}
@@ -174,7 +183,8 @@ class TestRoundTripProperty:
             sg0 = SimpleGraph.from_plane_graph(g0)
             for m in all_secure_multigrams_slow(g0):
                 g = g0.copy()
-                rec = reduce(g, m, verify=True)
+                assert is_secure(g, m), (name, m)
+                rec = reduce(g, m)
                 validate(g)
                 sg1 = SimpleGraph.from_plane_graph(g)
                 assert is_triangle_free(sg1), (name, m)

@@ -14,11 +14,10 @@ from tricolor.oracle import (
 )
 from tricolor.solver import (
     ExhaustedQueueNonempty, ImproperPrecoloring, NotAFacialCycle, Solver,
-    TriangleFound, close_set, dirty_set, edge_close_set, three_color,
-    three_color_precolored,
+    TriangleFound, close_set, three_color, three_color_precolored,
 )
 
-from conftest import small_corpus
+from conftest import small_corpus, validating_audit
 
 #: frozen regression constant for queue insertions per vertex on grids
 #: (measured 1.000 on pristine grids; +10% tolerance)
@@ -43,7 +42,7 @@ class TestThreeColor:
     def test_instances_proper(self, make):
         g = make()
         sg = SimpleGraph.from_plane_graph(g)
-        col = three_color(g, validate_steps=True)
+        col = three_color(g, audit=validating_audit)
         assert is_proper(sg, col)
         assert set(col) == set(sg.adj)
 
@@ -61,11 +60,11 @@ class TestThreeColor:
             three_color(k4)
 
     def test_triangle_found_in_debug(self):
-        # C4 first (gets reduced), disjoint triangle detected by validation
+        # C4 beside a disjoint triangle, detected by the validating audit
         rot = [[1, 3], [2, 0], [3, 1], [0, 2], [5, 6], [6, 4], [4, 5]]
         g = build(rot)
         with pytest.raises(TriangleFound):
-            three_color(g, validate_steps=True)
+            three_color(g, audit=validating_audit)
 
 
 class TestPrecolored:
@@ -79,7 +78,7 @@ class TestPrecolored:
         sg = SimpleGraph.from_plane_graph(g)
         cyc = next(vs for vs, _ in facial_cycles(g) if len(vs) == 4)
         phi = dict(zip(cyc, (0, 1, 0, 1)))
-        col = three_color_precolored(g, cyc, phi, validate_steps=True)
+        col = three_color_precolored(g, cyc, phi, audit=validating_audit)
         assert is_proper(sg, col)
         assert all(col[v] == phi[v] for v in cyc)
 
@@ -118,22 +117,23 @@ class TestPrecolored:
 
 class TestCloseness:
     def test_two_vertex_edge_deletion(self):
+        # both sides of a lone edge are one 2-dart walk
         g = build([[1], [0]])
-        window = edge_close_set(g, 0)
+        window = g.edge_window(0)
         g.remove_edge(0)
-        assert dirty_set(g, "deleted", 0, 1, window) == {0, 1}
+        assert window == (0, 1)
 
     def test_edge_close_at_most_ten(self):
         for name, g in small_corpus():
             for u, w, d in g.edges():
-                assert len(edge_close_set(g, d)) <= 10, name
+                assert len(g.edge_window(d)) <= 10, name
 
     def test_edge_close_matches_slow(self):
         for make in (lambda: grid_graph(4), cube_graph, k23_graph,
                      lambda: cycle_graph(9)):
             g = make()
             for u, w, d in g.edges():
-                fast = edge_close_set(g, d)
+                fast = set(g.edge_window(d))
                 slow = {z for z in g.vertex_ids()
                         if close_to_edge_slow(g, d, z)}
                 assert fast == slow
