@@ -22,6 +22,13 @@ scans) insist that at least one involved vertex is small
 (degree <= DEGREE_CAP = 59) and cost O(1) with constants depending only
 on the cap.  The ``work`` counter accumulates primitive step counts so
 tests can assert the constant-work contracts.
+
+``RecordingGraph`` is the same graph with read primitives that also
+append to ``reads`` every vertex whose degree, rotation or identity as a
+dart's origin they read.  The solver switches a graph's class to it for
+the length of one pivot search and back, so the footprint of a failed
+search is recorded while builds, validation, generators and surgery run
+the plain primitives and pay nothing for it.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 DEGREE_CAP = 59
-BIG_DEGREE = DEGREE_CAP + 1
 
 
 class EmbeddingError(Exception):
@@ -62,7 +68,7 @@ class PlaneGraph:
     __slots__ = (
         "v_alive", "v_deg", "v_dart", "v_mark",
         "d_origin", "d_twin", "d_next", "d_prev", "d_alive",
-        "n_alive", "m_alive", "work", "_epoch",
+        "n_alive", "m_alive", "work", "_epoch", "reads",
     )
 
     def __init__(self) -> None:
@@ -79,6 +85,7 @@ class PlaneGraph:
         self.m_alive = 0
         self.work = 0
         self._epoch = 0
+        self.reads: list[int] = []     # filled by RecordingGraph only
 
     def next_epoch(self) -> int:
         """Fresh stamp for the v_mark scratch column."""
@@ -400,6 +407,46 @@ class PlaneGraph:
                 collapsed.append((w, window))
         return IdentifyResult(a, b, moved, collapsed)
 
+
+class RecordingGraph(PlaneGraph):
+    """A PlaneGraph whose read primitives log what they read to ``reads``.
+
+    Same slots as PlaneGraph, so ``g.__class__`` can be switched either
+    way.  ``dart_between`` and ``adjacent`` reach ``darts_at`` and
+    ``head`` through these overrides.
+    """
+
+    __slots__ = ()
+
+    def head(self, d: int) -> int:
+        w = self.d_origin[self.d_twin[d]]
+        self.reads.append(w)
+        return w
+
+    def darts_at(self, v: int) -> Iterator[int]:
+        self.reads.append(v)
+        return PlaneGraph.darts_at(self, v)
+
+    def neighbors(self, v: int) -> list[int]:
+        origin, twin = self.d_origin, self.d_twin
+        out = [origin[twin[d]] for d in self.darts_at(v)]
+        self.reads.extend(out)
+        return out
+
+    def dart_between(self, u: int, v: int) -> int | None:
+        self.reads.append(u)
+        self.reads.append(v)
+        return PlaneGraph.dart_between(self, u, v)
+
+    def walk_face(self, d: int, limit: int) -> tuple[list[int], bool]:
+        out, closed = PlaneGraph.walk_face(self, d, limit)
+        origin = self.d_origin
+        self.reads.extend([origin[e] for e in out])
+        if not closed:
+            # the rotation at the last dart's head was read to find that
+            # the walk goes on
+            self.reads.append(origin[self.d_twin[out[-1]]])
+        return out, closed
 
 def build(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
     """Build a PlaneGraph from per-vertex clockwise neighbor lists.

@@ -10,8 +10,9 @@ works, with a bounded exhaustive search (<= 3^5 assignments) as the
 backstop.  Extension can only fail on a corrupted record, which raises.
 
 Edge events are reported to an optional sink as they happen, each with
-the +-2 facial window of the edge captured while the edge exists; the
-solver turns these into worklist re-insertions.
+the +-2 facial window of the edge captured while the edge exists.  The
+solver re-queues pivots from the event endpoints; the windows feed only
+its bound on edge-closeness windows (``SolverStats.max_edge_close``).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class ReductionRecord:
 
 def _delete_edge(g: PlaneGraph, d: int, sink) -> None:
     if sink is not None:
-        sink.edge_event("deleted", g.d_origin[d], g.head(d), g.edge_window(d))
+        sink.edge_event(g.d_origin[d], g.head(d), g.edge_window(d))
     g.remove_edge(d)
 
 
@@ -58,15 +59,15 @@ def _identify(g: PlaneGraph, a: int, b: int, d_a: int | None,
               d_b: int | None, sink) -> IdentifyResult:
     if sink is not None:
         for d in g.darts_at(b):
-            sink.edge_event("deleted", b, g.head(d), g.edge_window(d))
+            sink.edge_event(b, g.head(d), g.edge_window(d))
     res = g.identify_across_face(a, b, d_a, d_b)
     if sink is not None:
         for w, d in res.moved:
             # a collapsed copy's window is reported with its deletion below
             window = g.edge_window(d) if g.d_alive[d] else ()
-            sink.edge_event("added", a, w, window)
+            sink.edge_event(a, w, window)
         for w, window in res.collapsed:
-            sink.edge_event("deleted", a, w, window)
+            sink.edge_event(a, w, window)
     return res
 
 
@@ -183,7 +184,7 @@ def _reduce_decagram(g: PlaneGraph, m: Multigram, sink) -> ReductionRecord:
         g.remove_isolated_vertex(v)
     nd = g.add_edge_at(x1, r1, x3, r3)
     if sink is not None:
-        sink.edge_event("added", x1, x3, g.edge_window(nd))
+        sink.edge_event(x1, x3, g.edge_window(nd))
     return ReductionRecord(m.kind, verts, m.aux, removed, (),
                            ((x1, x3),), 10, 1)
 

@@ -2,16 +2,43 @@
 
 The engine keeps a FIFO multiset of candidate pivots (vertex ids;
 duplicates and dead ids are fine and skipped on pop), initialized with
-every vertex of degree at most three.  Each iteration pops a pivot,
-looks for a (C-)secure multigram there in constant time, applies its
-reduction, and re-inserts every vertex whose pivot status the edge
-changes could have affected: vertices *close* to an event endpoint
-(small-vertex path of length <= 4 or shared facial walk of length <= 6)
-plus the +-2 facial windows of the edges themselves.  Endpoint
-closeness is evaluated in the pre- and post-reduction states (the
-algorithm's own granularity); edge windows are captured while each edge
-exists.  Only vertices of degree <= 3 enter the queue: nothing else can
-pivot a secure multigram.
+every vertex of degree at most three.  Each iteration pops a pivot and
+looks for a (C-)secure multigram there in constant time.  Only vertices
+of degree <= 3 enter the queue: nothing else can pivot a secure
+multigram.
+
+Re-insertion is driven by footprints.  Each search runs on the graph
+switched to ``RecordingGraph``, which logs to ``g.reads`` every vertex
+whose degree, rotation or identity as a dart's origin it reads (the
+finder tests membership in C only of vertices whose degree it read).
+A failed search registers that set plus the pivot as its footprint, and
+a reverse index maps each such vertex to the pivots whose latest
+footprint holds it.  After a reduction the engine re-queues the
+endpoints of its edge events plus the pivots indexed under them.  This
+is sound because every mutation changes state only at endpoints of
+reported events:
+
+* ``_excise`` and ``_insert_before`` change only the rotation, ``v_dart``
+  and degree at the dart's origin, an endpoint of the deleted or added
+  edge;
+* ``identify_across_face`` relabels only darts of the absorbed b and
+  splices the rotations of a and b; every edge of b is reported deleted
+  and re-added at a, so a, b and all their neighbors are endpoints;
+* ``remove_isolated_vertex`` acts on a pivot or on an endpoint;
+* ``ConstraintCycle.replace`` renames an absorbed vertex to its
+  survivor, both endpoints.
+
+So a search that failed keeps failing until an event touches its
+footprint, and a vertex that was never popped becomes a pivot only when
+its degree drops, when it is an endpoint itself.  An index entry is the
+number of the registration that made it; a pivot's newer registration
+makes its older entries stale, and an endpoint's entries are dropped
+once scanned.  Registrations and scanned entries count in ``work``.
+
+The reducer reports the +-2 facial window of each edge event with it;
+the windows feed only ``SolverStats.max_edge_close``.  ``close_set`` (the
+paper's closeness rule) is kept as a reference the tests check against
+the slow oracle.
 
 The recursion of the underlying argument is replaced by an explicit
 record stack; colors flow back through it once the graph is gone.  For
@@ -21,16 +48,16 @@ remains and seeds the unwind with its precoloring.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .embedding import DEGREE_CAP, PlaneGraph
+from .embedding import DEGREE_CAP, PlaneGraph, RecordingGraph
 from .multigram import (
     KIND_ORDER, ConstraintCycle, find_secure_with_pivot,
 )
-from .multigram import DECAGRAM, HEXAGRAM, PENTAGRAM, TETRAGRAM
-from .reducer import ReductionRecord, event_endpoints, reduce, unwind
+from .reducer import ReductionRecord, reduce, unwind
+from .reducer import event_endpoints  # noqa: F401  (bench/spans.py traces it here)
 
 
 class TriangleFound(Exception):
@@ -72,8 +99,8 @@ def close_set(g: PlaneGraph, sources: Iterable[int],
     state: small-path balls of radius 4 plus <=6 facial walks.
 
     ``only_degree_le`` restricts the *collected* vertices by degree (the
-    exploration is unaffected); the solver passes 3, since only such
-    vertices can pivot a secure multigram.
+    exploration is unaffected); 3 keeps only the vertices that can pivot
+    a secure multigram.
     """
     deg = g.v_deg
     nxt = g.d_next
@@ -141,33 +168,21 @@ def close_set(g: PlaneGraph, sources: Iterable[int],
 
 
 class _EventSink:
-    __slots__ = ("endpoints", "windows", "max_window", "deleted", "added")
+    __slots__ = ("endpoints", "max_window")
 
     def __init__(self) -> None:
         self.endpoints: set[int] = set()
-        self.windows: set[int] = set()
         self.max_window = 0
-        self.deleted = 0
-        self.added = 0
 
-    def edge_event(self, action: str, u: int, v: int,
-                   window: tuple[int, ...]) -> None:
+    def edge_event(self, u: int, v: int, window: tuple[int, ...]) -> None:
         self.endpoints.add(u)
         self.endpoints.add(v)
-        if window:
-            self.windows.update(window)
-            if len(window) > self.max_window:
-                self.max_window = len(window)
-        if action == "deleted":
-            self.deleted += 1
-        else:
-            self.added += 1
+        if len(window) > self.max_window:
+            self.max_window = len(window)
 
 
 # ----------------------------------------------------------------------
 # engine
-
-_ADDING_KINDS = frozenset((TETRAGRAM, HEXAGRAM, PENTAGRAM, DECAGRAM))
 
 AuditHook = Callable[[PlaneGraph, tuple[int, ...], ConstraintCycle | None], None]
 
@@ -205,6 +220,14 @@ class Solver:
         target = len(C) if C is not None else 0
         deg = g.v_deg
         alive = g.v_alive
+        # footprint index: vertex -> registrations whose footprint holds
+        # it; registration r belongs to pivot owner[r] and is live while
+        # current[owner[r]] == r
+        index: defaultdict[int, list[int]] = defaultdict(list)
+        owner: list[int] = []
+        current = [-1] * len(alive)
+        reads = g.reads
+        plain = type(g)
 
         if self.audit:
             self.audit(g, tuple(queue), C)
@@ -217,17 +240,20 @@ class Solver:
             stats.pops += 1
             if not alive[v]:
                 continue
+            reads.clear()
+            g.__class__ = RecordingGraph
             m = find_secure_with_pivot(g, v, C)
+            g.__class__ = plain
             if m is None:
+                r = len(owner)
+                owner.append(v)
+                current[v] = r
+                footprint = set(reads)
+                footprint.add(v)
+                for u in footprint:
+                    index[u].append(r)
+                g.work += len(footprint)
                 continue
-            # Pre-state endpoint closeness is needed only when edges get
-            # *added*: for a deletion the edge-absent side of the
-            # closeness rule is the post state, which the second pass
-            # below covers.  Monograms and octagrams only delete.
-            if m.kind in _ADDING_KINDS:
-                dirty = close_set(g, event_endpoints(g, m), 3)
-            else:
-                dirty = set()
             sink = _EventSink()
             record = reduce(g, m, sink)
             self.records.append(record)
@@ -244,9 +270,16 @@ class Solver:
                     if absorbed in C.members:
                         C.replace(absorbed, survivor)
                         self.phi[survivor] = self.phi.pop(absorbed)
-            dirty |= close_set(g, (w for w in sink.endpoints if alive[w]), 3)
-            dirty |= sink.windows
-            for w in sorted(dirty):
+            woken = set(sink.endpoints)
+            for u in sink.endpoints:
+                entries = index.pop(u, None)
+                if entries is not None:
+                    g.work += len(entries)
+                    for r in entries:
+                        p = owner[r]
+                        if current[p] == r:
+                            woken.add(p)
+            for w in sorted(woken):
                 if alive[w] and deg[w] <= 3 and not in_queue[w]:
                     in_queue[w] = True
                     queue.append(w)

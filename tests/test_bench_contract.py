@@ -3,7 +3,9 @@
 ``bench/spans.py`` wraps library functions by attribute name, so a
 rename in ``src/`` would leave a layer empty or break ``--trace 1``.
 This colors the cube through the benchmark's own pipeline with the
-tracer installed.
+tracer installed; installing fails if any wrapped name is gone.
+``solver.close_set`` and ``solver.event_endpoints`` are wrapped too but
+lie off the solve path, so their layers record no calls.
 """
 
 import sys
@@ -30,6 +32,6 @@ def test_tracer_records_hot_layers():
         tracer.uninstall()
     tracer.fold(keep=False)
     assert pipeline.is_correct(reference, out)
-    for layer in ("solver.close_set", "embedding.edge_vicinity",
-                  "multigram.find", "reducer.reduce"):
+    for layer in ("embedding.edge_vicinity", "multigram.find",
+                  "reducer.reduce"):
         assert tracer.totals[layer].calls > 0, layer

@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tricolor.embedding import (
-    EmbeddingCorruption, EmbeddingError, NonPlanarEmbedding, build, validate,
+    EmbeddingCorruption, EmbeddingError, NonPlanarEmbedding, PlaneGraph,
+    RecordingGraph, build, validate,
 )
 from tricolor.generators import quad
 from tricolor.instances import (
@@ -90,6 +91,45 @@ class TestFaceTracing:
             seen.extend(orbit)
         assert sorted(seen) == [d for d in range(len(g.d_origin))
                                 if g.d_alive[d]]
+
+
+class TestReadRecording:
+    """On a graph switched to RecordingGraph, the finder's read
+    primitives log every vertex whose degree, rotation or dart identity
+    they read; the plain class logs nothing."""
+
+    def test_plain_graph_records_nothing(self):
+        g = cube_graph()
+        list(g.neighbors(0))
+        g.walk_face(0, 7)
+        g.dart_between(0, 1)
+        assert g.reads == []
+
+    def test_open_walk_records_the_next_origin(self):
+        # the rotation at the head of the last dart was read to find
+        # that the walk goes on
+        g = cycle_graph(9)
+        g.__class__ = RecordingGraph
+        walk, closed = g.walk_face(0, 3)
+        g.__class__ = PlaneGraph
+        assert not closed
+        assert g.reads == [g.d_origin[e] for e in walk] + [g.head(walk[-1])]
+
+    def test_neighbors_and_head(self):
+        g = cube_graph()
+        g.__class__ = RecordingGraph
+        nbrs = list(g.neighbors(2))
+        assert g.reads == [2] + nbrs
+        g.reads.clear()
+        w = g.head(g.v_dart[5])
+        assert g.reads == [w]
+
+    def test_dart_between_records_both_ends_and_the_scan(self):
+        g = grid_graph(3)
+        g.__class__ = RecordingGraph
+        assert g.dart_between(4, 8) is None     # center and a corner
+        assert g.reads[:3] == [4, 8, 8]         # degrees, then the corner
+        assert set(g.reads[3:]) == {5, 7}
 
 
 class TestRemoveEdge:

@@ -2,19 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tricolor.embedding import build
-from tricolor.generators import augmented, quad
+from tricolor.embedding import PlaneGraph, build
+from tricolor.generators import GenSpec, augmented, generate, quad
 from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph, grid_graph,
     graph_from_faces, hexagram_flower, k23_graph, pentagram_flower,
 )
+from tricolor.multigram import find_secure_with_pivot
 from tricolor.oracle import (
     SimpleGraph, all_secure_multigrams_slow, close_to_edge_slow,
     closeness_slow, facial_cycles, is_proper,
 )
 from tricolor.solver import (
     ExhaustedQueueNonempty, ImproperPrecoloring, NotAFacialCycle, Solver,
-    TriangleFound, close_set, three_color, three_color_precolored,
+    TriangleFound, close_set, precolored_solver, three_color,
+    three_color_precolored,
 )
 
 from conftest import small_corpus, validating_audit
@@ -177,6 +179,55 @@ class TestWorklistInvariant:
             three_color(g, audit=audit)
         assert not failures
 
+    def test_invariant_at_scale(self):
+        # Beyond the oracle's reach: at every loop head, no alive vertex
+        # of degree <= 3 outside the queue has a secure multigram by the
+        # fast finder (which criterion 3 ties to the oracle).
+        heads = checked = 0
+        failures = []
+
+        def audit(g, queue, C):
+            nonlocal heads, checked
+            heads += 1
+            queued = set(queue)
+            for v in g.vertex_ids():
+                if g.v_deg[v] <= 3 and v not in queued:
+                    checked += 1
+                    if find_secure_with_pivot(g, v, C) is not None:
+                        failures.append((heads, v))
+
+        graphs = [generate(GenSpec(kind, size, seed=seed))
+                  for kind in ("quad", "augmented")
+                  for seed, size in enumerate((150, 250, 350, 500) * 2)]
+        graphs += [generate(GenSpec("grid", size, seed=seed, delete_prob=0.1))
+                   for seed, size in enumerate((225, 400) * 2)]
+        graphs.append(_union([big_hub_graph(), big_hub_graph(pendant=False)]
+                             + [make() for make in (pentagram_flower,
+                                                    hexagram_flower,
+                                                    cube_graph,
+                                                    dodecahedron_graph)
+                                for _ in range(4)]))
+        for g in graphs:
+            precolored = [g.copy() for _ in range(2)]
+            Solver(g, audit=audit).run()
+            cycles = [vs for vs, _ in facial_cycles(precolored[0])
+                      if len(vs) in (4, 5)]
+            for h, cyc in zip(precolored, (cycles[0], cycles[-1])):
+                phi = dict(zip(cyc, (0, 1, 0, 1, 2)[:len(cyc)]))
+                precolored_solver(h, cyc, phi, audit=audit).run()
+        assert checked > 10_000
+        assert not failures, failures[:5]
+
+
+def _union(graphs: list[PlaneGraph]) -> PlaneGraph:
+    """Disjoint union, each graph's ids shifted past the previous ones."""
+    rot: list[list[int]] = []
+    for g in graphs:
+        base = len(rot)
+        rot.extend([base + w for w in g.neighbors(v)]
+                   for v in range(len(g.v_alive)))
+    return build(rot)
+
 
 class TestStats:
     def test_empty(self):
@@ -195,6 +246,17 @@ class TestStats:
             s = Solver(g)
             s.run()
             assert s.stats.vertices_removed == n0, name
+
+    def test_work_per_vertex_bounded(self):
+        # footprint re-insertion spends 54-59 work per vertex here;
+        # re-queuing every vertex close to an edge event spent 371-433
+        for kind in ("augmented", "quad"):
+            for seed in (1, 2):
+                g = generate(GenSpec(kind, 2000, seed=seed))
+                n = g.n_alive
+                s = Solver(g)
+                s.run()
+                assert s.stats.work / n <= 150, (kind, seed, s.stats.work / n)
 
     def test_grid_insertion_constant(self):
         for k in (10, 20, 40, 80):
