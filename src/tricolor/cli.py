@@ -90,8 +90,7 @@ def _print_stats(stats) -> None:
     kinds = " ".join(f"{k}={stats.reductions[k]}" for k in KIND_ORDER)
     sys.stderr.write(
         f"pops={stats.pops} insertions={stats.insertions} "
-        f"removed={stats.vertices_removed} max_edge_close={stats.max_edge_close} "
-        f"{kinds}\n")
+        f"removed={stats.vertices_removed} {kinds}\n")
 
 
 def _cmd_check(args) -> int:

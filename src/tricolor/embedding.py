@@ -21,7 +21,9 @@ Vertices of degree >= 60 are *big*; bounded queries (adjacency, vicinity
 scans) insist that at least one involved vertex is small
 (degree <= DEGREE_CAP = 59) and cost O(1) with constants depending only
 on the cap.  The ``work`` counter accumulates primitive step counts so
-tests can assert the constant-work contracts.
+tests can assert the constant-work contracts.  ``edge_window`` reads the
++-2 facial window of an edge (the paper's edge-closeness set) for the
+checks of its size bound; no surgery computes it.
 
 ``RecordingGraph`` is the same graph with read primitives that also
 append to ``reads`` every vertex whose degree, rotation or identity as a
@@ -53,13 +55,12 @@ class EmbeddingCorruption(EmbeddingError):
 
 @dataclass
 class IdentifyResult:
-    survivor: int
-    absorbed: int
-    # (neighbor, dart now rooted at the survivor), in the absorbed
-    # vertex's rotation order; darts of collapsed copies are dead.
-    moved: list[tuple[int, int]]
-    # (neighbor, facial +-2 window captured just before the deletion)
-    collapsed: list[tuple[int, tuple[int, ...]]]
+    # neighbors whose edge to the absorbed vertex now ends at the
+    # survivor, in the absorbed vertex's rotation order
+    moved: list[int]
+    # neighbors whose moved edge paralleled one at the survivor and was
+    # deleted
+    collapsed: list[int]
 
 
 class PlaneGraph:
@@ -362,12 +363,14 @@ class PlaneGraph:
                 raise EmbeddingError(f"dart {ref} is dead or not at vertex {w}")
 
         origin, twin = self.d_origin, self.d_twin
-        moved: list[tuple[int, int]] = []
+        moved: list[int] = []
+        moved_darts: set[int] = set()
         if deg_b:
             d = d_b
             for _ in range(deg_b):
                 origin[d] = a
-                moved.append((origin[twin[d]], d))
+                moved.append(origin[twin[d]])
+                moved_darts.add(d)
                 d = self.d_next[d]
             if deg_a == 0:
                 self.v_dart[a] = d_b
@@ -385,9 +388,8 @@ class PlaneGraph:
         self.n_alive -= 1
         self.work += deg_b + 1
 
-        collapsed: list[tuple[int, tuple[int, ...]]] = []
+        collapsed: list[int] = []
         if deg_a and deg_b:
-            moved_darts = {d for _, d in moved}
             for seam in (d_a, d_b):
                 if not self.d_alive[seam]:
                     continue
@@ -401,11 +403,10 @@ class PlaneGraph:
                     raise EmbeddingCorruption(
                         f"parallel pair at identify({a},{b}) not one-per-side")
                 doomed = seam if seam_moved else e
-                w = a if origin[doomed] != a else origin[twin[doomed]]
-                window = self.edge_window(doomed)
+                u, w = origin[doomed], origin[twin[doomed]]
                 self.remove_edge(doomed)
-                collapsed.append((w, window))
-        return IdentifyResult(a, b, moved, collapsed)
+                collapsed.append(w if u == a else u)
+        return IdentifyResult(moved, collapsed)
 
 
 class RecordingGraph(PlaneGraph):

@@ -73,9 +73,6 @@ class ConstraintCycle:
         self.order: list[int] = list(order)
         self.members: set[int] = set(order)
 
-    def __contains__(self, v: int) -> bool:
-        return v in self.members
-
     def __len__(self) -> int:
         return len(self.order)
 

@@ -9,10 +9,8 @@ vertices; a greedy pass or the pentagram proof order almost always
 works, with a bounded exhaustive search (<= 3^5 assignments) as the
 backstop.  Extension can only fail on a corrupted record, which raises.
 
-Edge events are reported to an optional sink as they happen, each with
-the +-2 facial window of the edge captured while the edge exists.  The
-solver re-queues pivots from the event endpoints; the windows feed only
-its bound on edge-closeness windows (``SolverStats.max_edge_close``).
+``event_endpoints`` names, before a reduction, every vertex the
+reduction will touch; the solver re-queues pivots from that set.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .embedding import DEGREE_CAP, IdentifyResult, PlaneGraph
+from .embedding import DEGREE_CAP, PlaneGraph
 from .multigram import (
     DECAGRAM, HEXAGRAM, MONOGRAM, OCTAGRAM, PENTAGRAM, TETRAGRAM,
     Multigram, _third_dart,
@@ -49,28 +47,6 @@ class ReductionRecord:
         return len(self.removed) + len(self.identifications)
 
 
-def _delete_edge(g: PlaneGraph, d: int, sink) -> None:
-    if sink is not None:
-        sink.edge_event(g.d_origin[d], g.head(d), g.edge_window(d))
-    g.remove_edge(d)
-
-
-def _identify(g: PlaneGraph, a: int, b: int, d_a: int | None,
-              d_b: int | None, sink) -> IdentifyResult:
-    if sink is not None:
-        for d in g.darts_at(b):
-            sink.edge_event(b, g.head(d), g.edge_window(d))
-    res = g.identify_across_face(a, b, d_a, d_b)
-    if sink is not None:
-        for w, d in res.moved:
-            # a collapsed copy's window is reported with its deletion below
-            window = g.edge_window(d) if g.d_alive[d] else ()
-            sink.edge_event(a, w, window)
-        for w, window in res.collapsed:
-            sink.edge_event(a, w, window)
-    return res
-
-
 def _next_surviving(g: PlaneGraph, d: int, doomed: set[int]) -> int | None:
     """First dart after d in its rotation that will survive, else None."""
     e = g.d_next[d]
@@ -88,85 +64,84 @@ def _pendant_darts(g: PlaneGraph, verts: tuple[int, ...], upto: int) -> list[int
     return out
 
 
+def _identified_ends(g: PlaneGraph, m: Multigram) -> tuple[int, int]:
+    """Indices (survivor, absorbed) into m.vertices for a tetragram or
+    hexagram, which identifies v1 and v3 across their face.  The absorbed
+    side must be small; only a tetragram's v3 can be big."""
+    return (2, 0) if g.v_deg[m.vertices[2]] > DEGREE_CAP else (0, 2)
+
+
 def event_endpoints(g: PlaneGraph, m: Multigram) -> set[int]:
-    """Endpoints of every edge the reduction of m will delete or add."""
+    """Every vertex whose degree, rotation, ``v_dart`` or dart heads the
+    reduction of m will change: the endpoints of every edge it deletes,
+    moves or adds, computed before it runs."""
     verts = m.vertices
     kind = m.kind
     out = set(verts)
     if kind == MONOGRAM:
         out.update(g.neighbors(verts[0]))
     elif kind in (TETRAGRAM, HEXAGRAM):
-        b = verts[0] if g.v_deg[verts[2]] > DEGREE_CAP else verts[2]
-        out.update(g.neighbors(b))
-        out.add(verts[0])
-        out.add(verts[2])
+        out.update(g.neighbors(verts[_identified_ends(g, m)[1]]))
     elif kind in (OCTAGRAM, DECAGRAM):
         for v in verts:
             out.update(g.neighbors(v))
     elif kind == PENTAGRAM:
         for v in verts:
             out.update(g.neighbors(v))
-        out.update(m.aux)
         out.update(g.neighbors(m.aux[3]))
     return out
 
 
-def reduce(g: PlaneGraph, m: Multigram, sink=None) -> ReductionRecord:
+def reduce(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     """Apply the per-kind reduction of m, mutating g.
 
     m must be (C-)secure; the reduction does not re-check it.
     """
     kind = m.kind
     if kind == MONOGRAM:
-        return _reduce_monogram(g, m, sink)
+        return _reduce_monogram(g, m)
     if kind in (TETRAGRAM, HEXAGRAM):
-        return _reduce_identifying(g, m, sink)
+        return _reduce_identifying(g, m)
     if kind == OCTAGRAM:
-        return _reduce_octagram(g, m, sink)
+        return _reduce_octagram(g, m)
     if kind == DECAGRAM:
-        return _reduce_decagram(g, m, sink)
+        return _reduce_decagram(g, m)
     if kind == PENTAGRAM:
-        return _reduce_pentagram(g, m, sink)
+        return _reduce_pentagram(g, m)
     raise ValueError(kind)
 
 
-def _reduce_monogram(g: PlaneGraph, m: Multigram, sink) -> ReductionRecord:
+def _reduce_monogram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     v = m.vertices[0]
     nbrs = tuple(g.neighbors(v))
     while g.v_deg[v]:
-        _delete_edge(g, g.v_dart[v], sink)
+        g.remove_edge(g.v_dart[v])
     g.remove_isolated_vertex(v)
     return ReductionRecord(m.kind, m.vertices, m.aux, ((v, nbrs),),
                            (), (), len(nbrs), 0)
 
 
-def _reduce_identifying(g: PlaneGraph, m: Multigram, sink) -> ReductionRecord:
-    # tetragram / hexagram: identify v1 and v3 across the facial cycle.
-    # The absorbed side must be small; only a tetragram's v3 can be big.
-    v1, v3 = m.vertices[0], m.vertices[2]
-    d1, d3 = m.darts[0], m.darts[2]
-    if g.v_deg[v3] > DEGREE_CAP:
-        a, b, da, db = v3, v1, d3, d1
-    else:
-        a, b, da, db = v1, v3, d1, d3
-    res = _identify(g, a, b, da, db, sink)
+def _reduce_identifying(g: PlaneGraph, m: Multigram) -> ReductionRecord:
+    i, j = _identified_ends(g, m)
+    a, b = m.vertices[i], m.vertices[j]
+    res = g.identify_across_face(a, b, m.darts[i], m.darts[j])
     return ReductionRecord(
         m.kind, m.vertices, m.aux, (), ((a, b),), (),
         len(res.moved) + len(res.collapsed), len(res.moved))
 
 
-def _reduce_octagram(g: PlaneGraph, m: Multigram, sink) -> ReductionRecord:
+def _reduce_octagram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     verts = m.vertices
     removed = tuple((v, tuple(g.neighbors(v))) for v in verts)
     for d in m.darts:
-        _delete_edge(g, d, sink)
+        g.remove_edge(d)
     for v in verts:
-        _delete_edge(g, g.v_dart[v], sink)
+        g.remove_edge(g.v_dart[v])
         g.remove_isolated_vertex(v)
     return ReductionRecord(m.kind, verts, m.aux, removed, (), (), 8, 0)
 
 
-def _reduce_decagram(g: PlaneGraph, m: Multigram, sink) -> ReductionRecord:
+def _reduce_decagram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     verts = m.vertices
     x1, x3 = m.aux[0], m.aux[2]
     pend = _pendant_darts(g, verts, 4)
@@ -179,17 +154,15 @@ def _reduce_decagram(g: PlaneGraph, m: Multigram, sink) -> ReductionRecord:
     r3 = _next_surviving(g, g.d_twin[pend[2]], doomed)
     removed = tuple((v, tuple(g.neighbors(v))) for v in verts)
     for d in (*m.darts, *pend, p5):
-        _delete_edge(g, d, sink)
+        g.remove_edge(d)
     for v in verts:
         g.remove_isolated_vertex(v)
-    nd = g.add_edge_at(x1, r1, x3, r3)
-    if sink is not None:
-        sink.edge_event(x1, x3, g.edge_window(nd))
+    g.add_edge_at(x1, r1, x3, r3)
     return ReductionRecord(m.kind, verts, m.aux, removed, (),
                            ((x1, x3),), 10, 1)
 
 
-def _reduce_pentagram(g: PlaneGraph, m: Multigram, sink) -> ReductionRecord:
+def _reduce_pentagram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     verts = m.vertices
     v5 = verts[4]
     x1, x2, x3, x4 = m.aux
@@ -204,11 +177,11 @@ def _reduce_pentagram(g: PlaneGraph, m: Multigram, sink) -> ReductionRecord:
     r_x4 = _next_surviving(g, g.d_twin[pend[3]], doomed)
     removed = tuple((v, tuple(g.neighbors(v))) for v in verts[:4])
     for d in (*m.darts, *pend):
-        _delete_edge(g, d, sink)
+        g.remove_edge(d)
     for v in verts[:4]:
         g.remove_isolated_vertex(v)
-    res_a = _identify(g, x2, v5, r_x2, r_v5, sink)
-    res_b = _identify(g, x3, x4, r_x3, r_x4, sink)
+    res_a = g.identify_across_face(x2, v5, r_x2, r_v5)
+    res_b = g.identify_across_face(x3, x4, r_x3, r_x4)
     deleted = 9
     added = 0
     for res in (res_a, res_b):

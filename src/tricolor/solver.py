@@ -13,32 +13,37 @@ whose degree, rotation or identity as a dart's origin it reads (the
 finder tests membership in C only of vertices whose degree it read).
 A failed search registers that set plus the pivot as its footprint, and
 a reverse index maps each such vertex to the pivots whose latest
-footprint holds it.  After a reduction the engine re-queues the
-endpoints of its edge events plus the pivots indexed under them.  This
-is sound because every mutation changes state only at endpoints of
-reported events:
+footprint holds it.  Before a reduction the engine computes
+``event_endpoints(g, m)``; after it, the engine re-queues that set plus
+the pivots indexed under it.  This is sound because every vertex whose
+degree, rotation, ``v_dart`` or dart heads the reduction changes is in
+``event_endpoints(g, m)`` computed before the reduction:
 
-* ``_excise`` and ``_insert_before`` change only the rotation, ``v_dart``
-  and degree at the dart's origin, an endpoint of the deleted or added
-  edge;
-* ``identify_across_face`` relabels only darts of the absorbed b and
-  splices the rotations of a and b; every edge of b is reported deleted
-  and re-added at a, so a, b and all their neighbors are endpoints;
-* ``remove_isolated_vertex`` acts on a pivot or on an endpoint;
+* ``remove_edge`` and ``add_edge_at`` change only the rotation,
+  ``v_dart`` and degree at the two ends of the edge, and a reduction
+  deletes only edges at its multigram's vertices and at an absorbed
+  vertex, and adds only an edge between two of their neighbors;
+* ``identify_across_face`` relabels the darts of the absorbed b, which
+  changes the heads seen from b's neighbors, and splices the rotations
+  of the survivor a and b; b and its neighbors are in the set, and a is
+  a multigram vertex or a neighbor of one;
+* ``remove_isolated_vertex`` acts on a multigram vertex or an absorbed
+  one;
 * ``ConstraintCycle.replace`` renames an absorbed vertex to its
-  survivor, both endpoints.
+  survivor, both in the set.
 
-So a search that failed keeps failing until an event touches its
+``tests/test_reducer.py`` checks the claim state by state, for every
+secure multigram of the small corpus and every reduction of full runs.
+So a search that failed keeps failing until a reduction touches its
 footprint, and a vertex that was never popped becomes a pivot only when
-its degree drops, when it is an endpoint itself.  An index entry is the
+its degree drops, when it is touched itself.  An index entry is the
 number of the registration that made it; a pivot's newer registration
-makes its older entries stale, and an endpoint's entries are dropped
-once scanned.  Registrations and scanned entries count in ``work``.
+makes its older entries stale, and a touched vertex's entries are
+dropped once scanned.  Registrations and scanned entries count in
+``work``.
 
-The reducer reports the +-2 facial window of each edge event with it;
-the windows feed only ``SolverStats.max_edge_close``.  ``close_set`` (the
-paper's closeness rule) is kept as a reference the tests check against
-the slow oracle.
+``close_set`` (the paper's closeness rule) is kept as a reference the
+tests check against the slow oracle.
 
 The recursion of the underlying argument is replaced by an explicit
 record stack; colors flow back through it once the graph is gone.  For
@@ -56,8 +61,7 @@ from .embedding import DEGREE_CAP, PlaneGraph, RecordingGraph
 from .multigram import (
     KIND_ORDER, ConstraintCycle, find_secure_with_pivot,
 )
-from .reducer import ReductionRecord, reduce, unwind
-from .reducer import event_endpoints  # noqa: F401  (bench/spans.py traces it here)
+from .reducer import ReductionRecord, event_endpoints, reduce, unwind
 
 
 class TriangleFound(Exception):
@@ -84,7 +88,6 @@ class SolverStats:
     pops: int = 0
     insertions: int = 0
     vertices_removed: int = 0
-    max_edge_close: int = 0
     max_edges_deleted: int = 0
     max_edges_added: int = 0
     work: int = 0
@@ -167,20 +170,6 @@ def close_set(g: PlaneGraph, sources: Iterable[int],
     return out
 
 
-class _EventSink:
-    __slots__ = ("endpoints", "max_window")
-
-    def __init__(self) -> None:
-        self.endpoints: set[int] = set()
-        self.max_window = 0
-
-    def edge_event(self, u: int, v: int, window: tuple[int, ...]) -> None:
-        self.endpoints.add(u)
-        self.endpoints.add(v)
-        if len(window) > self.max_window:
-            self.max_window = len(window)
-
-
 # ----------------------------------------------------------------------
 # engine
 
@@ -254,13 +243,11 @@ class Solver:
                     index[u].append(r)
                 g.work += len(footprint)
                 continue
-            sink = _EventSink()
-            record = reduce(g, m, sink)
+            touched = event_endpoints(g, m)
+            record = reduce(g, m)
             self.records.append(record)
             stats.reductions[m.kind] += 1
             stats.vertices_removed += record.vertices_removed
-            if sink.max_window > stats.max_edge_close:
-                stats.max_edge_close = sink.max_window
             if record.edges_deleted > stats.max_edges_deleted:
                 stats.max_edges_deleted = record.edges_deleted
             if record.edges_added > stats.max_edges_added:
@@ -270,8 +257,8 @@ class Solver:
                     if absorbed in C.members:
                         C.replace(absorbed, survivor)
                         self.phi[survivor] = self.phi.pop(absorbed)
-            woken = set(sink.endpoints)
-            for u in sink.endpoints:
+            woken = set(touched)
+            for u in touched:
                 entries = index.pop(u, None)
                 if entries is not None:
                     g.work += len(entries)

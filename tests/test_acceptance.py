@@ -2,7 +2,8 @@
 
 Criterion 1 (correctness at scale) shares its run with criteria 5 and 6
 through a session fixture so the ladder of >= 1000 instances is solved
-exactly once.
+exactly once; criterion 6 reads the edge windows of its inputs before
+they are solved.
 """
 
 from __future__ import annotations
@@ -72,8 +73,14 @@ class ScaleResults:
     max_edges_deleted: int = 0
     max_edges_added: int = 0
     min_vertices_removed: int = 10
+    window_edges: int = 0
     max_edge_close: int = 0
     seconds: float = 0.0
+
+
+def _max_window(g) -> int:
+    """Largest +-2 facial window over every edge of g."""
+    return max((len(g.edge_window(d)) for _, _, d in g.edges()), default=0)
 
 
 @pytest.fixture(scope="session")
@@ -83,6 +90,8 @@ def at_scale() -> ScaleResults:
     for spec in _scale_ladder():
         g = generate(spec)
         sg = SimpleGraph.from_plane_graph(g)
+        res.window_edges += g.m_alive
+        res.max_edge_close = max(res.max_edge_close, _max_window(g))
         solver = Solver(g)
         coloring = solver.run()
         ok = (set(coloring) == set(sg.adj)
@@ -97,8 +106,6 @@ def at_scale() -> ScaleResults:
                 res.max_edges_added = rec.edges_added
             if rec.vertices_removed < res.min_vertices_removed:
                 res.min_vertices_removed = rec.vertices_removed
-        if solver.stats.max_edge_close > res.max_edge_close:
-            res.max_edge_close = solver.stats.max_edge_close
         res.instances += 1
         res.vertices += len(sg.adj)
     res.seconds = time.perf_counter() - t0
@@ -166,6 +173,17 @@ def test_criterion_3_lemma6_equivalence():
             f"0 discrepancies")
 
 
+def _run_small_corpus(audit) -> None:
+    """Solve the small corpus plain and precolored on two of each graph's
+    facial 4- and 5-cycles, calling ``audit`` at every loop head."""
+    for name, g in small_corpus():
+        Solver(g.copy(), audit=audit).run()
+        cycles = [vs for vs, _ in facial_cycles(g) if len(vs) in (4, 5)]
+        for cyc in cycles[:2]:
+            phi = dict(zip(cyc, (0, 1, 0, 1, 2)[:len(cyc)]))
+            precolored_solver(g.copy(), cyc, phi, audit=audit).run()
+
+
 def test_criterion_4_worklist_invariant():
     violations: list = []
     heads = 0
@@ -178,12 +196,7 @@ def test_criterion_4_worklist_invariant():
         if missing:
             violations.append(missing)
 
-    for name, g in small_corpus():
-        Solver(g.copy(), audit=audit).run()
-        cycles = [vs for vs, _ in facial_cycles(g) if len(vs) in (4, 5)]
-        for cyc in cycles[:2]:
-            phi = dict(zip(cyc, (0, 1, 0, 1, 2)[:len(cyc)]))
-            precolored_solver(g.copy(), cyc, phi, audit=audit).run()
+    _run_small_corpus(audit)
     assert not violations
     _report("4 worklist-invariant", f"{heads} loop heads, 0 violations")
 
@@ -199,9 +212,23 @@ def test_criterion_5_reduction_bounds(at_scale):
 
 
 def test_criterion_6_edge_close_bound(at_scale):
+    # the windows of every edge of every ladder input, and of every edge
+    # at every loop head of the small corpus, run as criterion 4 runs it
+    heads = 0
+    head_max = 0
+
+    def audit(g, queue, C):
+        nonlocal heads, head_max
+        heads += 1
+        head_max = max(head_max, _max_window(g))
+
+    _run_small_corpus(audit)
     assert 0 < at_scale.max_edge_close <= 10
+    assert 0 < head_max <= 10
     _report("6 edge-closeness-bound",
-            f"max edge-close window {at_scale.max_edge_close} <= 10")
+            f"max edge-close window {max(at_scale.max_edge_close, head_max)}"
+            f" <= 10 over {at_scale.window_edges} ladder edges and "
+            f"{heads} loop heads")
 
 
 def test_criterion_7_linear_scaling():

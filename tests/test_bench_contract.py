@@ -4,8 +4,8 @@
 rename in ``src/`` would leave a layer empty or break ``--trace 1``.
 This colors the cube through the benchmark's own pipeline with the
 tracer installed; installing fails if any wrapped name is gone.
-``solver.close_set`` and ``solver.event_endpoints`` are wrapped too but
-lie off the solve path, so their layers record no calls.
+``solver.close_set`` is wrapped too but lies off the solve path, so its
+layer records no calls.
 """
 
 import sys
@@ -32,6 +32,6 @@ def test_tracer_records_hot_layers():
         tracer.uninstall()
     tracer.fold(keep=False)
     assert pipeline.is_correct(reference, out)
-    for layer in ("embedding.edge_vicinity", "multigram.find",
+    for layer in ("reducer.event_endpoints", "multigram.find",
                   "reducer.reduce"):
         assert tracer.totals[layer].calls > 0, layer

@@ -275,9 +275,9 @@ class TestIdentify:
         d2 = g.trace_face(d0)[2]
         res = g.identify_across_face(0, 2, d0, d2)
         validate(g)
-        assert res.survivor == 0 and res.absorbed == 2
+        assert g.v_alive[0] and not g.v_alive[2]
         assert (g.n_alive, g.m_alive) == (3, 2)
-        assert len(res.collapsed) == 2
+        assert sorted(res.moved) == sorted(res.collapsed) == [1, 3]
 
     def test_cube_face_antipodal(self):
         g = cube_graph()
@@ -301,7 +301,7 @@ class TestIdentify:
         res = g.identify_across_face(1, 3, da, db)
         validate(g)
         assert (g.n_alive, g.m_alive) == (5, 5)
-        assert [w for w, _ in res.collapsed] == [2]
+        assert sorted(res.moved) == [2, 4] and res.collapsed == [2]
 
     def test_adjacent_rejected(self):
         g = cycle_graph(4)

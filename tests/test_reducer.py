@@ -1,12 +1,13 @@
 import pytest
 
 from tricolor.embedding import DEGREE_CAP, build, validate
+from tricolor.generators import augmented, grid, quad
 from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph,
     hexagram_flower, pentagram_flower,
 )
 from tricolor.multigram import (
-    DECAGRAM, HEXAGRAM, MONOGRAM, OCTAGRAM, PENTAGRAM, TETRAGRAM,
+    DECAGRAM, HEXAGRAM, KIND_ORDER, MONOGRAM, OCTAGRAM, PENTAGRAM, TETRAGRAM,
     Multigram, find_secure_with_pivot, is_secure,
 )
 from tricolor.oracle import (
@@ -14,8 +15,8 @@ from tricolor.oracle import (
     is_triangle_free, multigram_shapes_slow,
 )
 from tricolor.reducer import (
-    ExtensionFailure, ReductionRecord, _pentagram_proof_order, extend, reduce,
-    unwind,
+    ExtensionFailure, ReductionRecord, _pentagram_proof_order, event_endpoints,
+    extend, reduce, unwind,
 )
 
 from conftest import small_corpus
@@ -200,3 +201,51 @@ class TestRoundTripProperty:
                 rec = reduce(g, m)
                 for survivor, absorbed in rec.identifications:
                     assert g0.v_deg[absorbed] <= 59 or g0.v_deg[survivor] <= 59
+
+
+def _vertex_states(g):
+    """Per vertex id: alive flag, degree, v_dart and (dart, head) rotation."""
+    return [(g.v_alive[v], g.v_deg[v], g.v_dart[v],
+             tuple((d, g.head(d)) for d in g.darts_at(v)))
+            for v in range(len(g.v_alive))]
+
+
+def _uncovered(g, m):
+    """Vertices whose state reducing m changes but that
+    ``event_endpoints`` computed before the reduction leaves out."""
+    touched = event_endpoints(g, m)
+    before = _vertex_states(g)
+    reduce(g, m)
+    after = _vertex_states(g)
+    return {v for v, state in enumerate(before) if after[v] != state} - touched
+
+
+class TestEventEndpoints:
+    def test_covers_every_changed_vertex(self):
+        # the solver re-queues only from this set, so it must hold every
+        # vertex a reduction changes, on the oracle's listings (all six
+        # kinds) and on the mid-run states of full runs
+        fired = dict.fromkeys(KIND_ORDER, 0)
+        uncovered = []
+        for name, g0 in small_corpus():
+            for m in all_secure_multigrams_slow(g0):
+                fired[m.kind] += 1
+                missing = _uncovered(g0.copy(), m)
+                if missing:
+                    uncovered.append((name, m, missing))
+        runs = [quad(400, seed) for seed in (1, 2, 3)]
+        runs += [augmented(400, seed) for seed in (1, 2, 3)]
+        runs += [grid(20, 0.1, seed) for seed in (1, 2)]
+        for g in runs:
+            while g.n_alive:
+                for v in list(g.vertex_ids()):
+                    if not g.v_alive[v]:
+                        continue
+                    m = find_secure_with_pivot(g, v)
+                    if m is not None:
+                        fired[m.kind] += 1
+                        missing = _uncovered(g, m)
+                        if missing:
+                            uncovered.append((m, missing))
+        assert uncovered == [], uncovered[:5]
+        assert all(fired.values()), fired
