@@ -49,24 +49,6 @@ def _load_graph(path: str):
     return parse(_read_text(path))
 
 
-def _precolor_cycle(g, mapping: dict[int, int]) -> list[int]:
-    """Recover the facial-cycle order from a precolor file's vertex set."""
-    ids = set(mapping)
-    if not 3 <= len(ids) <= 5:
-        raise NotAFacialCycle(sorted(ids))
-    v0 = min(ids)
-    if not (0 <= v0 < len(g.v_alive) and g.v_alive[v0]):
-        raise NotAFacialCycle(sorted(ids))
-    for d in g.darts_at(v0):
-        walk, closed = g.walk_face(d, 6)
-        if not closed or len(walk) != len(ids):
-            continue
-        verts = [g.d_origin[e] for e in walk]
-        if set(verts) == ids and len(set(verts)) == len(verts):
-            return verts
-    raise NotAFacialCycle(sorted(ids))
-
-
 def _cmd_color(args) -> int:
     g = _load_graph(args.input)
     if args.validate:
@@ -75,8 +57,7 @@ def _cmd_color(args) -> int:
             raise TriangleFound("input graph has a triangle")
     if args.precolor:
         phi = parse_coloring(_read_text(args.precolor))
-        cycle = _precolor_cycle(g, phi)
-        solver = precolored_solver(g, cycle, phi)
+        solver = precolored_solver(g, phi.keys(), phi)
     else:
         solver = Solver(g)
     coloring = solver.run()

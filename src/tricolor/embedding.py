@@ -67,16 +67,15 @@ class PlaneGraph:
     """Plane graph as parallel id arrays.  Single-owner mutable value."""
 
     __slots__ = (
-        "v_alive", "v_deg", "v_dart", "v_mark",
+        "v_alive", "v_deg", "v_dart",
         "d_origin", "d_twin", "d_next", "d_prev", "d_alive",
-        "n_alive", "m_alive", "work", "_epoch", "reads",
+        "n_alive", "m_alive", "work", "reads",
     )
 
     def __init__(self) -> None:
         self.v_alive: list[bool] = []
         self.v_deg: list[int] = []
         self.v_dart: list[int] = []     # some outgoing dart, -1 if isolated
-        self.v_mark: list[int] = []     # scratch epochs for traversals
         self.d_origin: list[int] = []
         self.d_twin: list[int] = []
         self.d_next: list[int] = []
@@ -85,13 +84,7 @@ class PlaneGraph:
         self.n_alive = 0
         self.m_alive = 0
         self.work = 0
-        self._epoch = 0
         self.reads: list[int] = []     # filled by RecordingGraph only
-
-    def next_epoch(self) -> int:
-        """Fresh stamp for the v_mark scratch column."""
-        self._epoch += 1
-        return self._epoch
 
     # ------------------------------------------------------------------
     # construction
@@ -101,7 +94,6 @@ class PlaneGraph:
         self.v_alive.append(True)
         self.v_deg.append(0)
         self.v_dart.append(-1)
-        self.v_mark.append(0)
         self.n_alive += 1
         return v
 
@@ -119,7 +111,6 @@ class PlaneGraph:
         g.v_alive = list(self.v_alive)
         g.v_deg = list(self.v_deg)
         g.v_dart = list(self.v_dart)
-        g.v_mark = [0] * len(self.v_mark)
         g.d_origin = list(self.d_origin)
         g.d_twin = list(self.d_twin)
         g.d_next = list(self.d_next)
@@ -219,6 +210,16 @@ class PlaneGraph:
             e = nxt[twin[e]]
         self.work += len(out)
         return out, True
+
+    def face_cycle(self, d: int, limit: int) -> tuple[int, ...] | None:
+        """The vertices of d's face in walk order from d's origin, when the
+        face closes within ``limit`` sigma steps without repeating a
+        vertex; else None."""
+        walk, closed = self.walk_face(d, limit)
+        if not closed:
+            return None
+        verts = tuple(self.d_origin[e] for e in walk)
+        return verts if len(set(verts)) == len(verts) else None
 
     def edge_vicinity(self, d: int) -> tuple[list[int], bool]:
         """Vertices within facial-walk distance 2 of edge(d)'s ends, on d's face.

@@ -188,23 +188,6 @@ def _tetragram_safe(g: PlaneGraph, v1: int, v3: int, x: int) -> bool:
     return True
 
 
-def _hexagram_safe(g: PlaneGraph, verts: tuple[int, ...],
-                   x: int | None) -> bool:
-    # Requires v3, v6, x small.  Paths through v2 are impossible in a
-    # triangle-free graph, so v6 and x are the only useful first steps.
-    v1, _, v3 = verts[0], verts[1], verts[2]
-    v6 = verts[5]
-    for mid in (v6,) if x is None else (v6, x):
-        if g.adjacent(mid, v3):
-            return False
-        for b in g.neighbors(mid):
-            if b == v1 or b == v3:
-                continue
-            if g.adjacent(b, v3):
-                return False
-    return True
-
-
 def _path_len2_exists(g: PlaneGraph, s: int, t: int, excluded) -> bool:
     nt = {w for w in g.neighbors(t) if w not in excluded}
     g.work += g.v_deg[s] + g.v_deg[t]
@@ -229,17 +212,8 @@ def _is_facial_cycle5(g: PlaneGraph, cyc: tuple[int, int, int, int, int]) -> boo
     d = g.dart_between(cyc[0], cyc[1])
     if d is None:
         return False
-    walk, closed = g.walk_face(d, 6)
-    if closed and len(walk) == 5:
-        if tuple(g.d_origin[e] for e in walk) == cyc:
-            return True
-    t = g.d_twin[d]
-    walk, closed = g.walk_face(t, 6)
-    if closed and len(walk) == 5:
-        rev = (cyc[1], cyc[0], cyc[4], cyc[3], cyc[2])
-        if tuple(g.d_origin[e] for e in walk) == rev:
-            return True
-    return False
+    rev = (cyc[1], cyc[0], cyc[4], cyc[3], cyc[2])
+    return g.face_cycle(d, 6) == cyc or g.face_cycle(g.d_twin[d], 6) == rev
 
 
 def _pentagram_safe(g: PlaneGraph, verts, xs, side25: int, side34: int) -> bool:
@@ -278,9 +252,7 @@ def _decagram_safe(g: PlaneGraph, x1: int, x3: int) -> bool:
     # x1, x3 small (admissibility is checked first)
     if x1 == x3 or g.adjacent(x1, x3):
         return False
-    n3 = set(g.neighbors(x3))
-    g.work += g.v_deg[x1] + g.v_deg[x3]
-    return not any(w in n3 for w in g.neighbors(x1))
+    return not _path_len2_exists(g, x1, x3, ())
 
 
 # ----------------------------------------------------------------------
@@ -292,17 +264,10 @@ def _four_face_thirds(g: PlaneGraph, v1: int, x: int) -> set[int]:
     out: set[int] = set()
     if d is None:
         return out
-    walk, closed = g.walk_face(d, 5)
-    if closed and len(walk) == 4:
-        verts = [g.d_origin[e] for e in walk]
-        if len(set(verts)) == 4:
-            out.add(verts[2])
-    t = g.d_twin[d]
-    walk, closed = g.walk_face(t, 5)
-    if closed and len(walk) == 4:
-        verts = [g.d_origin[e] for e in walk]
-        if len(set(verts)) == 4:
-            out.add(verts[3])
+    for e, at in ((d, 2), (g.d_twin[d], 3)):
+        verts = g.face_cycle(e, 5)
+        if verts is not None and len(verts) == 4:
+            out.add(verts[at])
     return out
 
 
@@ -378,7 +343,11 @@ def is_secure(g: PlaneGraph, m: Multigram,
         for w in (v1, v3, v6, x):
             if not admissible(g, w, C):
                 return False
-        return _hexagram_safe(g, verts, x)
+        # Paths through v2 are impossible in a triangle-free graph (v2, b
+        # and v3 would close one), so v6 and x are the only useful first
+        # steps; v3 is small, so _tetragram_safe skips no pair.
+        return (_tetragram_safe(g, v1, v3, v6)
+                and _tetragram_safe(g, v1, v3, x))
 
     raise ValueError(kind)
 

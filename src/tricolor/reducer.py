@@ -5,9 +5,8 @@ deletions, 116 additions, and at least one vertex removed) and records
 enough to recolor the original: neighbor snapshots of deleted vertices,
 identification pairs, and added edges.  Coloring extension assigns each
 absorbed vertex its survivor's color and then colors the deleted
-vertices; a greedy pass or the pentagram proof order almost always
-works, with a bounded exhaustive search (<= 3^5 assignments) as the
-backstop.  Extension can only fail on a corrupted record, which raises.
+vertices with one bounded depth-first search (<= 3^5 assignments).
+Extension can only fail on a corrupted record, which raises.
 
 ``event_endpoints`` names, before a reduction, every vertex the
 reduction will touch; the solver re-queues pivots from that set.
@@ -16,7 +15,6 @@ reduction will touch; the solver re-queues pivots from that set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .embedding import DEGREE_CAP, PlaneGraph
 from .multigram import (
@@ -194,91 +192,43 @@ def _reduce_pentagram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
 # ----------------------------------------------------------------------
 # coloring extension
 
-def _color_of(v: int, trial: dict[int, int], coloring: dict[int, int]) -> int | None:
-    c = trial.get(v)
-    return coloring.get(v) if c is None else c
-
-
-def _greedy_assign(order, nbrs, coloring) -> dict[int, int] | None:
-    trial: dict[int, int] = {}
-    for v in order:
-        forbidden = set()
-        for w in nbrs[v]:
-            c = _color_of(w, trial, coloring)
-            if c is not None:
-                forbidden.add(c)
-        for c in (0, 1, 2):
-            if c not in forbidden:
-                trial[v] = c
-                break
-        else:
-            return None
-    return trial
-
-
-def _valid_assignment(trial, nbrs, coloring) -> bool:
-    for v, c in trial.items():
-        for w in nbrs[v]:
-            if _color_of(w, trial, coloring) == c:
-                return False
-    return True
-
-
-def _pentagram_proof_order(record: ReductionRecord,
-                           coloring: dict[int, int]) -> dict[int, int] | None:
-    """The constructive case split on the colors of x1, x2=v5, x3=x4."""
-    order = [v for v, _ in record.removed]        # v1, v2, v3, v4
-    nbrs = dict(record.removed)
-    x1 = record.aux[0]
-    c1 = coloring.get(x1)
-    c2 = coloring.get(record.aux[1])
-    c3 = coloring.get(record.aux[2])
-    if None in (c1, c2, c3):
-        return None
-    if c1 == c2:
-        trial = _greedy_assign(list(reversed(order)), nbrs, coloring)
-    elif c2 == c3:
-        trial = _greedy_assign(order, nbrs, coloring)
-    else:
-        v1, v2, v3, v4 = order
-        trial = {v2: c1, v3: c2,
-                 v1: min({0, 1, 2} - {c1, c2}),
-                 v4: min({0, 1, 2} - {c2, c3})}
-    if trial is not None and _valid_assignment(trial, nbrs, coloring):
-        return trial
-    return None
-
-
 def extend(record: ReductionRecord, coloring: dict[int, int]) -> dict[int, int]:
     """Pull a proper coloring of the reduced graph back one reduction.
 
     Mutates and returns ``coloring``.  Absorbed vertices copy their
-    survivor; deleted vertices are recolored against their stored
-    neighbor lists.
+    survivor; deleted vertices are colored against their stored neighbor
+    lists by a depth-first search in record order, colors 0, 1, 2 in
+    turn, so the result is the lexicographically first proper
+    extension.  At most five vertices are deleted, so at most 3^5
+    assignments are tried; running out of them means a corrupted record
+    and raises ``ExtensionFailure``.
     """
     for survivor, absorbed in record.identifications:
         if survivor not in coloring:
             raise ExtensionFailure(f"survivor {survivor} uncolored")
         coloring[absorbed] = coloring[survivor]
-    if not record.removed:
-        return coloring
-    if record.kind == PENTAGRAM:
-        trial = _pentagram_proof_order(record, coloring)
-        if trial is not None:
-            coloring.update(trial)
-            return coloring
-    order = [v for v, _ in record.removed]
-    nbrs = dict(record.removed)
-    trial = _greedy_assign(order, nbrs, coloring)
-    if trial is None:
-        for combo in product((0, 1, 2), repeat=len(order)):
-            cand = dict(zip(order, combo))
-            if _valid_assignment(cand, nbrs, coloring):
-                trial = cand
-                break
+    removed = record.removed
+    k = len(removed)
+    choice = [0] * k
+    i = 0
+    while i < k:
+        v, nbrs = removed[i]
+        used = {coloring.get(w) for w in nbrs}
+        c = choice[i]
+        while c in used:
+            c += 1
+        if c < 3:
+            coloring[v] = c
+            choice[i] = c + 1
+            i += 1
         else:
-            raise ExtensionFailure(record)
-    coloring.update(trial)
+            # no color left for v: uncolor the previous deleted vertex
+            # and go on with its next color
+            choice[i] = 0
+            i -= 1
+            if i < 0:
+                raise ExtensionFailure(record)
+            del coloring[removed[i][0]]
     return coloring
 
 

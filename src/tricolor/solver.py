@@ -111,14 +111,13 @@ def close_set(g: PlaneGraph, sources: Iterable[int],
     origin = g.d_origin
     vdart = g.v_dart
     cap = DEGREE_CAP + 1 if only_degree_le is None else only_degree_le
-    ep = g.next_epoch()
-    mark = g.v_mark
+    seen: set[int] = set()
     frontier: list[int] = []
     out: set[int] = set()
     add = out.add
     for s in sources:
-        if deg[s] <= DEGREE_CAP and mark[s] != ep:
-            mark[s] = ep
+        if deg[s] <= DEGREE_CAP and s not in seen:
+            seen.add(s)
             frontier.append(s)
             if deg[s] <= cap:
                 add(s)
@@ -156,8 +155,8 @@ def close_set(g: PlaneGraph, sources: Iterable[int],
             d = d0
             while True:
                 w = origin[twin[d]]
-                if mark[w] != ep and deg[w] <= DEGREE_CAP:
-                    mark[w] = ep
+                if w not in seen and deg[w] <= DEGREE_CAP:
+                    seen.add(w)
                     push(w)
                     if deg[w] <= cap:
                         add(w)
@@ -290,27 +289,25 @@ def three_color(g: PlaneGraph, **kwargs) -> dict[int, int]:
 
 
 def constraint_from_cycle(g: PlaneGraph, cycle: Iterable[int]) -> ConstraintCycle:
-    """Check that ``cycle`` is a facial cycle of length 3..5 in g."""
+    """The facial cycle of length 3..5 whose vertices ``cycle`` lists, in
+    any order, as a ConstraintCycle in walk order from its smallest id.
+
+    The faces at the smallest id are read in rotation order and the first
+    whose vertex set is the given one is taken; in a triangle-free graph
+    only one cycle passes through a given set of at most five vertices.
+    """
     cyc = tuple(cycle)
+    ids = set(cyc)
     k = len(cyc)
-    if not 3 <= k <= 5 or len(set(cyc)) != k:
+    if not 3 <= k <= 5 or len(ids) != k:
         raise NotAFacialCycle(cyc)
     for v in cyc:
         if not (0 <= v < len(g.v_alive) and g.v_alive[v]):
             raise NotAFacialCycle(cyc)
-    d01 = None
-    for d in g.darts_at(cyc[0]):
-        if g.head(d) == cyc[1]:
-            d01 = d
-            break
-    if d01 is None:
-        raise NotAFacialCycle(cyc)
-    expect_fwd = cyc
-    expect_rev = (cyc[1], cyc[0]) + tuple(reversed(cyc[2:]))
-    for d, expect in ((d01, expect_fwd), (g.d_twin[d01], expect_rev)):
-        walk, closed = g.walk_face(d, k + 1)
-        if closed and tuple(g.d_origin[e] for e in walk) == expect:
-            return ConstraintCycle(cyc)
+    for d in g.darts_at(min(ids)):
+        verts = g.face_cycle(d, k)
+        if verts is not None and set(verts) == ids:
+            return ConstraintCycle(verts)
     raise NotAFacialCycle(cyc)
 
 
@@ -333,8 +330,8 @@ def three_color_precolored(g: PlaneGraph, cycle: Iterable[int],
                            phi: dict[int, int], **kwargs) -> dict[int, int]:
     """Extend a proper 3-coloring of a short facial cycle to all of g.
 
-    ``cycle`` must be a facial cycle of length at most 5 and ``phi`` a
-    proper coloring of exactly its vertices; the output agrees with phi
-    there.  Consumes g.
+    ``cycle`` lists, in any order, the vertices of a facial cycle of
+    length at most 5, and ``phi`` is a proper coloring of exactly those
+    vertices; the output agrees with phi there.  Consumes g.
     """
     return precolored_solver(g, cycle, phi, **kwargs).run()

@@ -231,11 +231,25 @@ def test_criterion_6_edge_close_bound(at_scale):
             f"{heads} loop heads")
 
 
+def _reference_s() -> float:
+    """Seconds a fixed pure-Python loop takes now."""
+    t0 = time.perf_counter()
+    acc = 0
+    table: dict[int, int] = {}
+    for i in range(150_000):
+        table[i & 1023] = acc
+        acc += i * i % 7
+    return time.perf_counter() - t0
+
+
 def test_criterion_7_linear_scaling():
     # Each round times every size once, so a drift in machine speed over
     # minutes shifts all sizes alike instead of one size's runs.  Below
     # 80k a round solves 80k/n fresh copies and takes their mean, so every
     # sample spans seconds, not the tenths that short-term noise swamps.
+    # Each solve is divided by a reference loop timed just before and
+    # just after it, so a sample is in units of the machine's speed at
+    # that moment and a shared host's swings within a round cancel.
     # The cyclic collector is off while a run is timed: the solver makes
     # no reference cycles, and a full collection costs in proportion to
     # all that the test process holds, so it would land, whole, on
@@ -247,19 +261,23 @@ def test_criterion_7_linear_scaling():
     for _ in range(5):
         for n, g0, samples in zip(sizes, graphs, times):
             reps = max(1, 80_000 // n)
-            total = 0.0
+            total = ref = 0.0
             for _ in range(reps):
                 solver = Solver(g0.copy())
                 gc.disable()
                 try:
+                    r0 = _reference_s()
                     t0 = time.perf_counter()
                     solver.run()
-                    total += time.perf_counter() - t0
+                    t1 = time.perf_counter()
+                    r1 = _reference_s()
                 finally:
                     gc.enable()
+                total += t1 - t0
+                ref += (r0 + r1) / 2
                 assert (solver.stats.insertions / g0.n_alive
                         <= GRID_INSERTIONS_PER_VERTEX)
-            samples.append(total / reps)
+            samples.append(total / ref)
     medians = [sorted(samples)[2] for samples in times]
     ratios = [b / a for a, b in zip(medians, medians[1:])]
     assert all(r <= 2.5 for r in ratios), ratios

@@ -94,6 +94,18 @@ class TestPrecolored:
         with pytest.raises(ImproperPrecoloring):
             three_color_precolored(g, cyc, {cyc[0]: 0})
 
+    def test_cycle_listed_in_any_order(self):
+        # (0, 6, 4, 2) is the cube face (0, 4, 6, 2) listed out of walk
+        # order; a repeated vertex is still no cycle
+        g = cube_graph()
+        sg = SimpleGraph.from_plane_graph(g)
+        phi = {0: 0, 6: 0, 4: 1, 2: 1}
+        col = three_color_precolored(g.copy(), (0, 6, 4, 2), phi)
+        assert is_proper(sg, col)
+        assert all(col[v] == c for v, c in phi.items())
+        with pytest.raises(NotAFacialCycle):
+            three_color_precolored(g.copy(), (0, 4, 6, 6), phi)
+
     def test_not_a_facial_cycle(self):
         g = cube_graph()
         sg = SimpleGraph.from_plane_graph(g)
