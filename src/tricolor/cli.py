@@ -6,7 +6,6 @@ Subcommands:
     check INPUT COLORING
     gen --kind K --size N --seed S [--delete P] [--out FILE]
     oracle INPUT
-    bench --kind K --sizes LIST --seed S [--repeats R]
 
 Exit codes: 0 success, 1 check, validation or solver failure, 2 usage
 error.
@@ -15,9 +14,7 @@ error.
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
-import time
 from pathlib import Path
 
 from . import __version__
@@ -33,10 +30,6 @@ from .solver import (
     ExhaustedQueueNonempty, ImproperPrecoloring, NotAFacialCycle, Solver,
     TriangleFound, precolored_solver,
 )
-
-
-class _CliError(Exception):
-    pass
 
 
 def _read_text(path: str) -> str:
@@ -107,37 +100,6 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    sizes = [int(t) for t in args.sizes.split(",") if t]
-    if not sizes:
-        raise _CliError("empty size list")
-    kinds_hdr = "\t".join(KIND_ORDER)
-    sys.stdout.write(f"# n\tseconds\tinsertions\t{kinds_hdr}\n")
-    medians = []
-    for size in sizes:
-        spec = GenSpec(kind=args.kind, size=size, seed=args.seed)
-        g0 = generate(spec)
-        times = []
-        stats = None
-        for _ in range(max(1, args.repeats)):
-            g = g0.copy()
-            solver = Solver(g)
-            t0 = time.perf_counter()
-            solver.run()
-            times.append(time.perf_counter() - t0)
-            stats = solver.stats
-        med = statistics.median(times)
-        medians.append((g0.n_alive, med))
-        kinds = "\t".join(str(stats.reductions[k]) for k in KIND_ORDER)
-        sys.stdout.write(
-            f"{g0.n_alive}\t{med:.6f}\t{stats.insertions}\t{kinds}\n")
-        sys.stdout.flush()
-    for (na, ta), (nb, tb) in zip(medians, medians[1:]):
-        sys.stdout.write(
-            f"# {na} -> {nb}: size x{nb / na:.2f}, time x{tb / ta:.2f}\n")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="tricolor",
@@ -176,13 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=30)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("bench", help="scaling measurement on generated inputs")
-    p.add_argument("--kind", required=True,
-                   choices=("grid", "quad", "augmented"))
-    p.add_argument("--sizes", required=True, help="comma-separated sizes")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=5)
-    p.set_defaults(func=_cmd_bench)
     return top
 
 
@@ -193,8 +148,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (EmbeddingError, GraphSyntaxError, InvalidSpec, TooLarge,
             NotAFacialCycle, ImproperPrecoloring, ExhaustedQueueNonempty,
-            ExtensionFailure, TriangleFound, _CliError,
-            FileNotFoundError) as exc:
+            ExtensionFailure, TriangleFound, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

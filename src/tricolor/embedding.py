@@ -184,16 +184,7 @@ class PlaneGraph:
 
     def trace_face(self, d: int) -> list[int]:
         """Full sigma orbit of d (cost proportional to its length)."""
-        if not self.d_alive[d]:
-            raise EmbeddingError(f"dead dart {d}")
-        out = [d]
-        nxt, twin = self.d_next, self.d_twin
-        e = nxt[twin[d]]
-        while e != d:
-            out.append(e)
-            e = nxt[twin[e]]
-        self.work += len(out)
-        return out
+        return self.walk_face(d, len(self.d_origin))[0]
 
     def walk_face(self, d: int, limit: int) -> tuple[list[int], bool]:
         """Up to ``limit`` sigma steps from d: (darts, closed-within-limit)."""
@@ -320,9 +311,6 @@ class PlaneGraph:
 
     def add_edge(self, d_u: int, d_v: int) -> int:
         """Split the face along d_u's walk with a new chord (spec surface)."""
-        for d in (d_u, d_v):
-            if not self.d_alive[d]:
-                raise EmbeddingError(f"dead dart {d}")
         return self.add_edge_at(self.d_origin[d_u], d_u,
                                 self.d_origin[d_v], d_v)
 

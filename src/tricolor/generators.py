@@ -80,19 +80,6 @@ def grid(k: int, delete_prob: float = 0.0, seed: int = 0) -> PlaneGraph:
     return build(rot)
 
 
-def _adjacent_any(g: PlaneGraph, u: int, w: int) -> bool:
-    a = u if g.v_deg[u] <= g.v_deg[w] else w
-    b = w if a == u else u
-    return any(g.head(d) == b for d in g.darts_at(a))
-
-
-def _share_neighbor(g: PlaneGraph, u: int, w: int) -> bool:
-    a = u if g.v_deg[u] <= g.v_deg[w] else w
-    b = w if a == u else u
-    nb = set(g.neighbors(b))
-    return any(z in nb for z in g.neighbors(a))
-
-
 def _random_face(g: PlaneGraph, rng: random.Random,
                  cap: int = 64) -> list[int] | None:
     for _ in range(32):
@@ -105,8 +92,8 @@ def _random_face(g: PlaneGraph, rng: random.Random,
     return None
 
 
-#: growth ops refuse to push a vertex's degree past this; keeps the
-#: solver's closeness balls (and hence its linear constant) moderate
+#: growth ops refuse to push a vertex's degree past this; keeps every
+#: vertex small and the solver's per-vertex work moderate
 DEGREE_SOFT_CAP = 10
 
 
@@ -144,7 +131,7 @@ def _try_even_chord(g: PlaneGraph, rng: random.Random,
     u, w = g.d_origin[du], g.d_origin[dv]
     if u == w or g.v_deg[u] >= DEGREE_SOFT_CAP or g.v_deg[w] >= DEGREE_SOFT_CAP:
         return
-    if _adjacent_any(g, u, w):
+    if g.adjacent(u, w):
         return
     g.add_edge(du, dv)
 
@@ -162,7 +149,7 @@ def _insert_degree2(g: PlaneGraph, rng: random.Random,
     u, w = g.d_origin[du], g.d_origin[dv]
     if u == w or g.v_deg[u] >= DEGREE_SOFT_CAP or g.v_deg[w] >= DEGREE_SOFT_CAP:
         return
-    if _adjacent_any(g, u, w):
+    if g.adjacent(u, w):
         return
     z = g.new_vertex()
     g.add_edge_at(u, du, z, None)
@@ -199,7 +186,7 @@ def augmented(size: int, seed: int = 0) -> PlaneGraph:
         u, w = g.d_origin[du], g.d_origin[dv]
         if u == w or g.v_deg[u] >= DEGREE_SOFT_CAP or g.v_deg[w] >= DEGREE_SOFT_CAP:
             continue
-        if _adjacent_any(g, u, w) or _share_neighbor(g, u, w):
+        if g.adjacent(u, w) or not set(g.neighbors(u)).isdisjoint(g.neighbors(w)):
             continue
         g.add_edge(du, dv)
     return g

@@ -1,14 +1,11 @@
-"""Hand-built embedded instances: cycles, prisms, polyhedra, flowers.
+"""Hand-built embedded instances: cycles, polyhedra, flowers, grids.
 
-Rotation systems come either from an explicit face list
-(rotations_from_faces) or from 3D polyhedron coordinates projected onto
-vertex tangent planes.  Either way build() re-verifies the genus-0
-Euler formula, so these constructions are self-checking.
+Rotation systems are written out or come from a consistently oriented
+face list (rotations_from_faces).  Either way build() re-verifies the
+genus-0 Euler formula, so these constructions are self-checking.
 """
 
 from __future__ import annotations
-
-import math
 
 from .embedding import PlaneGraph, build
 
@@ -41,48 +38,23 @@ def star_graph(leaves: int) -> PlaneGraph:
 def rotations_from_faces(faces: list[tuple[int, ...]]) -> list[list[int]]:
     """Rotation system of a sphere embedding given by its face cycles.
 
-    Every edge must lie on exactly two of the given faces.  Faces are
-    oriented consistently (flipping as needed); each oriented corner
-    (u, v, w) then pins w as the clockwise successor of u around v.
+    The faces must be consistently oriented: every edge is walked once in
+    each direction.  Each corner (u, v, w) then pins w as the clockwise
+    successor of u around v.
     """
     n = 1 + max(max(f) for f in faces)
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for fi, face in enumerate(faces):
-        k = len(face)
-        for i in range(k):
-            a, b = face[i], face[(i + 1) % k]
-            key = (a, b) if a < b else (b, a)
-            edge_faces.setdefault(key, []).append(fi)
-    for key, fs in edge_faces.items():
-        if len(fs) != 2:
-            raise ValueError(f"edge {key} lies on {len(fs)} faces")
-
-    oriented: dict[int, tuple[int, ...]] = {0: tuple(faces[0])}
-    stack = [0]
-    while stack:
-        fi = stack.pop()
-        face = oriented[fi]
-        k = len(face)
-        for i in range(k):
-            a, b = face[i], face[(i + 1) % k]
-            key = (a, b) if a < b else (b, a)
-            other = next(f for f in edge_faces[key] if f != fi)
-            directed = _face_has_directed(faces[other], a, b)
-            if other not in oriented:
-                oriented[other] = (tuple(reversed(faces[other]))
-                                   if directed else tuple(faces[other]))
-                stack.append(other)
-            elif _face_has_directed(oriented[other], a, b):
-                raise ValueError("faces are not consistently orientable")
-    if len(oriented) != len(faces):
-        raise ValueError("face adjacency is not connected")
-
     succ: dict[int, dict[int, int]] = {v: {} for v in range(n)}
-    for face in oriented.values():
+    for face in faces:
         k = len(face)
         for i in range(k):
             u, v, w = face[i], face[(i + 1) % k], face[(i + 2) % k]
+            if u in succ[v]:
+                raise ValueError(f"edge {u}->{v} is walked twice")
             succ[v][u] = w
+    for v, nbrs in succ.items():
+        for u in nbrs:
+            if v not in succ[u]:
+                raise ValueError(f"edge {v}->{u} is never walked")
     rotations: list[list[int]] = []
     for v in range(n):
         nbrs = succ[v]
@@ -101,11 +73,6 @@ def rotations_from_faces(faces: list[tuple[int, ...]]) -> list[list[int]]:
     return rotations
 
 
-def _face_has_directed(face: tuple[int, ...], a: int, b: int) -> bool:
-    k = len(face)
-    return any(face[i] == a and face[(i + 1) % k] == b for i in range(k))
-
-
 def graph_from_faces(faces: list[tuple[int, ...]]) -> PlaneGraph:
     return build(rotations_from_faces(faces))
 
@@ -115,84 +82,20 @@ def k23_graph() -> PlaneGraph:
     return graph_from_faces([(0, 2, 1, 3), (0, 3, 1, 4), (0, 4, 1, 2)])
 
 
-# ----------------------------------------------------------------------
-# polyhedra from coordinates
-
-def _polyhedron_rotations(coords: list[tuple[float, float, float]],
-                          edges: list[tuple[int, int]]) -> list[list[int]]:
-    adj: dict[int, list[int]] = {i: [] for i in range(len(coords))}
-    for u, w in edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    rotations: list[list[int]] = []
-    for v, (nx, ny, nz) in enumerate(coords):
-        norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-        n = (nx / norm, ny / norm, nz / norm)
-        axis = (1.0, 0.0, 0.0) if abs(n[0]) < 0.9 else (0.0, 1.0, 0.0)
-        e1 = _cross(n, axis)
-        e1 = _scale(e1, 1.0 / _norm(e1))
-        e2 = _cross(n, e1)
-        angles = []
-        for w in adj[v]:
-            d = tuple(coords[w][i] - coords[v][i] for i in range(3))
-            angles.append((math.atan2(_dot(d, e2), _dot(d, e1)), w))
-        angles.sort()
-        rotations.append([w for _, w in angles])
-    return rotations
-
-
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _norm(a):
-    return math.sqrt(_dot(a, a))
-
-
-def _scale(a, s):
-    return (a[0] * s, a[1] * s, a[2] * s)
-
-
-def _edges_by_distance(coords, limit_sq: float) -> list[tuple[int, int]]:
-    out = []
-    for u in range(len(coords)):
-        for w in range(u + 1, len(coords)):
-            d = tuple(coords[u][i] - coords[w][i] for i in range(3))
-            if _dot(d, d) < limit_sq:
-                out.append((u, w))
-    return out
-
-
 def cube_graph() -> PlaneGraph:
-    coords = [(float(x), float(y), float(z))
-              for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
-    edges = _edges_by_distance(coords, 4.5)
-    assert len(edges) == 12
-    return build(_polyhedron_rotations(coords, edges))
+    # written out rather than from faces: bench/workloads._hub_cubes keeps
+    # the corner that starts vertex 0's rotation (4)
+    return build([[4, 1, 2], [5, 3, 0], [6, 0, 3], [7, 2, 1],
+                  [6, 5, 0], [4, 7, 1], [7, 4, 2], [5, 6, 3]])
 
 
 def dodecahedron_graph() -> PlaneGraph:
-    phi = (1 + math.sqrt(5)) / 2
-    coords: list[tuple[float, float, float]] = []
-    for x in (-1.0, 1.0):
-        for y in (-1.0, 1.0):
-            for z in (-1.0, 1.0):
-                coords.append((x, y, z))
-    for a in (-1 / phi, 1 / phi):
-        for b in (-phi, phi):
-            coords.append((0.0, a, b))
-            coords.append((a, b, 0.0))
-            coords.append((b, 0.0, a))
-    # edge length 2/phi ~ 1.236; next distance is 2
-    edges = _edges_by_distance(coords, 1.7)
-    assert len(edges) == 30
-    return build(_polyhedron_rotations(coords, edges))
+    return graph_from_faces([
+        (0, 8, 14, 2, 10), (0, 9, 15, 4, 8), (0, 10, 16, 1, 9),
+        (1, 11, 5, 15, 9), (1, 16, 3, 17, 11), (2, 12, 3, 16, 10),
+        (2, 14, 6, 18, 12), (3, 12, 18, 7, 17), (4, 13, 6, 14, 8),
+        (4, 15, 5, 19, 13), (5, 11, 17, 7, 19), (6, 13, 19, 7, 18),
+    ])
 
 
 # ----------------------------------------------------------------------

@@ -96,21 +96,16 @@ class SolverStats:
 # ----------------------------------------------------------------------
 # closeness
 
-def close_set(g: PlaneGraph, sources: Iterable[int],
-              only_degree_le: int | None = None) -> set[int]:
+def close_set(g: PlaneGraph, sources: Iterable[int]) -> set[int]:
     """Union over small sources of their close vertices, in g's current
-    state: small-path balls of radius 4 plus <=6 facial walks.
-
-    ``only_degree_le`` restricts the *collected* vertices by degree (the
-    exploration is unaffected); 3 keeps only the vertices that can pivot
-    a secure multigram.
+    state: small-path balls of radius 4 plus <=6 facial walks.  Big
+    vertices are never close.
     """
     deg = g.v_deg
     nxt = g.d_next
     twin = g.d_twin
     origin = g.d_origin
     vdart = g.v_dart
-    cap = DEGREE_CAP + 1 if only_degree_le is None else only_degree_le
     seen: set[int] = set()
     frontier: list[int] = []
     out: set[int] = set()
@@ -119,8 +114,7 @@ def close_set(g: PlaneGraph, sources: Iterable[int],
         if deg[s] <= DEGREE_CAP and s not in seen:
             seen.add(s)
             frontier.append(s)
-            if deg[s] <= cap:
-                add(s)
+            add(s)
     steps = 0
     for s in frontier:
         d0 = vdart[s]
@@ -139,7 +133,7 @@ def close_set(g: PlaneGraph, sources: Iterable[int],
                 e = nxt[twin[d]]
                 while e != d:
                     w = origin[e]
-                    if deg[w] <= cap:
+                    if deg[w] <= DEGREE_CAP:
                         add(w)
                     e = nxt[twin[e]]
             d = nxt[d]
@@ -158,8 +152,7 @@ def close_set(g: PlaneGraph, sources: Iterable[int],
                 if w not in seen and deg[w] <= DEGREE_CAP:
                     seen.add(w)
                     push(w)
-                    if deg[w] <= cap:
-                        add(w)
+                    add(w)
                 d = nxt[d]
                 steps += 1
                 if d == d0:
@@ -199,6 +192,7 @@ class Solver:
         g = self.graph
         C = self.constraint
         stats = self.stats
+        work0 = g.work
         queue: deque[int] = deque(
             v for v in g.vertex_ids() if g.v_deg[v] <= 3)
         stats.insertions += len(queue)
@@ -279,7 +273,7 @@ class Solver:
             base = {v: self.phi[v] for v in C.members}
         else:
             base = {}
-        stats.work = g.work
+        stats.work = g.work - work0
         return unwind(self.records, base)
 
 

@@ -1,5 +1,3 @@
-import re
-
 import pytest
 
 from tricolor.cli import main
@@ -102,22 +100,6 @@ def test_solver_failure_is_one_error_line(k4_file, capsys):
     assert main(["color", str(k4_file)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-
-
-def test_bench_rows(capsys):
-    assert main(["bench", "--kind", "grid", "--sizes", "100,200,400",
-                 "--seed", "0", "--repeats", "2"]) == 0
-    out = capsys.readouterr().out
-    rows = [l for l in out.splitlines() if l and not l.startswith("#")]
-    assert len(rows) == 3
-    ns = [int(r.split("\t")[0]) for r in rows]
-    assert ns == sorted(ns)
-    assert all(len(r.split("\t")) == 9 for r in rows)
-    summary = [l for l in out.splitlines() if " -> " in l]
-    assert [l.split(":")[0] for l in summary] == [
-        f"# {a} -> {b}" for a, b in zip(ns, ns[1:])]
-    assert all(re.fullmatch(r"# \d+ -> \d+: size x[\d.]+, time x[\d.]+", l)
-               for l in summary)
 
 
 def test_usage_error_exit_code():

@@ -7,8 +7,10 @@ from tricolor.embedding import (
     RecordingGraph, build, validate,
 )
 from tricolor.generators import quad
+from tricolor.graphio import serialize
 from tricolor.instances import (
-    big_hub_graph, cube_graph, cycle_graph, grid_graph, path_graph,
+    big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph,
+    graph_from_faces, grid_graph, path_graph, rotations_from_faces,
     star_graph,
 )
 from tricolor.multigram import admissible
@@ -41,11 +43,21 @@ class TestBuild:
         assert sorted(len(o) for o in orbits) == [4, 4]
 
     def test_cube_face_count(self):
-        g = cube_graph()
-        assert (g.n_alive, g.m_alive) == (8, 12)
-        orbits = face_orbits(g)
-        assert len(orbits) == 6
-        assert all(len(o) == 4 for o in orbits)
+        for make, n, m, faces, length in ((cube_graph, 8, 12, 6, 4),
+                                          (dodecahedron_graph, 20, 30, 12, 5)):
+            g = make()
+            assert (g.n_alive, g.m_alive) == (n, m)
+            orbits = face_orbits(g)
+            assert len(orbits) == faces
+            assert all(len(o) == length for o in orbits)
+
+    def test_faces_must_be_consistently_oriented(self):
+        faces = [(0, 4, 6, 2), (0, 1, 5, 4), (0, 2, 3, 1),
+                 (1, 3, 7, 5), (2, 6, 7, 3), (4, 5, 7, 6)]
+        assert serialize(graph_from_faces(faces)) == serialize(cube_graph())
+        faces[0] = faces[0][::-1]
+        with pytest.raises(ValueError, match="walked twice"):
+            rotations_from_faces(faces)
 
     def test_asymmetric_rotation(self):
         with pytest.raises(EmbeddingError, match="missing from the rotation"):

@@ -168,11 +168,13 @@ class TestCloseness:
                 slow = {w for w in g.vertex_ids() if closeness_slow(g, u, w)}
                 assert slow <= fast, (name, u)
 
-    def test_degree_filter(self):
-        g = grid_graph(5)
-        full = close_set(g, [12])
-        filtered = close_set(g, [12], 3)
-        assert filtered == {v for v in full if g.v_deg[v] <= 3}
+    def test_close_set_matches_slow_on_big_hub(self):
+        # the hub has degree exactly 60: big, so never close
+        g = big_hub_graph()
+        for u in (0, 1, 2, 121):
+            fast = close_set(g, [u])
+            slow = {w for w in g.vertex_ids() if closeness_slow(g, u, w)}
+            assert fast == slow, u
 
 
 class TestWorklistInvariant:
@@ -260,7 +262,7 @@ class TestStats:
             assert s.stats.vertices_removed == n0, name
 
     def test_work_per_vertex_bounded(self):
-        # footprint re-insertion spends 19-23 work per vertex here;
+        # footprint re-insertion spends 10.8-12.2 work per vertex here;
         # re-queuing every vertex close to an edge event spent 371-433
         for kind in ("augmented", "quad"):
             for seed in (1, 2):
@@ -269,6 +271,16 @@ class TestStats:
                 s = Solver(g)
                 s.run()
                 assert s.stats.work / n <= 150, (kind, seed, s.stats.work / n)
+
+    def test_work_excludes_generation(self):
+        g = generate(GenSpec("augmented", 2000, seed=1))
+        h = g.copy()
+        works = []
+        for graph in (g, h):
+            s = Solver(graph)
+            s.run()
+            works.append(s.stats.work)
+        assert works[0] == works[1]
 
     def test_grid_insertion_constant(self):
         for k in (10, 20, 40, 80):
