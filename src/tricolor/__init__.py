@@ -10,22 +10,15 @@ __version__ = "0.1.0"
 
 from .embedding import DEGREE_CAP, PlaneGraph, build, validate
 from .graphio import parse, serialize
-from .multigram import (
-    ConstraintCycle, Multigram, admissible, find_secure_with_pivot,
-    is_secure,
-)
+from .multigram import Multigram, admissible, find_secure_with_pivot, is_secure
 from .reducer import ReductionRecord, extend, reduce, unwind
-from .solver import (
-    Solver, SolverStats, close_set, three_color, three_color_precolored,
-)
+from .solver import Solver, SolverStats, close_set, three_color
 
 __all__ = [
     "DEGREE_CAP", "PlaneGraph", "build", "validate",
     "parse", "serialize",
-    "ConstraintCycle", "Multigram", "admissible", "find_secure_with_pivot",
-    "is_secure",
+    "Multigram", "admissible", "find_secure_with_pivot", "is_secure",
     "ReductionRecord", "extend", "reduce", "unwind",
     "Solver", "SolverStats", "close_set", "three_color",
-    "three_color_precolored",
     "__version__",
 ]

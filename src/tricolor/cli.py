@@ -28,7 +28,7 @@ from .oracle import SimpleGraph, TooLarge, brute_force_3color, is_proper, is_tri
 from .reducer import ExtensionFailure
 from .solver import (
     ExhaustedQueueNonempty, ImproperPrecoloring, NotAFacialCycle, Solver,
-    TriangleFound, precolored_solver,
+    TriangleFound,
 )
 
 
@@ -48,11 +48,10 @@ def _cmd_color(args) -> int:
         validate(g)
         if not is_triangle_free(SimpleGraph.from_plane_graph(g)):
             raise TriangleFound("input graph has a triangle")
-    if args.precolor:
+    phi = None
+    if args.precolor is not None:
         phi = parse_coloring(_read_text(args.precolor))
-        solver = precolored_solver(g, phi.keys(), phi)
-    else:
-        solver = Solver(g)
+    solver = Solver(g, precoloring=phi)
     coloring = solver.run()
     sys.stdout.write(format_coloring(coloring))
     if args.stats:
@@ -63,8 +62,7 @@ def _cmd_color(args) -> int:
 def _print_stats(stats) -> None:
     kinds = " ".join(f"{k}={stats.reductions[k]}" for k in KIND_ORDER)
     sys.stderr.write(
-        f"pops={stats.pops} insertions={stats.insertions} "
-        f"removed={stats.vertices_removed} {kinds}\n")
+        f"pops={stats.pops} insertions={stats.insertions} {kinds}\n")
 
 
 def _cmd_check(args) -> int:
@@ -148,7 +146,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (EmbeddingError, GraphSyntaxError, InvalidSpec, TooLarge,
             NotAFacialCycle, ImproperPrecoloring, ExhaustedQueueNonempty,
-            ExtensionFailure, TriangleFound, FileNotFoundError) as exc:
+            ExtensionFailure, TriangleFound, OSError,
+            UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -19,12 +19,16 @@ and some neighbor of x are both big; there the verified 4-face clause
 already implies non-adjacency (a shared neighbor of v2 and v3 would form
 a triangle), so the test is skipped rather than scanned.
 
+The precolored facial cycle C is passed as the set of its vertex ids:
+only membership in C is ever tested.  A plain run passes ``NO_CYCLE``.
+
 Everything here is read-only on the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import AbstractSet
 
 from .embedding import DEGREE_CAP, PlaneGraph
 
@@ -38,7 +42,8 @@ HEXAGRAM = "hexagram"
 #: Detection order for find_secure_with_pivot (fixed for determinism).
 KIND_ORDER = (MONOGRAM, TETRAGRAM, OCTAGRAM, DECAGRAM, PENTAGRAM, HEXAGRAM)
 
-_EMPTY: frozenset[int] = frozenset()
+#: The constraint cycle C of a plain run: no precolored vertex.
+NO_CYCLE: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -64,40 +69,17 @@ class Multigram:
         return self.vertices[0]
 
 
-class ConstraintCycle:
-    """The precolored facial cycle C; an empty one stands for K0."""
-
-    __slots__ = ("order", "members")
-
-    def __init__(self, order: tuple[int, ...] | list[int] = ()) -> None:
-        self.order: list[int] = list(order)
-        self.members: set[int] = set(order)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def replace(self, absorbed: int, survivor: int) -> None:
-        """Rename a cycle vertex after an identification absorbed it."""
-        self.members.discard(absorbed)
-        self.members.add(survivor)
-        self.order[self.order.index(absorbed)] = survivor
-
-
-def _members(C: ConstraintCycle | None) -> frozenset[int] | set[int]:
-    return C.members if C is not None else _EMPTY
-
-
-def admissible(g: PlaneGraph, v: int, C: ConstraintCycle | None = None) -> bool:
+def admissible(g: PlaneGraph, v: int, C: AbstractSet[int] = NO_CYCLE) -> bool:
     """Small and not on C."""
-    return g.v_deg[v] <= DEGREE_CAP and v not in _members(C)
+    return g.v_deg[v] <= DEGREE_CAP and v not in C
 
 
-def _no_forbidden_neighbor(g: PlaneGraph, v: int, members) -> bool:
+def _no_forbidden_neighbor(g: PlaneGraph, v: int, C) -> bool:
     # v is small; a forbidden neighbor is big or on C
     deg = g.v_deg
     g.work += deg[v]
     for w in g.neighbors(v):
-        if deg[w] > DEGREE_CAP or w in members:
+        if deg[w] > DEGREE_CAP or w in C:
             return False
     return True
 
@@ -272,15 +254,14 @@ def _four_face_thirds(g: PlaneGraph, v1: int, x: int) -> set[int]:
 
 
 def is_secure(g: PlaneGraph, m: Multigram,
-              C: ConstraintCycle | None = None) -> bool:
+              C: AbstractSet[int] = NO_CYCLE) -> bool:
     """Full per-kind (C-)security including safety."""
-    members = _members(C)
     deg = g.v_deg
     verts = m.vertices
     kind = m.kind
 
     if kind == MONOGRAM:
-        return deg[verts[0]] <= 2 and verts[0] not in members
+        return deg[verts[0]] <= 2 and verts[0] not in C
 
     if kind == TETRAGRAM:
         v1, v3 = verts[0], verts[2]
@@ -321,15 +302,15 @@ def is_secure(g: PlaneGraph, m: Multigram,
         if not all(admissible(g, w, C) for w in m.aux):
             return False
         v5, x2, x3, x4 = verts[4], m.aux[1], m.aux[2], m.aux[3]
-        if _no_forbidden_neighbor(g, v5, members):
+        if _no_forbidden_neighbor(g, v5, C):
             side25 = v5
-        elif _no_forbidden_neighbor(g, x2, members):
+        elif _no_forbidden_neighbor(g, x2, C):
             side25 = x2
         else:
             return False
-        if _no_forbidden_neighbor(g, x3, members):
+        if _no_forbidden_neighbor(g, x3, C):
             side34 = x3
-        elif _no_forbidden_neighbor(g, x4, members):
+        elif _no_forbidden_neighbor(g, x4, C):
             side34 = x4
         else:
             return False
@@ -353,21 +334,20 @@ def is_secure(g: PlaneGraph, m: Multigram,
 
 
 def find_secure_with_pivot(g: PlaneGraph, v: int,
-                           C: ConstraintCycle | None = None) -> Multigram | None:
+                           C: AbstractSet[int] = NO_CYCLE) -> Multigram | None:
     """Some (C-)secure multigram with pivot v, or None; constant work.
 
     Kinds are tried in KIND_ORDER; within a kind, incident faces in
     rotation order, forward listing before reversed.
     """
-    members = _members(C)
     deg = g.v_deg[v]
     if deg > 3:
         return None
     if deg <= 2:
-        if v not in members:
+        if v not in C:
             return Multigram(MONOGRAM, (v,))
         return None
-    if v in members:
+    if v in C:
         return None
     cycles = cycle_candidates(g, v)
     for kind in (TETRAGRAM, OCTAGRAM, DECAGRAM, PENTAGRAM, HEXAGRAM):

@@ -9,17 +9,22 @@ degrading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import AbstractSet, Iterator
 
 from .embedding import DEGREE_CAP, PlaneGraph
 from .multigram import (
     DECAGRAM, HEXAGRAM, MONOGRAM, OCTAGRAM, PENTAGRAM, TETRAGRAM,
-    ConstraintCycle, Multigram,
+    NO_CYCLE, Multigram,
 )
 
 
 class TooLarge(Exception):
     pass
+
+
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise TooLarge(f"{n} vertices exceed the oracle's cap of {cap}")
 
 
 @dataclass
@@ -71,8 +76,7 @@ def is_triangle_free(sg: SimpleGraph) -> bool:
 
 def brute_force_3color(sg: SimpleGraph, cap: int = 30) -> dict[int, int] | None:
     """Backtracking search, most-constrained-first; None if uncolorable."""
-    if len(sg) > cap:
-        raise TooLarge(len(sg))
+    _check_cap(len(sg), cap)
     order = sorted(sg.adj, key=lambda v: -len(sg.adj[v]))
     coloring: dict[int, int] = {}
 
@@ -96,8 +100,7 @@ def brute_force_3color(sg: SimpleGraph, cap: int = 30) -> dict[int, int] | None:
 
 def enumerate_3colorings(sg: SimpleGraph, cap: int = 14) -> Iterator[dict[int, int]]:
     """All proper 3-colorings (small instances only)."""
-    if len(sg) > cap:
-        raise TooLarge(len(sg))
+    _check_cap(len(sg), cap)
     order = sorted(sg.adj)
     coloring: dict[int, int] = {}
 
@@ -186,8 +189,8 @@ def _small(g: PlaneGraph, v: int) -> bool:
     return g.v_deg[v] <= DEGREE_CAP
 
 
-def _adm(g: PlaneGraph, v: int, members) -> bool:
-    return _small(g, v) and v not in members
+def _adm(g: PlaneGraph, v: int, C) -> bool:
+    return _small(g, v) and v not in C
 
 
 def _path_edges_in_cycle(path: list[int], verts: tuple[int, ...]) -> bool:
@@ -246,11 +249,10 @@ def is_safe_slow(g: PlaneGraph, m: Multigram,
 
 
 def is_secure_slow(g: PlaneGraph, m: Multigram,
-                   C: ConstraintCycle | None = None,
+                   C: AbstractSet[int] = NO_CYCLE,
                    sg: SimpleGraph | None = None,
                    cycles=None) -> bool:
     """Security clauses evaluated literally, no bounded-degree shortcuts."""
-    members = C.members if C is not None else frozenset()
     if sg is None:
         sg = SimpleGraph.from_plane_graph(g)
     if cycles is None:
@@ -259,21 +261,21 @@ def is_secure_slow(g: PlaneGraph, m: Multigram,
     kind, verts = m.kind, m.vertices
 
     if kind == MONOGRAM:
-        return deg[verts[0]] <= 2 and verts[0] not in members
+        return deg[verts[0]] <= 2 and verts[0] not in C
     if kind == OCTAGRAM:
         return (all(deg[v] == 3 for v in verts)
-                and all(_adm(g, v, members) for v in verts))
+                and all(_adm(g, v, C) for v in verts))
     if kind == TETRAGRAM:
         v1, v2, v3, v4 = verts
-        if deg[v1] != 3 or not _adm(g, v1, members):
+        if deg[v1] != 3 or not _adm(g, v1, C):
             return False
         (x,) = set(sg.adj[v1]) - {v2, v4}
-        if not _adm(g, x, members):
+        if not _adm(g, x, C):
             return False
-        if not _adm(g, v3, members):
+        if not _adm(g, v3, C):
             four_faces = [set(vs) for vs, _ in cycles if len(vs) == 4]
             for w in sg.adj[x]:
-                if _adm(g, w, members):
+                if _adm(g, w, C):
                     continue
                 ok = any({v1, x, w, v2} == f or {v1, x, w, v4} == f
                          for f in four_faces)
@@ -283,22 +285,22 @@ def is_secure_slow(g: PlaneGraph, m: Multigram,
     if kind == DECAGRAM:
         if not all(deg[v] == 3 for v in verts):
             return False
-        if not all(_adm(g, v, members) for v in verts):
+        if not all(_adm(g, v, C) for v in verts):
             return False
-        if not (_adm(g, m.aux[0], members) and _adm(g, m.aux[2], members)):
+        if not (_adm(g, m.aux[0], C) and _adm(g, m.aux[2], C)):
             return False
         return is_safe_slow(g, m, sg, cycles)
     if kind == PENTAGRAM:
         if not all(deg[v] == 3 for v in verts[:4]):
             return False
-        if not all(_adm(g, v, members) for v in verts):
+        if not all(_adm(g, v, C) for v in verts):
             return False
-        if not all(_adm(g, x, members) for x in m.aux):
+        if not all(_adm(g, x, C) for x in m.aux):
             return False
         v5, x2, x3, x4 = verts[4], m.aux[1], m.aux[2], m.aux[3]
 
         def clean(v: int) -> bool:
-            return all(_adm(g, w, members) for w in sg.adj[v])
+            return all(_adm(g, w, C) for w in sg.adj[v])
 
         if not (clean(v5) or clean(x2)):
             return False
@@ -311,7 +313,7 @@ def is_secure_slow(g: PlaneGraph, m: Multigram,
             return False
         (x,) = set(sg.adj[v1]) - {v2, v6}
         for w in (v1, v3, v6, x):
-            if not _adm(g, w, members):
+            if not _adm(g, w, C):
                 return False
         return is_safe_slow(g, m, sg, cycles)
     raise ValueError(kind)
@@ -326,8 +328,7 @@ def multigram_shapes_slow(g: PlaneGraph, cap: int = 200,
     length 4/5/6 in all rotations and both orientations, with pivots of
     any degree.
     """
-    if g.n_alive > cap:
-        raise TooLarge(g.n_alive)
+    _check_cap(g.n_alive, cap)
     if sg is None:
         sg = SimpleGraph.from_plane_graph(g)
     if cycles is None:
@@ -376,13 +377,12 @@ def multigram_shapes_slow(g: PlaneGraph, cap: int = 200,
 
 
 def all_secure_multigrams_slow(g: PlaneGraph,
-                               C: ConstraintCycle | None = None,
+                               C: AbstractSet[int] = NO_CYCLE,
                                cap: int = 200) -> list[Multigram]:
     """All (C-)secure multigrams, from the definitions: the secure
     listings of multigram_shapes_slow, first one per kind and vertex
     tuple."""
-    if g.n_alive > cap:
-        raise TooLarge(g.n_alive)
+    _check_cap(g.n_alive, cap)
     sg = SimpleGraph.from_plane_graph(g)
     cycles = facial_cycles(g)
     out: list[Multigram] = []
@@ -401,8 +401,7 @@ def all_secure_multigrams_slow(g: PlaneGraph,
 def closeness_slow(g: PlaneGraph, u: int, v: int, cap: int = 200) -> bool:
     """Close = small-vertex path of length <= 4, or a shared facial
     cycle of length <= 6 (defined for small u, v only)."""
-    if g.n_alive > cap:
-        raise TooLarge(g.n_alive)
+    _check_cap(g.n_alive, cap)
     if not (_small(g, u) and _small(g, v)):
         return False
     if u == v:
@@ -429,8 +428,7 @@ def closeness_slow(g: PlaneGraph, u: int, v: int, cap: int = 200) -> bool:
 def close_to_edge_slow(g: PlaneGraph, d: int, w: int, cap: int = 200) -> bool:
     """w lies on a facial walk through edge(d) within walk distance 2
     of one of its ends."""
-    if g.n_alive > cap:
-        raise TooLarge(g.n_alive)
+    _check_cap(g.n_alive, cap)
     for side in (d, g.d_twin[d]):
         orbit = g.trace_face(side)
         verts = [g.d_origin[e] for e in orbit]

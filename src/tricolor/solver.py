@@ -29,8 +29,8 @@ degree, rotation, ``v_dart`` or dart heads the reduction changes is in
   a multigram vertex or a neighbor of one;
 * ``remove_isolated_vertex`` acts on a multigram vertex or an absorbed
   one;
-* ``ConstraintCycle.replace`` renames an absorbed vertex to its
-  survivor, both in the set.
+* renaming an absorbed cycle vertex to its survivor in C changes C
+  only at those two, both in the set.
 
 ``tests/test_reducer.py`` checks the claim state by state, for every
 secure multigram of the small corpus and every reduction of full runs.
@@ -48,7 +48,8 @@ tests check against the slow oracle.
 The recursion of the underlying argument is replaced by an explicit
 record stack; colors flow back through it once the graph is gone.  For
 the precolored variant the loop stops when exactly the constraint cycle
-remains and seeds the unwind with its precoloring.
+C, the keys of the precoloring, remains and seeds the unwind with the
+precoloring.
 """
 
 from __future__ import annotations
@@ -58,9 +59,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .embedding import DEGREE_CAP, PlaneGraph, RecordingGraph
-from .multigram import (
-    KIND_ORDER, ConstraintCycle, find_secure_with_pivot,
-)
+from .multigram import KIND_ORDER, find_secure_with_pivot
 from .reducer import ReductionRecord, event_endpoints, reduce, unwind
 
 
@@ -87,9 +86,6 @@ class SolverStats:
         default_factory=lambda: {k: 0 for k in KIND_ORDER})
     pops: int = 0
     insertions: int = 0
-    vertices_removed: int = 0
-    max_edges_deleted: int = 0
-    max_edges_added: int = 0
     work: int = 0
 
 
@@ -165,32 +161,45 @@ def close_set(g: PlaneGraph, sources: Iterable[int]) -> set[int]:
 # ----------------------------------------------------------------------
 # engine
 
-AuditHook = Callable[[PlaneGraph, tuple[int, ...], ConstraintCycle | None], None]
+AuditHook = Callable[[PlaneGraph, tuple[int, ...], set[int]], None]
 
 
 class Solver:
     """Owns and consumes one PlaneGraph; run() empties it.
 
+    ``precoloring``, if given, maps the vertices of one facial cycle of
+    length 3..5 to colors in {0, 1, 2}, adjacent ones different; the
+    coloring run() returns agrees with it there.  Its keys are the
+    constraint cycle C, kept as a set in ``cycle`` (empty for a plain
+    run).  An empty precoloring is no cycle and raises NotAFacialCycle.
+
     ``audit`` is called at every loop head with the graph, a queue
-    snapshot and the constraint; tests use it to replay the worklist
+    snapshot and ``cycle``; tests use it to replay the worklist
     invariant against the slow oracle and to validate the embedding
     after every reduction.
     """
 
     def __init__(self, g: PlaneGraph,
-                 constraint: ConstraintCycle | None = None,
                  precoloring: dict[int, int] | None = None,
                  audit: AuditHook | None = None) -> None:
         self.graph = g
-        self.constraint = constraint
-        self.phi = dict(precoloring) if precoloring else {}
+        self.phi = {} if precoloring is None else dict(precoloring)
+        self.cycle: set[int] = set()
+        if precoloring is not None:
+            order = facial_cycle(g, precoloring)
+            if any(self.phi[v] not in (0, 1, 2) for v in order):
+                raise ImproperPrecoloring("colors must be in {0,1,2}")
+            if any(self.phi[u] == self.phi[w]
+                   for u, w in zip(order, order[1:] + order[:1])):
+                raise ImproperPrecoloring("adjacent cycle vertices share a color")
+            self.cycle.update(order)
         self.audit = audit
         self.stats = SolverStats()
         self.records: list[ReductionRecord] = []
 
     def run(self) -> dict[int, int]:
         g = self.graph
-        C = self.constraint
+        C = self.cycle
         stats = self.stats
         work0 = g.work
         queue: deque[int] = deque(
@@ -199,7 +208,7 @@ class Solver:
         in_queue = [False] * len(g.v_alive)
         for v in queue:
             in_queue[v] = True
-        target = len(C) if C is not None else 0
+        target = len(C)
         deg = g.v_deg
         alive = g.v_alive
         # footprint index: vertex -> registrations whose footprint holds
@@ -240,16 +249,11 @@ class Solver:
             record = reduce(g, m)
             self.records.append(record)
             stats.reductions[m.kind] += 1
-            stats.vertices_removed += record.vertices_removed
-            if record.edges_deleted > stats.max_edges_deleted:
-                stats.max_edges_deleted = record.edges_deleted
-            if record.edges_added > stats.max_edges_added:
-                stats.max_edges_added = record.edges_added
-            if C is not None:
-                for survivor, absorbed in record.identifications:
-                    if absorbed in C.members:
-                        C.replace(absorbed, survivor)
-                        self.phi[survivor] = self.phi.pop(absorbed)
+            for survivor, absorbed in record.identifications:
+                if absorbed in C:
+                    C.remove(absorbed)
+                    C.add(survivor)
+                    self.phi[survivor] = self.phi.pop(absorbed)
             woken = set(touched)
             for u in touched:
                 entries = index.pop(u, None)
@@ -267,65 +271,32 @@ class Solver:
             if self.audit:
                 self.audit(g, tuple(queue), C)
 
-        if C is not None:
-            leftover = set(g.vertex_ids())
-            assert leftover == C.members, (leftover, C.members)
-            base = {v: self.phi[v] for v in C.members}
-        else:
-            base = {}
+        # at most len(C) vertices are left, so all of C alive means only C
+        assert all(alive[v] for v in C), (C, g.n_alive)
         stats.work = g.work - work0
-        return unwind(self.records, base)
+        return unwind(self.records, self.phi)
 
 
 def three_color(g: PlaneGraph, **kwargs) -> dict[int, int]:
-    """Proper 3-coloring of a triangle-free plane graph; consumes g."""
+    """Proper 3-coloring of a triangle-free plane graph, extending
+    ``precoloring`` if given (see Solver); consumes g."""
     return Solver(g, **kwargs).run()
 
 
-def constraint_from_cycle(g: PlaneGraph, cycle: Iterable[int]) -> ConstraintCycle:
-    """The facial cycle of length 3..5 whose vertices ``cycle`` lists, in
-    any order, as a ConstraintCycle in walk order from its smallest id.
+def facial_cycle(g: PlaneGraph, vertices: Iterable[int]) -> tuple[int, ...]:
+    """The facial cycle of length 3..5 whose vertex set is ``vertices``,
+    in walk order from its smallest id.
 
     The faces at the smallest id are read in rotation order and the first
     whose vertex set is the given one is taken; in a triangle-free graph
     only one cycle passes through a given set of at most five vertices.
     """
-    cyc = tuple(cycle)
-    ids = set(cyc)
-    k = len(cyc)
-    if not 3 <= k <= 5 or len(ids) != k:
-        raise NotAFacialCycle(cyc)
-    for v in cyc:
-        if not (0 <= v < len(g.v_alive) and g.v_alive[v]):
-            raise NotAFacialCycle(cyc)
-    for d in g.darts_at(min(ids)):
-        verts = g.face_cycle(d, k)
-        if verts is not None and set(verts) == ids:
-            return ConstraintCycle(verts)
-    raise NotAFacialCycle(cyc)
-
-
-def precolored_solver(g: PlaneGraph, cycle: Iterable[int],
-                      phi: dict[int, int], **kwargs) -> Solver:
-    """Validate cycle and phi, returning a ready Solver."""
-    C = constraint_from_cycle(g, cycle)
-    if set(phi) != C.members:
-        raise ImproperPrecoloring("precoloring domain is not V(C)")
-    if any(phi[v] not in (0, 1, 2) for v in C.order):
-        raise ImproperPrecoloring("colors must be in {0,1,2}")
-    k = len(C.order)
-    for i in range(k):
-        if phi[C.order[i]] == phi[C.order[(i + 1) % k]]:
-            raise ImproperPrecoloring("adjacent cycle vertices share a color")
-    return Solver(g, constraint=C, precoloring=phi, **kwargs)
-
-
-def three_color_precolored(g: PlaneGraph, cycle: Iterable[int],
-                           phi: dict[int, int], **kwargs) -> dict[int, int]:
-    """Extend a proper 3-coloring of a short facial cycle to all of g.
-
-    ``cycle`` lists, in any order, the vertices of a facial cycle of
-    length at most 5, and ``phi`` is a proper coloring of exactly those
-    vertices; the output agrees with phi there.  Consumes g.
-    """
-    return precolored_solver(g, cycle, phi, **kwargs).run()
+    ids = set(vertices)
+    if 3 <= len(ids) <= 5 and all(
+            0 <= v < len(g.v_alive) and g.v_alive[v] for v in ids):
+        for d in g.darts_at(min(ids)):
+            verts = g.face_cycle(d, len(ids))
+            if verts is not None and set(verts) == ids:
+                return verts
+    raise NotAFacialCycle(
+        f"vertices {sorted(ids)} do not bound a face of length 3 to 5")

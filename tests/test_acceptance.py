@@ -24,11 +24,11 @@ from tricolor.oracle import (
     enumerate_3colorings, facial_cycles, is_proper, is_secure_slow,
     multigram_shapes_slow,
 )
-from tricolor.solver import Solver, precolored_solver
+from tricolor.solver import Solver
 
-from conftest import small_corpus, small_corpus_builders
-
-GRID_INSERTIONS_PER_VERTEX = 1.1   # measured 1.000, frozen with +10%
+from conftest import (
+    GRID_INSERTIONS_PER_VERTEX, small_corpus, small_corpus_builders,
+)
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -165,7 +165,7 @@ def test_criterion_3_lemma6_equivalence():
         cycles = facial_cycles(g)
         for m in multigram_shapes_slow(g, sg=sg, cycles=cycles):
             listings += 1
-            if is_secure(g, m) != is_secure_slow(g, m, None, sg, cycles):
+            if is_secure(g, m) != is_secure_slow(g, m, sg=sg, cycles=cycles):
                 discrepancies += 1
     assert discrepancies == 0
     _report("3 lemma6-equivalence",
@@ -181,7 +181,7 @@ def _run_small_corpus(audit) -> None:
         cycles = [vs for vs, _ in facial_cycles(g) if len(vs) in (4, 5)]
         for cyc in cycles[:2]:
             phi = dict(zip(cyc, (0, 1, 0, 1, 2)[:len(cyc)]))
-            precolored_solver(g.copy(), cyc, phi, audit=audit).run()
+            Solver(g.copy(), precoloring=phi, audit=audit).run()
 
 
 def test_criterion_4_worklist_invariant():
@@ -300,7 +300,7 @@ def test_criterion_8_precoloring_extension():
             cyc_sg.adj = {v: {verts[i - 1], verts[(i + 1) % len(verts)]}
                           for i, v in enumerate(verts)}
             for phi in enumerate_3colorings(cyc_sg):
-                coloring = precolored_solver(g.copy(), verts, phi).run()
+                coloring = Solver(g.copy(), precoloring=phi).run()
                 assert is_proper(sg, coloring), (name, verts, phi)
                 assert all(coloring[v] == phi[v] for v in verts), (name, verts)
                 runs += 1

@@ -18,7 +18,7 @@ def test_color_then_check(tmp_path, cube_file, capsys):
     out = capsys.readouterr()
     coloring = parse_coloring(out.out)
     assert len(coloring) == 8 and set(coloring.values()) <= {0, 1, 2}
-    assert "pops=" in out.err
+    assert out.err.startswith("pops=") and "removed=" not in out.err
     colfile = tmp_path / "cube.col"
     colfile.write_text(out.out)
     assert main(["check", str(cube_file), str(colfile)]) == 0
@@ -108,5 +108,45 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_missing_file_exit_one(capsys):
-    assert main(["color", "/nonexistent/xyz.graph"]) == 1
+def _write(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: tmp / "missing.graph",
+    lambda tmp: tmp,
+    lambda tmp: _write(tmp / "bad.graph", b"\xff\xfe 1 2\n"),
+], ids=["missing", "directory", "undecodable"])
+def test_unreadable_input_exit_one(tmp_path, cube_file, capsys, make):
+    path = str(make(tmp_path))
+    for argv in (["color", path], ["color", "--precolor", path, str(cube_file)],
+                 ["check", str(cube_file), path]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_empty_precolor_file_exits_one(tmp_path, cube_file, capsys):
+    # an empty precoloring names no cycle; it is not a plain run
+    pre = tmp_path / "empty.col"
+    pre.write_text("")
+    assert main(["color", "--precolor", str(pre), str(cube_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_precolor_unknown_vertex_message(tmp_path, cube_file, capsys):
+    pre = tmp_path / "pre.col"
+    pre.write_text("0 0\n1 1\n2 2\n999 0\n")
+    assert main(["color", "--precolor", str(pre), str(cube_file)]) == 1
+    assert capsys.readouterr().err == (
+        "error: vertices [0, 1, 2, 999] do not bound a face of length 3 to 5\n")
+
+
+def test_oracle_cap_message(tmp_path, capsys):
+    path = tmp_path / "c12.graph"
+    path.write_text(serialize(cycle_graph(12)))
+    assert main(["oracle", "--cap", "5", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 12 vertices exceed the oracle's cap of 5\n")

@@ -10,8 +10,7 @@ from tricolor.instances import (
 )
 from tricolor.multigram import (
     DECAGRAM, HEXAGRAM, KIND_ORDER, MONOGRAM, OCTAGRAM, PENTAGRAM, TETRAGRAM,
-    ConstraintCycle, Multigram, admissible, find_secure_with_pivot,
-    is_secure,
+    Multigram, admissible, find_secure_with_pivot, is_secure,
 )
 from tricolor.oracle import (
     all_secure_multigrams_slow, facial_cycles, is_safe_slow, is_secure_slow,
@@ -32,16 +31,15 @@ def shapes_at(g, v):
 class TestAdmissible:
     def test_small_off_c(self):
         g = cube_graph()
-        assert admissible(g, 0, None)
+        assert admissible(g, 0)
 
     def test_on_c(self):
         g = cube_graph()
-        C = ConstraintCycle((0, 1, 2))
-        assert not admissible(g, 0, C)
+        assert not admissible(g, 0, {0, 1, 2})
 
     def test_big_vertex(self):
         g = big_hub_graph()
-        assert not admissible(g, 120, None)
+        assert not admissible(g, 120)
 
 
 class TestCandidates:
@@ -118,25 +116,23 @@ class TestSafety:
 class TestSecurity:
     def test_isolated_monogram_secure(self):
         g = build([[]])
-        assert is_secure(g, Multigram(MONOGRAM, (0,)), None)
+        assert is_secure(g, Multigram(MONOGRAM, (0,)))
 
     def test_cube_tetragram_secure(self):
         g = cube_graph()
         m = next(m for m in shapes_at(g, 0) if m.kind == TETRAGRAM)
-        assert is_secure(g, m, None)
+        assert is_secure(g, m)
 
     def test_own_cycle_blocks_security(self):
         g = cube_graph()
         m = next(m for m in shapes_at(g, 0) if m.kind == TETRAGRAM)
-        assert not is_secure(g, m, ConstraintCycle(m.vertices))
+        assert not is_secure(g, m, set(m.vertices))
 
     def test_octagram_needs_admissible_vertices(self):
         g = cube_graph()
         m = next(m for m in shapes_at(g, 0) if m.kind == OCTAGRAM)
-        assert is_secure(g, m, None)
-        assert not is_secure(g, m, ConstraintCycle((m.vertices[1],
-                                                    m.vertices[2],
-                                                    m.vertices[3])))
+        assert is_secure(g, m)
+        assert not is_secure(g, m, set(m.vertices[1:]))
 
 
 class TestFind:
@@ -202,7 +198,7 @@ class TestOracleAgreement:
         for verts, _ in facial_cycles(g):
             if len(verts) > 6:
                 continue
-            C = ConstraintCycle(verts)
+            C = set(verts)
             slow_pivots = {m.pivot for m in all_secure_multigrams_slow(g, C)}
             for v in g.vertex_ids():
                 got = find_secure_with_pivot(g, v, C)

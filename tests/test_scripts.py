@@ -5,13 +5,18 @@ from tricolor.embedding import validate
 from tricolor.graphio import parse
 from tricolor.oracle import SimpleGraph, is_triangle_free
 
-MAKE_CORPUS = Path(__file__).resolve().parent.parent / "scripts" / "make_corpus.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_make_corpus_writes_valid_instances(tmp_path, monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("make_corpus", MAKE_CORPUS)
-    make_corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_corpus)
+    make_corpus = _load("make_corpus")
     monkeypatch.setattr("sys.argv", ["make_corpus.py", str(tmp_path), "--seeds", "1"])
     assert make_corpus.main() == 0
     paths = sorted(tmp_path.glob("*.graph"))
@@ -22,3 +27,17 @@ def test_make_corpus_writes_valid_instances(tmp_path, monkeypatch, capsys):
         g = parse(path.read_text())
         validate(g)
         assert is_triangle_free(SimpleGraph.from_plane_graph(g)), path.name
+
+
+def test_fingerprint_gadgets(capsys):
+    # each gadget union fires its fixed reduction counts (see
+    # bench/workloads.GADGET_UNION_KINDS) whatever the shuffle seed
+    assert _load("fingerprint").main(["--seed", "1", "--workload", "gadgets"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["gadgets", "0"], ["gadgets", "1"], ["gadgets", "2"]]
+    for line in lines:
+        assert ("monogram=4193 tetragram=602 octagram=30 decagram=200 "
+                "pentagram=100 hexagram=300") in line, line
+        fields = dict(f.split("=") for f in line.split()[2:])
+        assert set(fields) >= {"in", "work", "pops", "insertions", "out"}

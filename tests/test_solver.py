@@ -15,15 +15,10 @@ from tricolor.oracle import (
 )
 from tricolor.solver import (
     ExhaustedQueueNonempty, ImproperPrecoloring, NotAFacialCycle, Solver,
-    TriangleFound, close_set, precolored_solver, three_color,
-    three_color_precolored,
+    TriangleFound, close_set, three_color,
 )
 
-from conftest import small_corpus, validating_audit
-
-#: frozen regression constant for queue insertions per vertex on grids
-#: (measured 1.000 on pristine grids; +10% tolerance)
-GRID_INSERTIONS_PER_VERTEX = 1.1
+from conftest import GRID_INSERTIONS_PER_VERTEX, small_corpus, validating_audit
 
 
 class TestThreeColor:
@@ -73,14 +68,14 @@ class TestPrecolored:
     def test_base_case_cycle_is_whole_graph(self):
         g = cycle_graph(5)
         phi = {0: 0, 1: 1, 2: 0, 3: 1, 4: 2}
-        assert three_color_precolored(g, (0, 1, 2, 3, 4), phi) == phi
+        assert three_color(g, precoloring=phi) == phi
 
     def test_cube_face(self):
         g = cube_graph()
         sg = SimpleGraph.from_plane_graph(g)
         cyc = next(vs for vs, _ in facial_cycles(g) if len(vs) == 4)
         phi = dict(zip(cyc, (0, 1, 0, 1)))
-        col = three_color_precolored(g, cyc, phi, audit=validating_audit)
+        col = three_color(g, precoloring=phi, audit=validating_audit)
         assert is_proper(sg, col)
         assert all(col[v] == phi[v] for v in cyc)
 
@@ -88,23 +83,22 @@ class TestPrecolored:
         g = cube_graph()
         cyc = next(vs for vs, _ in facial_cycles(g) if len(vs) == 4)
         with pytest.raises(ImproperPrecoloring):
-            three_color_precolored(g, cyc, dict(zip(cyc, (0, 0, 1, 1))))
+            three_color(g, precoloring=dict(zip(cyc, (0, 0, 1, 1))))
         with pytest.raises(ImproperPrecoloring):
-            three_color_precolored(g, cyc, dict(zip(cyc, (0, 1, 0, 7))))
-        with pytest.raises(ImproperPrecoloring):
-            three_color_precolored(g, cyc, {cyc[0]: 0})
+            three_color(g, precoloring=dict(zip(cyc, (0, 1, 0, 7))))
+        # one precolored vertex is no cycle
+        with pytest.raises(NotAFacialCycle):
+            three_color(g, precoloring={cyc[0]: 0})
 
     def test_cycle_listed_in_any_order(self):
         # (0, 6, 4, 2) is the cube face (0, 4, 6, 2) listed out of walk
-        # order; a repeated vertex is still no cycle
+        # order
         g = cube_graph()
         sg = SimpleGraph.from_plane_graph(g)
         phi = {0: 0, 6: 0, 4: 1, 2: 1}
-        col = three_color_precolored(g.copy(), (0, 6, 4, 2), phi)
+        col = three_color(g, precoloring=phi)
         assert is_proper(sg, col)
         assert all(col[v] == c for v, c in phi.items())
-        with pytest.raises(NotAFacialCycle):
-            three_color_precolored(g.copy(), (0, 4, 6, 6), phi)
 
     def test_not_a_facial_cycle(self):
         g = cube_graph()
@@ -115,7 +109,7 @@ class TestPrecolored:
                    and not any({u, w} <= set(vs) for vs, _ in facial_cycles(g)))
         bogus = (far[0], far[1], next(iter(sg.adj[far[0]])))
         with pytest.raises(NotAFacialCycle):
-            three_color_precolored(g, bogus, dict(zip(bogus, (0, 1, 2))))
+            three_color(g, precoloring=dict(zip(bogus, (0, 1, 2))))
 
     def test_tetragram_absorbing_cycle_vertex(self):
         # C vertices may be absorbed by a tetragram identification; the
@@ -124,7 +118,7 @@ class TestPrecolored:
             sg = SimpleGraph.from_plane_graph(g)
             for cyc in [vs for vs, _ in facial_cycles(g) if len(vs) == 4][:2]:
                 phi = dict(zip(cyc, (0, 1, 0, 1)))
-                col = three_color_precolored(g.copy(), cyc, phi)
+                col = three_color(g.copy(), precoloring=phi)
                 assert is_proper(sg, col), name
                 assert all(col[v] == phi[v] for v in cyc), name
 
@@ -228,7 +222,7 @@ class TestWorklistInvariant:
                       if len(vs) in (4, 5)]
             for h, cyc in zip(precolored, (cycles[0], cycles[-1])):
                 phi = dict(zip(cyc, (0, 1, 0, 1, 2)[:len(cyc)]))
-                precolored_solver(h, cyc, phi, audit=audit).run()
+                Solver(h, precoloring=phi, audit=audit).run()
         assert checked > 10_000
         assert not failures, failures[:5]
 
@@ -259,7 +253,7 @@ class TestStats:
             n0 = g.n_alive
             s = Solver(g)
             s.run()
-            assert s.stats.vertices_removed == n0, name
+            assert sum(r.vertices_removed for r in s.records) == n0, name
 
     def test_work_per_vertex_bounded(self):
         # footprint re-insertion spends 10.8-12.2 work per vertex here;
@@ -293,5 +287,5 @@ class TestStats:
         g = dodecahedron_graph()
         s = Solver(g)
         s.run()
-        assert 0 < s.stats.max_edges_deleted <= 126
-        assert s.stats.max_edges_added <= 116
+        assert 0 < max(r.edges_deleted for r in s.records) <= 126
+        assert max(r.edges_added for r in s.records) <= 116
