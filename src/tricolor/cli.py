@@ -69,6 +69,10 @@ def _cmd_check(args) -> int:
     g = _load_graph(args.input)
     coloring = parse_coloring(_read_text(args.coloring))
     sg = SimpleGraph.from_plane_graph(g)
+    unknown = coloring.keys() - sg.adj.keys()
+    if unknown:
+        sys.stderr.write(f"error: vertex {min(unknown)} is not in the graph\n")
+        return 1
     if is_proper(sg, coloring):
         return 0
     sys.stderr.write("improper or incomplete coloring\n")

@@ -158,22 +158,15 @@ class PlaneGraph:
                 yield origin[d], origin[twin[d]], d
 
     def dart_between(self, u: int, v: int) -> int | None:
-        """The dart u->v, or None.  One of u, v must be small."""
-        du, dv = self.v_deg[u], self.v_deg[v]
-        if du <= dv:
-            if du > DEGREE_CAP:
-                raise EmbeddingError(f"adjacency query between big {u} and {v}")
-            self.work += du
-            for d in self.darts_at(u):
-                if self.head(d) == v:
-                    return d
-            return None
-        if dv > DEGREE_CAP:
+        """The dart u->v, or None.  One of u, v must be small; the scan
+        runs from the end of smaller degree, u on a tie."""
+        a, b = (u, v) if self.v_deg[u] <= self.v_deg[v] else (v, u)
+        if self.v_deg[a] > DEGREE_CAP:
             raise EmbeddingError(f"adjacency query between big {u} and {v}")
-        self.work += dv
-        for d in self.darts_at(v):
-            if self.head(d) == u:
-                return self.d_twin[d]
+        self.work += self.v_deg[a]
+        for d in self.darts_at(a):
+            if self.head(d) == b:
+                return d if a == u else self.d_twin[d]
         return None
 
     def adjacent(self, u: int, v: int) -> bool:
@@ -266,6 +259,17 @@ class PlaneGraph:
         self.m_alive -= 1
         self.work += 1
 
+    def _check_position(self, w: int, ref: int | None) -> None:
+        """w is alive and ref places a new dart there: None only at an
+        isolated w, else an alive dart rooted at w."""
+        if not self.v_alive[w]:
+            raise EmbeddingError(f"dead vertex {w}")
+        if ref is None:
+            if self.v_deg[w] != 0:
+                raise EmbeddingError(f"position required at vertex {w}")
+        elif not self.d_alive[ref] or self.d_origin[ref] != w:
+            raise EmbeddingError(f"dart {ref} is dead or not at vertex {w}")
+
     def _insert_before(self, u: int, ref: int | None, nd: int) -> None:
         if ref is None:
             self.d_next[nd] = nd
@@ -290,15 +294,8 @@ class PlaneGraph:
         """
         if u == v:
             raise EmbeddingError(f"edge from vertex {u} to itself")
-        for w in (u, v):
-            if not self.v_alive[w]:
-                raise EmbeddingError(f"dead vertex {w}")
-        for w, ref in ((u, d_u), (v, d_v)):
-            if ref is None:
-                if self.v_deg[w] != 0:
-                    raise EmbeddingError(f"position required at vertex {w}")
-            elif not self.d_alive[ref] or self.d_origin[ref] != w:
-                raise EmbeddingError(f"dart {ref} is dead or not at vertex {w}")
+        self._check_position(u, d_u)
+        self._check_position(v, d_v)
         n1 = self._new_dart(u)
         n2 = self._new_dart(v)
         self.d_twin[n1] = n2
@@ -334,9 +331,8 @@ class PlaneGraph:
         2-faces (guaranteed by the callers' safety predicates) and lose
         their moved copy before return.
         """
-        for w in (a, b):
-            if not self.v_alive[w]:
-                raise EmbeddingError(f"dead vertex {w}")
+        self._check_position(a, d_a)
+        self._check_position(b, d_b)
         if a == b:
             raise EmbeddingError(f"cannot identify vertex {a} with itself")
         deg_a, deg_b = self.v_deg[a], self.v_deg[b]
@@ -344,12 +340,6 @@ class PlaneGraph:
             raise EmbeddingError(f"absorbed vertex {b} is big")
         if deg_b and self.adjacent(a, b):
             raise EmbeddingError(f"cannot identify adjacent {a} and {b}")
-        for w, deg, ref in ((a, deg_a, d_a), (b, deg_b, d_b)):
-            if ref is None:
-                if deg != 0:
-                    raise EmbeddingError(f"position required at vertex {w}")
-            elif not self.d_alive[ref] or self.d_origin[ref] != w:
-                raise EmbeddingError(f"dart {ref} is dead or not at vertex {w}")
 
         origin, twin = self.d_origin, self.d_twin
         moved: list[int] = []
@@ -484,48 +474,49 @@ def build(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
     return g
 
 
-def _components(g: PlaneGraph) -> dict[int, int]:
-    """Map each alive vertex to a component root (BFS over edges)."""
-    comp: dict[int, int] = {}
-    for s in g.vertex_ids():
-        if s in comp:
+def _check_euler(g: PlaneGraph) -> None:
+    """Every component with an edge has V - E + F = 2.
+
+    A rotation system embeds each component in an orientable surface, so
+    its V - E + F is 2 - 2 * genus <= 2; the totals over the components
+    with an edge therefore reach twice their number only if each is 2.
+    """
+    origin, twin, nxt, v_dart = g.d_origin, g.d_twin, g.d_next, g.v_dart
+    marked = [False] * len(v_dart)
+    comps = verts = 0
+    for s in range(len(v_dart)):
+        if marked[s] or v_dart[s] < 0:     # seen, dead or isolated
             continue
-        comp[s] = s
+        comps += 1
+        marked[s] = True
         stack = [s]
         while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w not in comp:
-                    comp[w] = s
+            verts += 1
+            d0 = d = v_dart[stack.pop()]
+            while True:
+                w = origin[twin[d]]
+                if not marked[w]:
+                    marked[w] = True
                     stack.append(w)
-    return comp
-
-
-def _check_euler(g: PlaneGraph) -> None:
-    comp = _components(g)
-    nv: dict[int, int] = {}
-    ne: dict[int, int] = {}
-    nf: dict[int, int] = {}
-    for v, c in comp.items():
-        nv[c] = nv.get(c, 0) + 1
-        ne[c] = ne.get(c, 0) + g.v_deg[v]
-    seen = [False] * len(g.d_origin)
-    for d in range(len(g.d_origin)):
-        if not g.d_alive[d] or seen[d]:
+                d = nxt[d]
+                if d == d0:
+                    break
+    faces = 0
+    seen = [False] * len(origin)
+    alive = g.d_alive
+    for d in range(len(origin)):
+        if not alive[d] or seen[d]:
             continue
-        c = comp[g.d_origin[d]]
-        nf[c] = nf.get(c, 0) + 1
+        faces += 1
         e = d
         while not seen[e]:
             seen[e] = True
-            e = g.d_next[g.d_twin[e]]
-    for c, edges2 in ne.items():
-        if edges2 == 0:
-            continue
-        euler = nv[c] - edges2 // 2 + nf.get(c, 0)
-        if euler != 2:
-            raise NonPlanarEmbedding(
-                f"component of {c}: V-E+F = {euler}, want 2")
+            e = nxt[twin[e]]
+    euler = verts - g.m_alive + faces
+    if euler != 2 * comps:
+        raise NonPlanarEmbedding(
+            f"V-E+F = {euler} over the components with an edge, "
+            f"want {2 * comps}")
 
 
 def validate(g: PlaneGraph) -> None:

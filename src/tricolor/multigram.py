@@ -1,13 +1,14 @@
 """The six reducible configurations and their bounded security tests.
 
 A multigram is a monogram (one vertex of degree <= 2) or a facial cycle
-of length 4, 5 or 6 listed in walk order with the pivot first:
+of length 4, 5 or 6 listed in walk order with the pivot first.  ``SHAPES``
+states once each cycle kind's length and leading degree-3 vertices:
 
-    tetragram   facial 4-cycle
+    tetragram   facial 4-cycle, v1 of degree 3
     octagram    tetragram with all four degrees exactly 3
     pentagram   facial 5-cycle with v1..v4 of degree exactly 3
     decagram    pentagram with v5 also of degree 3
-    hexagram    facial 6-cycle
+    hexagram    facial 6-cycle, v1 of degree 3
 
 Safety is the per-kind path-exclusion predicate that keeps the reduction
 triangle-free; (C-)security adds degree and admissibility side
@@ -42,6 +43,16 @@ HEXAGRAM = "hexagram"
 #: Detection order for find_secure_with_pivot (fixed for determinism).
 KIND_ORDER = (MONOGRAM, TETRAGRAM, OCTAGRAM, DECAGRAM, PENTAGRAM, HEXAGRAM)
 
+#: kind -> (cycle length, leading vertices of degree exactly 3, leading
+#: vertices whose third neighbor goes into ``aux``)
+SHAPES = {
+    TETRAGRAM: (4, 1, 1),
+    OCTAGRAM: (4, 4, 1),
+    DECAGRAM: (5, 5, 4),
+    PENTAGRAM: (5, 4, 4),
+    HEXAGRAM: (6, 1, 1),
+}
+
 #: The constraint cycle C of a plain run: no precolored vertex.
 NO_CYCLE: frozenset[int] = frozenset()
 
@@ -54,9 +65,9 @@ class Multigram:
     pivot (just the vertex for a monogram).  ``darts[i]`` is the dart of
     the bounding face whose origin is ``vertices[i]`` -- note that for a
     reversed listing these are not the listing-order darts, they simply
-    locate each vertex's corner on the face.  ``aux`` holds the third
-    neighbor x of the pivot (tetragram/hexagram, when deg(v1) == 3) or
-    the outside neighbors x1..x4 (pentagram/decagram).
+    locate each vertex's corner on the face.  ``aux`` holds the off-cycle
+    neighbors of the leading vertices ``SHAPES`` names: x of the pivot
+    (tetragram, octagram, hexagram) or x1..x4 (pentagram, decagram).
     """
 
     kind: str
@@ -84,14 +95,17 @@ def _no_forbidden_neighbor(g: PlaneGraph, v: int, C) -> bool:
     return True
 
 
-def _third_dart(g: PlaneGraph, v: int, nb1: int, nb2: int) -> int:
-    """The dart of a degree-3 vertex not aimed at its two cycle neighbors."""
-    g.work += 3
-    for d in g.darts_at(v):
-        w = g.head(d)
-        if w != nb1 and w != nb2:
-            return d
-    raise AssertionError(f"no third dart at {v}")
+def pendant_darts(g: PlaneGraph, verts: tuple[int, ...], n: int) -> list[int]:
+    """For each of the first n vertices of the cycle verts, all of degree
+    3, the dart to its neighbor off the cycle."""
+    k = len(verts)
+    out = []
+    for i in range(n):
+        ends = (verts[i - 1], verts[(i + 1) % k])
+        g.work += 3
+        out.append(next(d for d in g.darts_at(verts[i])
+                        if g.head(d) not in ends))
+    return out
 
 
 def cycle_candidates(g: PlaneGraph, v: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -117,35 +131,13 @@ def cycle_candidates(g: PlaneGraph, v: int) -> list[tuple[tuple[int, ...], tuple
     return out
 
 
-def _aux_for(g: PlaneGraph, kind: str, verts: tuple[int, ...]) -> tuple[int, ...]:
-    if kind in (TETRAGRAM, OCTAGRAM, HEXAGRAM):
-        v1 = verts[0]
-        if g.v_deg[v1] != 3:
-            return ()
-        return (g.head(_third_dart(g, v1, verts[1], verts[-1])),)
-    if kind in (PENTAGRAM, DECAGRAM):
-        xs = []
-        for i in range(4):
-            prv = verts[i - 1] if i else verts[-1]
-            xs.append(g.head(_third_dart(g, verts[i], prv, verts[i + 1])))
-        return tuple(xs)
-    return ()
-
-
-def _shape_ok(g: PlaneGraph, kind: str, verts: tuple[int, ...]) -> bool:
+def _has_shape(g: PlaneGraph, kind: str, verts: tuple[int, ...]) -> bool:
+    """verts has the length and the leading degree-3 vertices of kind."""
+    if kind not in SHAPES:
+        raise ValueError(kind)
+    k, n3, _ = SHAPES[kind]
     deg = g.v_deg
-    k = len(verts)
-    if kind == TETRAGRAM:
-        return k == 4
-    if kind == OCTAGRAM:
-        return k == 4 and all(deg[w] == 3 for w in verts)
-    if kind == PENTAGRAM:
-        return k == 5 and all(deg[w] == 3 for w in verts[:4])
-    if kind == DECAGRAM:
-        return k == 5 and all(deg[w] == 3 for w in verts)
-    if kind == HEXAGRAM:
-        return k == 6
-    return False
+    return len(verts) == k and all(deg[w] == 3 for w in verts[:n3])
 
 
 # ----------------------------------------------------------------------
@@ -262,15 +254,12 @@ def is_secure(g: PlaneGraph, m: Multigram,
 
     if kind == MONOGRAM:
         return deg[verts[0]] <= 2 and verts[0] not in C
+    if not _has_shape(g, kind, verts):
+        return False
 
     if kind == TETRAGRAM:
-        v1, v3 = verts[0], verts[2]
-        if deg[v1] != 3 or not admissible(g, v1, C):
-            return False
-        if not m.aux:
-            return False
-        x = m.aux[0]
-        if not admissible(g, x, C):
+        v1, v3, x = verts[0], verts[2], m.aux[0]
+        if not (admissible(g, v1, C) and admissible(g, x, C)):
             return False
         if not admissible(g, v3, C):
             thirds = _four_face_thirds(g, v1, x)
@@ -281,25 +270,16 @@ def is_secure(g: PlaneGraph, m: Multigram,
         return _tetragram_safe(g, v1, v3, x)
 
     if kind == OCTAGRAM:
-        return (all(deg[w] == 3 for w in verts)
-                and all(admissible(g, w, C) for w in verts))
+        return all(admissible(g, w, C) for w in verts)
 
     if kind == DECAGRAM:
-        if not all(deg[w] == 3 for w in verts):
-            return False
         x1, x3 = m.aux[0], m.aux[2]
-        if not all(admissible(g, w, C) for w in verts):
-            return False
-        if not (admissible(g, x1, C) and admissible(g, x3, C)):
+        if not all(admissible(g, w, C) for w in (*verts, x1, x3)):
             return False
         return _decagram_safe(g, x1, x3)
 
     if kind == PENTAGRAM:
-        if not all(deg[w] == 3 for w in verts[:4]):
-            return False
-        if not all(admissible(g, w, C) for w in verts):
-            return False
-        if not all(admissible(g, w, C) for w in m.aux):
+        if not all(admissible(g, w, C) for w in (*verts, *m.aux)):
             return False
         v5, x2, x3, x4 = verts[4], m.aux[1], m.aux[2], m.aux[3]
         if _no_forbidden_neighbor(g, v5, C):
@@ -316,21 +296,15 @@ def is_secure(g: PlaneGraph, m: Multigram,
             return False
         return _pentagram_safe(g, verts, m.aux, side25, side34)
 
-    if kind == HEXAGRAM:
-        v1, v3, v6 = verts[0], verts[2], verts[5]
-        if deg[v1] != 3 or not m.aux:
-            return False
-        x = m.aux[0]
-        for w in (v1, v3, v6, x):
-            if not admissible(g, w, C):
-                return False
-        # Paths through v2 are impossible in a triangle-free graph (v2, b
-        # and v3 would close one), so v6 and x are the only useful first
-        # steps; v3 is small, so _tetragram_safe skips no pair.
-        return (_tetragram_safe(g, v1, v3, v6)
-                and _tetragram_safe(g, v1, v3, x))
-
-    raise ValueError(kind)
+    # HEXAGRAM
+    v1, v3, v6, x = verts[0], verts[2], verts[5], m.aux[0]
+    if not all(admissible(g, w, C) for w in (v1, v3, v6, x)):
+        return False
+    # Paths through v2 are impossible in a triangle-free graph (v2, b
+    # and v3 would close one), so v6 and x are the only useful first
+    # steps; v3 is small, so _tetragram_safe skips no pair.
+    return (_tetragram_safe(g, v1, v3, v6)
+            and _tetragram_safe(g, v1, v3, x))
 
 
 def find_secure_with_pivot(g: PlaneGraph, v: int,
@@ -350,11 +324,13 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
     if v in C:
         return None
     cycles = cycle_candidates(g, v)
-    for kind in (TETRAGRAM, OCTAGRAM, DECAGRAM, PENTAGRAM, HEXAGRAM):
+    for kind in KIND_ORDER[1:]:
+        n_aux = SHAPES[kind][2]
         for verts, darts in cycles:
-            if not _shape_ok(g, kind, verts):
+            if not _has_shape(g, kind, verts):
                 continue
-            m = Multigram(kind, verts, _aux_for(g, kind, verts), darts)
+            aux = tuple(g.head(d) for d in pendant_darts(g, verts, n_aux))
+            m = Multigram(kind, verts, aux, darts)
             if is_secure(g, m, C):
                 return m
     return None

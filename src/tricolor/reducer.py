@@ -2,10 +2,10 @@
 
 Each reduction shrinks the graph by a constant amount (at most 126 edge
 deletions, 116 additions, and at least one vertex removed) and records
-enough to recolor the original: neighbor snapshots of deleted vertices,
-identification pairs, and added edges.  Coloring extension assigns each
-absorbed vertex its survivor's color and then colors the deleted
-vertices with one bounded depth-first search (<= 3^5 assignments).
+enough to recolor the original: neighbor snapshots of deleted vertices
+and identification pairs.  Coloring extension assigns each absorbed
+vertex its survivor's color and then colors the deleted vertices with
+one bounded depth-first search (<= 3^5 assignments).
 Extension can only fail on a corrupted record, which raises.
 
 ``event_endpoints`` names, before a reduction, every vertex the
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .embedding import DEGREE_CAP, PlaneGraph
 from .multigram import (
     DECAGRAM, HEXAGRAM, MONOGRAM, OCTAGRAM, PENTAGRAM, TETRAGRAM,
-    Multigram, _third_dart,
+    Multigram, pendant_darts,
 )
 
 
@@ -31,12 +31,10 @@ class ExtensionFailure(Exception):
 class ReductionRecord:
     kind: str
     vertices: tuple[int, ...]
-    aux: tuple[int, ...]
     # (vertex, its neighbors at deletion time), in coloring order
     removed: tuple[tuple[int, tuple[int, ...]], ...]
     # (survivor, absorbed), in application order
     identifications: tuple[tuple[int, int], ...]
-    added_edges: tuple[tuple[int, int], ...]
     edges_deleted: int
     edges_added: int
 
@@ -51,15 +49,6 @@ def _next_surviving(g: PlaneGraph, d: int, doomed: set[int]) -> int | None:
     while e != d and e in doomed:
         e = g.d_next[e]
     return None if e == d else e
-
-
-def _pendant_darts(g: PlaneGraph, verts: tuple[int, ...], upto: int) -> list[int]:
-    out = []
-    k = len(verts)
-    for i in range(upto):
-        prv = verts[i - 1] if i else verts[k - 1]
-        out.append(_third_dart(g, verts[i], prv, verts[i + 1]))
-    return out
 
 
 def _identified_ends(g: PlaneGraph, m: Multigram) -> tuple[int, int]:
@@ -115,8 +104,8 @@ def _reduce_monogram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     while g.v_deg[v]:
         g.remove_edge(g.v_dart[v])
     g.remove_isolated_vertex(v)
-    return ReductionRecord(m.kind, m.vertices, m.aux, ((v, nbrs),),
-                           (), (), len(nbrs), 0)
+    return ReductionRecord(m.kind, m.vertices, ((v, nbrs),), (),
+                           len(nbrs), 0)
 
 
 def _reduce_identifying(g: PlaneGraph, m: Multigram) -> ReductionRecord:
@@ -124,7 +113,7 @@ def _reduce_identifying(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     a, b = m.vertices[i], m.vertices[j]
     res = g.identify_across_face(a, b, m.darts[i], m.darts[j])
     return ReductionRecord(
-        m.kind, m.vertices, m.aux, (), ((a, b),), (),
+        m.kind, m.vertices, (), ((a, b),),
         len(res.moved) + len(res.collapsed), len(res.moved))
 
 
@@ -136,35 +125,33 @@ def _reduce_octagram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     for v in verts:
         g.remove_edge(g.v_dart[v])
         g.remove_isolated_vertex(v)
-    return ReductionRecord(m.kind, verts, m.aux, removed, (), (), 8, 0)
+    return ReductionRecord(m.kind, verts, removed, (), 8, 0)
 
 
 def _reduce_decagram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     verts = m.vertices
     x1, x3 = m.aux[0], m.aux[2]
-    pend = _pendant_darts(g, verts, 4)
-    p5 = _third_dart(g, verts[4], verts[3], verts[0])
+    pend = pendant_darts(g, verts, 5)
     doomed: set[int] = set()
-    for d in (*m.darts, *pend, p5):
+    for d in (*m.darts, *pend):
         doomed.add(d)
         doomed.add(g.d_twin[d])
     r1 = _next_surviving(g, g.d_twin[pend[0]], doomed)
     r3 = _next_surviving(g, g.d_twin[pend[2]], doomed)
     removed = tuple((v, tuple(g.neighbors(v))) for v in verts)
-    for d in (*m.darts, *pend, p5):
+    for d in (*m.darts, *pend):
         g.remove_edge(d)
     for v in verts:
         g.remove_isolated_vertex(v)
     g.add_edge_at(x1, r1, x3, r3)
-    return ReductionRecord(m.kind, verts, m.aux, removed, (),
-                           ((x1, x3),), 10, 1)
+    return ReductionRecord(m.kind, verts, removed, (), 10, 1)
 
 
 def _reduce_pentagram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     verts = m.vertices
     v5 = verts[4]
     x1, x2, x3, x4 = m.aux
-    pend = _pendant_darts(g, verts, 4)
+    pend = pendant_darts(g, verts, 4)
     doomed: set[int] = set()
     for d in (*m.darts, *pend):
         doomed.add(d)
@@ -185,8 +172,8 @@ def _reduce_pentagram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     for res in (res_a, res_b):
         deleted += len(res.moved) + len(res.collapsed)
         added += len(res.moved)
-    return ReductionRecord(m.kind, verts, m.aux, removed,
-                           ((x2, v5), (x3, x4)), (), deleted, added)
+    return ReductionRecord(m.kind, verts, removed,
+                           ((x2, v5), (x3, x4)), deleted, added)
 
 
 # ----------------------------------------------------------------------

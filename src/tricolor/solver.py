@@ -1,11 +1,11 @@
 """Worklist-driven 3-coloring of triangle-free plane graphs.
 
-The engine keeps a FIFO multiset of candidate pivots (vertex ids;
-duplicates and dead ids are fine and skipped on pop), initialized with
-every vertex of degree at most three.  Each iteration pops a pivot and
-looks for a (C-)secure multigram there in constant time.  Only vertices
-of degree <= 3 enter the queue: nothing else can pivot a secure
-multigram.
+The engine keeps a FIFO queue of candidate pivots (vertex ids, each at
+most once: ``in_queue`` guards every append; dead ids are skipped on
+pop), initialized with every vertex of degree at most three.  Each
+iteration pops a pivot and looks for a (C-)secure multigram there in
+constant time.  Only vertices of degree <= 3 enter the queue: nothing
+else can pivot a secure multigram.
 
 Re-insertion is driven by footprints.  Each search runs on the graph
 switched to ``RecordingGraph``, which logs to ``g.reads`` every vertex

@@ -36,6 +36,16 @@ def test_check_rejects_corrupted(tmp_path, cube_file, capsys):
     assert main(["check", str(cube_file), str(bad)]) == 1
 
 
+def test_check_rejects_unknown_vertex(tmp_path, capsys):
+    # a proper coloring of the graph plus an id the graph lacks
+    graph = tmp_path / "edge.graph"
+    graph.write_text("p 2 1\nv 0 1\nv 1 0\n")
+    col = tmp_path / "edge.col"
+    col.write_text("0 0\n1 1\n999 2\n")
+    assert main(["check", str(graph), str(col)]) == 1
+    assert capsys.readouterr().err == "error: vertex 999 is not in the graph\n"
+
+
 def test_precolor_flow(tmp_path, cube_file, capsys):
     g = cube_graph()
     cyc = next(vs for vs, _ in facial_cycles(g) if len(vs) == 4)

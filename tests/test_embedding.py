@@ -76,6 +76,16 @@ class TestBuild:
         with pytest.raises(NonPlanarEmbedding):
             build(rot)
 
+    def test_euler_holds_per_component(self):
+        # a planar cycle must not hide a non-planar K5 beside it, and a
+        # cycle, a path and an isolated vertex build together
+        k5 = [[w for w in range(5) if w != v] for v in range(5)]
+        c4 = [[5 + (i + 1) % 4, 5 + (i - 1) % 4] for i in range(4)]
+        with pytest.raises(NonPlanarEmbedding, match="V-E\\+F"):
+            build(k5 + c4)
+        g = build([[1, 3], [0, 2], [1, 3], [2, 0], [5], [4, 6], [5], []])
+        assert (g.n_alive, g.m_alive) == (8, 6)
+
     def test_empty_graph(self):
         g = build([])
         assert g.n_alive == 0 and g.m_alive == 0
