@@ -36,6 +36,8 @@ the plain primitives and pay nothing for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress, repeat
+from operator import eq
 from typing import Iterator, Sequence
 
 DEGREE_CAP = 59
@@ -433,43 +435,55 @@ def build(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
 
     Vertex ids are the list indices.  Each unordered pair must appear in
     exactly the two matching lists; components must pass the genus-0
-    Euler check.
+    Euler check.  Dart ids follow the lists: vertex u's darts are one
+    consecutive block in rotation order, and ``v_dart[u]`` is the first.
+    The arrays come from whole-list passes, which also find the faults;
+    a scan then names the first one in dart order.
     """
-    g = PlaneGraph()
     n = len(rotations)
-    for _ in range(n):
-        g.new_vertex()
-    pos: dict[tuple[int, int], int] = {}
-    for u in range(n):
-        rot = rotations[u]
-        first = -1
-        prev = -1
-        for w in rot:
+    deg = list(map(len, rotations))
+    heads = list(chain.from_iterable(rotations))
+    nd = len(heads)
+    ids = list(range(nd + 1))       # the dart ints that every dart array shares
+    origin = list(chain.from_iterable(map(repeat, range(n), deg)))
+    pos = dict(zip([u * n + w for u, w in zip(origin, heads)], ids))
+    if (len(pos) < nd or any(map(eq, origin, heads))
+            or heads and (min(heads) < 0 or max(heads) >= n)):
+        listed: set[tuple[int, int]] = set()
+        for u, w in zip(origin, heads):
             if not 0 <= w < n:
                 raise EmbeddingError(f"vertex {u} lists unknown {w}")
             if w == u:
                 raise EmbeddingError(f"vertex {u} lists itself")
-            if (u, w) in pos:
+            if (u, w) in listed:
                 raise EmbeddingError(f"vertex {u} lists {w} twice")
-            d = g._new_dart(u)
-            pos[(u, w)] = d
-            if first < 0:
-                first = d
-            else:
-                g.d_next[prev] = d
-                g.d_prev[d] = prev
-            prev = d
-        if first >= 0:
-            g.d_next[prev] = first
-            g.d_prev[first] = prev
-            g.v_dart[u] = first
-            g.v_deg[u] = len(rot)
-    for (u, w), d in pos.items():
-        t = pos.get((w, u))
-        if t is None:
-            raise EmbeddingError(f"edge {u}-{w} missing from the rotation of {w}")
-        g.d_twin[d] = t
-    g.m_alive = len(pos) // 2
+            listed.add((u, w))
+    twin = list(map(pos.get, [w * n + u for u, w in zip(origin, heads)]))
+    del pos                         # before the next/prev lists add to the peak
+    if None in twin:
+        d = twin.index(None)
+        u, w = origin[d], heads[d]
+        raise EmbeddingError(f"edge {u}-{w} missing from the rotation of {w}")
+    # each block's darts point to their neighbors in the block, cyclically
+    nxt = ids[1:]
+    prv = ids[nd - 1:nd] + ids[:nd - 1]
+    v_dart = [-1] * n
+    for u, k, e in compress(zip(range(n), deg, accumulate(deg)), deg):
+        first, last = ids[e - k], ids[e - 1]
+        nxt[last] = first
+        prv[first] = last
+        v_dart[u] = first
+    g = PlaneGraph()
+    g.v_alive = [True] * n
+    g.v_deg = deg
+    g.v_dart = v_dart
+    g.d_origin = origin
+    g.d_twin = twin
+    g.d_next = nxt
+    g.d_prev = prv
+    g.d_alive = [True] * nd
+    g.n_alive = n
+    g.m_alive = nd // 2
     _check_euler(g)
     return g
 
@@ -522,47 +536,61 @@ def _check_euler(g: PlaneGraph) -> None:
 def validate(g: PlaneGraph) -> None:
     """Full-scan structural check; raises EmbeddingCorruption.
 
-    Verifies twin involution, rotation consistency, degree counters,
-    loop/parallel freedom and the per-component Euler formula.  Linear
-    cost; run by tests, audit hooks and `tricolor color --validate`.
+    One walk of each alive vertex's rotation, in vertex order, checks
+    every dart it reaches (alive and rooted at the vertex, twin
+    involution, the twin rooted at an alive vertex, no loop, next/prev
+    inverse) and then the vertex (degree counter, no parallel edges); a
+    dead vertex must keep no dart.  The edge and vertex counters follow,
+    then a check that the walks reached every alive dart, so none is in
+    no rotation, and last the per-component Euler formula.  Linear cost;
+    run by tests, audit hooks and `tricolor color --validate`.
     """
-    nd = len(g.d_origin)
-    alive_darts = 0
-    for d in range(nd):
-        if not g.d_alive[d]:
-            continue
-        alive_darts += 1
-        t = g.d_twin[d]
-        if t == d or not g.d_alive[t] or g.d_twin[t] != d:
-            raise EmbeddingCorruption(f"twin involution broken at dart {d}")
-        if not g.v_alive[g.d_origin[d]]:
-            raise EmbeddingCorruption(f"dart {d} rooted at dead vertex")
-        if g.d_origin[t] == g.d_origin[d]:
-            raise EmbeddingCorruption(f"loop at dart {d}")
-        if g.d_next[g.d_prev[d]] != d or g.d_prev[g.d_next[d]] != d:
-            raise EmbeddingCorruption(f"next/prev not inverse at dart {d}")
-    if alive_darts != 2 * g.m_alive:
-        raise EmbeddingCorruption("edge counter out of sync")
-    n_alive = 0
-    for v in range(len(g.v_alive)):
-        if not g.v_alive[v]:
-            if g.v_dart[v] != -1:
+    v_alive, v_deg = g.v_alive, g.v_deg
+    origin, twin, nxt, prv, alive = (g.d_origin, g.d_twin, g.d_next,
+                                     g.d_prev, g.d_alive)
+    walked = n_alive = 0
+    for v, d0 in enumerate(g.v_dart):
+        if not v_alive[v]:
+            if d0 != -1:
                 raise EmbeddingCorruption(f"dead vertex {v} keeps a dart")
             continue
         n_alive += 1
-        seen: list[int] = []
-        for d in g.darts_at(v):
-            if len(seen) > g.v_deg[v]:
-                raise EmbeddingCorruption(f"rotation at {v} exceeds degree")
-            if g.d_origin[d] != v or not g.d_alive[d]:
-                raise EmbeddingCorruption(f"foreign dart {d} at vertex {v}")
-            seen.append(g.head(d))
-        if len(seen) != g.v_deg[v]:
+        deg = v_deg[v]
+        heads = []
+        if d0 != -1:
+            d = d0
+            while True:
+                if len(heads) > deg:
+                    raise EmbeddingCorruption(f"rotation at {v} exceeds degree")
+                if not alive[d] or origin[d] != v:
+                    raise EmbeddingCorruption(f"foreign dart {d} at vertex {v}")
+                t = twin[d]
+                if t == d or not alive[t] or twin[t] != d:
+                    raise EmbeddingCorruption(f"twin involution broken at dart {d}")
+                w = origin[t]
+                if not v_alive[w]:
+                    raise EmbeddingCorruption(f"dart {t} rooted at dead vertex")
+                if w == v:
+                    raise EmbeddingCorruption(f"loop at dart {d}")
+                if prv[nxt[d]] != d:
+                    raise EmbeddingCorruption(f"next/prev not inverse at dart {d}")
+                heads.append(w)
+                d = nxt[d]
+                if d == d0:
+                    break
+        if len(heads) != deg:
             raise EmbeddingCorruption(f"degree counter wrong at {v}")
-        if len(seen) != len(set(seen)):
+        if len(set(heads)) != deg:
             raise EmbeddingCorruption(f"parallel edges at vertex {v}")
+        walked += deg
+    alive_darts = sum(alive)
+    if alive_darts != 2 * g.m_alive:
+        raise EmbeddingCorruption("edge counter out of sync")
     if n_alive != g.n_alive:
         raise EmbeddingCorruption("vertex counter out of sync")
+    if walked != alive_darts:
+        raise EmbeddingCorruption(
+            f"{alive_darts - walked} alive darts are in no rotation")
     try:
         _check_euler(g)
     except NonPlanarEmbedding as exc:

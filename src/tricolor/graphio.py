@@ -27,13 +27,13 @@ class GraphSyntaxError(Exception):
 def parse_rotations(text: str) -> list[list[int]]:
     n = m = -1
     rotations: list[list[int]] | None = None
-    seen: set[int] = set()
+    seen = bytearray()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if tokens[0] == "p":
+        tag = tokens[0]
+        if tag == "p":
             if rotations is not None:
                 raise GraphSyntaxError(lineno, "duplicate header")
             if len(tokens) != 3:
@@ -45,30 +45,31 @@ def parse_rotations(text: str) -> list[list[int]]:
             if n < 0 or m < 0:
                 raise GraphSyntaxError(lineno, "negative counts")
             rotations = [[] for _ in range(n)]
-        elif tokens[0] == "v":
+            seen = bytearray(n)
+        elif tag == "v":
             if rotations is None:
                 raise GraphSyntaxError(lineno, "vertex line before header")
             try:
-                ids = [int(t) for t in tokens[1:]]
+                nbrs = list(map(int, tokens[1:]))
             except ValueError:
                 raise GraphSyntaxError(lineno, "non-integer vertex id") from None
-            if not ids:
+            if not nbrs:
                 raise GraphSyntaxError(lineno, "missing vertex id")
-            v, nbrs = ids[0], ids[1:]
+            v = nbrs.pop(0)
             if not 0 <= v < n:
                 raise GraphSyntaxError(lineno, f"vertex id {v} out of range")
-            if v in seen:
+            if seen[v]:
                 raise GraphSyntaxError(lineno, f"vertex {v} listed twice")
-            seen.add(v)
-            for w in nbrs:
-                if not 0 <= w < n:
-                    raise GraphSyntaxError(lineno, f"neighbor {w} out of range")
+            seen[v] = 1
+            if nbrs and (min(nbrs) < 0 or max(nbrs) >= n):
+                w = next(w for w in nbrs if not 0 <= w < n)
+                raise GraphSyntaxError(lineno, f"neighbor {w} out of range")
             rotations[v] = nbrs
-        else:
-            raise GraphSyntaxError(lineno, f"unknown record '{tokens[0]}'")
+        elif not tag.startswith("#"):
+            raise GraphSyntaxError(lineno, f"unknown record '{tag}'")
     if rotations is None:
         raise GraphSyntaxError(0, "missing header")
-    total = sum(len(r) for r in rotations)
+    total = sum(map(len, rotations))
     if total != 2 * m:
         raise GraphSyntaxError(0, f"header claims {m} edges, found {total} darts")
     return rotations

@@ -9,6 +9,7 @@ degrading.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import AbstractSet, Iterator
 
 from .embedding import DEGREE_CAP, PlaneGraph
@@ -35,7 +36,20 @@ class SimpleGraph:
 
     @classmethod
     def from_plane_graph(cls, g: PlaneGraph) -> "SimpleGraph":
-        adj = {v: set(g.neighbors(v)) for v in g.vertex_ids()}
+        """The alive vertices, each with the heads of its rotation, read
+        off the dart arrays in ``neighbors`` order."""
+        origin, twin, nxt, v_dart = g.d_origin, g.d_twin, g.d_next, g.v_dart
+        adj: dict[int, set[int]] = {}
+        for v in compress(range(len(v_dart)), g.v_alive):
+            nbrs = adj[v] = set()
+            d0 = d = v_dart[v]
+            if d0 < 0:
+                continue
+            while True:
+                nbrs.add(origin[twin[d]])
+                d = nxt[d]
+                if d == d0:
+                    break
         return cls(adj)
 
     @classmethod
@@ -67,10 +81,13 @@ def is_proper(sg: SimpleGraph, coloring: dict[int, int]) -> bool:
 
 
 def is_triangle_free(sg: SimpleGraph) -> bool:
-    for u, w in sg.edges():
-        small, other = (u, w) if len(sg.adj[u]) <= len(sg.adj[w]) else (w, u)
-        if any(z in sg.adj[other] for z in sg.adj[small]):
-            return False
+    """No edge u-w whose ends share a neighbor.  ``isdisjoint`` scans the
+    smaller of the two neighbor sets."""
+    adj = sg.adj
+    for u, nbrs in adj.items():
+        for w in nbrs:
+            if u < w and not nbrs.isdisjoint(adj[w]):
+                return False
     return True
 
 

@@ -6,8 +6,8 @@ from tricolor.embedding import (
     EmbeddingCorruption, EmbeddingError, NonPlanarEmbedding, PlaneGraph,
     RecordingGraph, build, validate,
 )
-from tricolor.generators import quad
-from tricolor.graphio import serialize
+from tricolor.generators import GenSpec, generate, quad
+from tricolor.graphio import parse_rotations, serialize
 from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph,
     graph_from_faces, grid_graph, path_graph, rotations_from_faces,
@@ -15,6 +15,8 @@ from tricolor.instances import (
 )
 from tricolor.multigram import admissible
 from tricolor.oracle import SimpleGraph, face_orbits
+
+from conftest import small_corpus_builders
 
 
 def components(g):
@@ -73,7 +75,8 @@ class TestBuild:
 
     def test_nonplanar_k5(self):
         rot = [[w for w in range(5) if w != v] for v in range(5)]
-        with pytest.raises(NonPlanarEmbedding):
+        with pytest.raises(NonPlanarEmbedding, match="^V-E\\+F = -2 over "
+                           "the components with an edge, want 2$"):
             build(rot)
 
     def test_euler_holds_per_component(self):
@@ -392,6 +395,115 @@ def test_validator_catches_corruption():
     g.v_deg[0] = 5
     with pytest.raises(EmbeddingCorruption):
         validate(g)
+
+
+# The 4-cycle 0-1-2-3.  Darts: 0 (0->1), 1 (0->3), 2 (1->2), 3 (1->0),
+# 4 (2->3), 5 (2->1), 6 (3->0), 7 (3->2); faces (0 2 4 6) and (1 7 5 3).
+C4 = [[1, 3], [2, 0], [3, 1], [0, 2]]
+
+
+def _dead_vertex(g):
+    x = g.new_vertex()
+    g.v_alive[x] = False
+    g.n_alive -= 1
+    return x
+
+
+def _stray_edge(g):
+    # an alive edge 0-2 that no rotation lists: each dart is alone in its
+    # own next/prev orbit, and the counters and Euler's V-E+F (4-5+3)
+    # still add up
+    a, b = g._new_dart(0), g._new_dart(2)
+    g.d_twin[a], g.d_twin[b] = b, a
+    for d in (a, b):
+        g.d_next[d] = g.d_prev[d] = d
+    g.m_alive += 1
+
+
+def _set(array, index, value):
+    return lambda g: getattr(g, array).__setitem__(index, value)
+
+
+VALIDATE_FAULTS = [
+    ("twin", _set("d_twin", 0, 0), "twin involution broken at dart 0"),
+    ("rooted-dead", lambda g: g.d_origin.__setitem__(3, _dead_vertex(g)),
+     "dart 3 rooted at dead vertex"),
+    ("loop", _set("d_origin", 3, 0), "loop at dart 0"),
+    ("next-prev", _set("d_prev", 1, 1), "next/prev not inverse at dart 0"),
+    ("edge-counter", lambda g: setattr(g, "m_alive", 5),
+     "edge counter out of sync"),
+    ("dead-keeps-dart", lambda g: g.v_dart.__setitem__(_dead_vertex(g), 0),
+     "dead vertex 4 keeps a dart"),
+    ("exceeds-degree", _set("v_deg", 0, 0), "rotation at 0 exceeds degree"),
+    ("foreign", _set("d_alive", 1, False), "foreign dart 1 at vertex 0"),
+    ("degree-counter", _set("v_deg", 0, 1), "degree counter wrong at 0"),
+    ("parallel", lambda g: g.add_edge_at(0, 0, 1, 2),
+     "parallel edges at vertex 0"),
+    ("vertex-counter", lambda g: setattr(g, "n_alive", 5),
+     "vertex counter out of sync"),
+    ("euler", lambda g: g.add_edge(0, 5),
+     "V-E\\+F = 0 over the components with an edge, want 2"),
+    ("stray-dart", _stray_edge, "2 alive darts are in no rotation"),
+]
+
+
+@pytest.mark.parametrize("corrupt,message",
+                         [fault[1:] for fault in VALIDATE_FAULTS],
+                         ids=[fault[0] for fault in VALIDATE_FAULTS])
+def test_validate_names_each_fault(corrupt, message):
+    g = build(C4)
+    validate(g)
+    corrupt(g)
+    with pytest.raises(EmbeddingCorruption, match=f"^{message}$"):
+        validate(g)
+
+
+BUILD_FAULTS = [
+    # each text holds a later fault too; the first in dart order is named
+    ("id-too-large", [[1], [0, 7], [-1]], "vertex 1 lists unknown 7"),
+    ("negative-id", [[1], [0, -1], [5]], "vertex 1 lists unknown -1"),
+    ("self-loop", [[1], [0, 1], [7]], "vertex 1 lists itself"),
+    ("repeat", [[1, 1], [0, 5]], "vertex 0 lists 1 twice"),
+    # repeats are named before one-sided edges, wherever they are
+    ("repeat-after-one-sided", [[2], [0, 0], [0]], "vertex 1 lists 0 twice"),
+    ("one-sided", [[1, 2], [0], [], [0]],
+     "edge 0-2 missing from the rotation of 2"),
+]
+
+
+@pytest.mark.parametrize("rotations,message",
+                         [fault[1:] for fault in BUILD_FAULTS],
+                         ids=[fault[0] for fault in BUILD_FAULTS])
+def test_build_names_the_first_fault(rotations, message):
+    with pytest.raises(EmbeddingError, match=f"^{message}$") as err:
+        build(rotations)
+    assert type(err.value) is EmbeddingError
+
+
+NUMBERING_CASES = small_corpus_builders() + [
+    (f"{kind}{seed}", lambda k=kind, s=seed: generate(GenSpec(k, 40, s)))
+    for kind in ("grid", "quad", "augmented") for seed in (0, 1)
+] + [("grid-deleted", lambda: generate(GenSpec("grid", 40, 3, 0.3)))]
+
+
+@pytest.mark.parametrize("make", [make for _, make in NUMBERING_CASES],
+                         ids=[name for name, _ in NUMBERING_CASES])
+def test_build_numbers_darts_in_rotation_order(make):
+    # vertex v's darts are the next block of ids, in rotation order, and
+    # v_dart[v] is the first: the solver's pops and reductions follow it
+    rotations = parse_rotations(serialize(make()))
+    g = build(rotations)
+    validate(g)
+    start = 0
+    for v, rot in enumerate(rotations):
+        assert list(g.neighbors(v)) == rot
+        assert list(g.darts_at(v)) == list(range(start, start + len(rot)))
+        if rot:
+            assert g.v_dart[v] == start and g.head(start) == rot[0]
+        else:
+            assert g.v_dart[v] == -1
+        start += len(rot)
+    assert len(g.d_origin) == start
 
 
 def test_ids_never_reused():

@@ -64,6 +64,28 @@ class TestSyntaxErrors:
             parse(text)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("text,message", [
+        ("p 2\n", "line 1: header must be 'p <n> <m>'"),
+        ("p 2 x\n", "line 1: non-integer header"),
+        ("p -1 0\n", "line 1: negative counts"),
+        ("p 1 0\np 1 0\n", "line 2: duplicate header"),
+        ("v 0 1\n", "line 1: vertex line before header"),
+        ("p 2 1\nv 0 x\n", "line 2: non-integer vertex id"),
+        ("p 2 1\nv\n", "line 2: missing vertex id"),
+        ("p 2 1\nv 2 0\n", "line 2: vertex id 2 out of range"),
+        ("p 2 1\nv -1 0\n", "line 2: vertex id -1 out of range"),
+        ("p 2 1\nv 0 1\nv 0 9\n", "line 3: vertex 0 listed twice"),
+        ("p 3 1\nv 0 1 -2 7\n", "line 2: neighbor -2 out of range"),
+        ("p 3 1\nv 0 1 3 -2\n", "line 2: neighbor 3 out of range"),
+        ("p 2 1\n# v 0 1\nq 0 1\n", "line 3: unknown record 'q'"),
+        ("# only a comment\n", "line 0: missing header"),
+        ("p 2 3\nv 0 1\nv 1 0\n", "line 0: header claims 3 edges, found 2 darts"),
+    ])
+    def test_messages(self, text, message):
+        with pytest.raises(GraphSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_edge_count_mismatch(self):
         with pytest.raises(GraphSyntaxError):
             parse("p 2 3\nv 0 1\nv 1 0\n")

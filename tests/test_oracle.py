@@ -1,5 +1,9 @@
+import random
+from itertools import combinations
+
 import pytest
 
+from tricolor.generators import quad
 from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph, grid_graph,
     k23_graph,
@@ -9,6 +13,7 @@ from tricolor.oracle import (
     brute_force_3color, close_to_edge_slow, closeness_slow,
     enumerate_3colorings, is_proper, is_triangle_free,
 )
+from tricolor.solver import Solver
 
 from conftest import small_corpus
 
@@ -67,6 +72,56 @@ class TestCheckers:
                                         for b in range(a + 1, 4)])
         assert not is_triangle_free(k4)
         assert is_triangle_free(SimpleGraph.from_plane_graph(cube_graph()))
+
+
+def has_triangle_slow(sg: SimpleGraph) -> bool:
+    adj = sg.adj
+    return any(b in adj[a] and c in adj[a] and c in adj[b]
+               for a, b, c in combinations(sorted(adj), 3))
+
+
+class TestTriangleCheck:
+    def test_agrees_with_triple_search_on_corpus(self):
+        for name, g in small_corpus():
+            sg = SimpleGraph.from_plane_graph(g)
+            assert is_triangle_free(sg) is not has_triangle_slow(sg), name
+
+    def test_grotzsch_and_k4(self):
+        k4 = SimpleGraph.from_edges(4, combinations(range(4), 2))
+        for sg, free in ((grotzsch_graph(), True), (k4, False)):
+            assert has_triangle_slow(sg) is not free
+            assert is_triangle_free(sg) is free
+
+    def test_random_graphs_with_a_triangle_added(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            n, p = rng.randrange(3, 13), rng.choice((0.1, 0.2, 0.35))
+            edges = {(a, b) for a, b in combinations(range(n), 2)
+                     if rng.random() < p}
+            sg = SimpleGraph.from_edges(n, edges)
+            assert is_triangle_free(sg) is not has_triangle_slow(sg), seed
+            a, b, c = sorted(rng.sample(range(n), 3))
+            sg = SimpleGraph.from_edges(n, edges | {(a, b), (b, c), (a, c)})
+            assert has_triangle_slow(sg) and not is_triangle_free(sg), seed
+
+
+def test_from_plane_graph_mid_solve():
+    # dead vertices and darts: the adjacency read off the dart arrays
+    # equals the neighbors walk, key order and set order included
+    seen_dead = []
+
+    def audit(g, queue, C):
+        sg = SimpleGraph.from_plane_graph(g)
+        walk = {v: set(g.neighbors(v)) for v in g.vertex_ids()}
+        assert sg.adj == walk
+        assert list(sg.adj) == list(walk)
+        assert all(list(sg.adj[v]) == list(walk[v]) for v in walk)
+        seen_dead.append(g.n_alive < len(g.v_alive)
+                         and not all(g.d_alive))
+
+    for g in (quad(40, 0), dodecahedron_graph(), grid_graph(6)):
+        Solver(g, audit=audit).run()
+    assert sum(seen_dead) > 50
 
 
 class TestSecureEnumeration:
