@@ -62,7 +62,8 @@ def _cmd_color(args) -> int:
 def _print_stats(stats) -> None:
     kinds = " ".join(f"{k}={stats.reductions[k]}" for k in KIND_ORDER)
     sys.stderr.write(
-        f"pops={stats.pops} insertions={stats.insertions} {kinds}\n")
+        f"pops={stats.pops} insertions={stats.insertions} work={stats.work} "
+        f"{kinds}\n")
 
 
 def _cmd_check(args) -> int:

@@ -145,11 +145,18 @@ class PlaneGraph:
             if d == d0:
                 return
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        origin = self.d_origin
-        twin = self.d_twin
-        for d in self.darts_at(v):
-            yield origin[twin[d]]
+    def neighbors(self, v: int) -> list[int]:
+        """Heads of v's darts in rotation order."""
+        out: list[int] = []
+        d0 = d = self.v_dart[v]
+        if d0 >= 0:
+            origin, twin, nxt = self.d_origin, self.d_twin, self.d_next
+            while True:
+                out.append(origin[twin[d]])
+                d = nxt[d]
+                if d == d0:
+                    break
+        return out
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """All alive edges as (origin, head, dart) with dart < twin."""
@@ -237,27 +244,24 @@ class PlaneGraph:
     # ------------------------------------------------------------------
     # mutation
 
-    def _excise(self, d: int) -> None:
-        """Unlink d from its origin's rotation and kill it."""
-        u = self.d_origin[d]
-        nxt = self.d_next[d]
-        if nxt == d:
-            self.v_dart[u] = -1
-        else:
-            prv = self.d_prev[d]
-            self.d_next[prv] = nxt
-            self.d_prev[nxt] = prv
-            if self.v_dart[u] == d:
-                self.v_dart[u] = nxt
-        self.d_alive[d] = False
-        self.v_deg[u] -= 1
-
     def remove_edge(self, d: int) -> None:
         if not self.d_alive[d]:
             raise EmbeddingError(f"dead dart {d}")
-        t = self.d_twin[d]
-        self._excise(d)
-        self._excise(t)
+        nxt, prv, v_dart, v_deg = self.d_next, self.d_prev, self.v_dart, self.v_deg
+        for e in (d, self.d_twin[d]):
+            # unlink e from its origin's rotation and kill it
+            u = self.d_origin[e]
+            n = nxt[e]
+            if n == e:
+                v_dart[u] = -1
+            else:
+                p = prv[e]
+                nxt[p] = n
+                prv[n] = p
+                if v_dart[u] == e:
+                    v_dart[u] = n
+            self.d_alive[e] = False
+            v_deg[u] -= 1
         self.m_alive -= 1
         self.work += 1
 
@@ -410,8 +414,8 @@ class RecordingGraph(PlaneGraph):
         return PlaneGraph.darts_at(self, v)
 
     def neighbors(self, v: int) -> list[int]:
-        origin, twin = self.d_origin, self.d_twin
-        out = [origin[twin[d]] for d in self.darts_at(v)]
+        out = PlaneGraph.neighbors(self, v)
+        self.reads.append(v)
         self.reads.extend(out)
         return out
 

@@ -28,8 +28,7 @@ Everything here is read-only on the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet
+from typing import AbstractSet, NamedTuple
 
 from .embedding import DEGREE_CAP, PlaneGraph
 
@@ -57,8 +56,7 @@ SHAPES = {
 NO_CYCLE: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class Multigram:
+class Multigram(NamedTuple):
     """One configuration instance.
 
     ``vertices`` lists the facial cycle in walk order starting at the

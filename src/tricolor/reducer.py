@@ -14,7 +14,7 @@ reduction will touch; the solver re-queues pivots from that set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .embedding import DEGREE_CAP, PlaneGraph
 from .multigram import (
@@ -27,8 +27,7 @@ class ExtensionFailure(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ReductionRecord:
+class ReductionRecord(NamedTuple):
     kind: str
     vertices: tuple[int, ...]
     # (vertex, its neighbors at deletion time), in coloring order

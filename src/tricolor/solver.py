@@ -49,11 +49,15 @@ The recursion of the underlying argument is replaced by an explicit
 record stack; colors flow back through it once the graph is gone.  For
 the precolored variant the loop stops when exactly the constraint cycle
 C, the keys of the precoloring, remains and seeds the unwind with the
-precoloring.
+precoloring.  Those records live until the unwind, so the cyclic garbage
+collector would rescan them each time the heap grew by a quarter; the
+solve makes no reference cycles (tests check it) and reference counting
+frees all it allocates, so ``Solver.run`` pauses the collector.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -198,6 +202,9 @@ class Solver:
         self.records: list[ReductionRecord] = []
 
     def run(self) -> dict[int, int]:
+        """Consume the graph and return the coloring.  The cyclic garbage
+        collector, process-wide state, is off during the loop and the
+        unwind, and back on after them, on return or raise, if it was on."""
         g = self.graph
         C = self.cycle
         stats = self.stats
@@ -220,61 +227,67 @@ class Solver:
         reads = g.reads
         plain = type(g)
 
-        if self.audit:
-            self.audit(g, tuple(queue), C)
-        while g.n_alive > target:
-            if not queue:
-                raise ExhaustedQueueNonempty(
-                    f"worklist empty with {g.n_alive} vertices left")
-            v = queue.popleft()
-            in_queue[v] = False
-            stats.pops += 1
-            if not alive[v]:
-                continue
-            reads.clear()
-            g.__class__ = RecordingGraph
-            m = find_secure_with_pivot(g, v, C)
-            g.__class__ = plain
-            if m is None:
-                r = len(owner)
-                owner.append(v)
-                current[v] = r
-                footprint = set(reads)
-                footprint.add(v)
-                for u in footprint:
-                    index[u].append(r)
-                g.work += len(footprint)
-                continue
-            touched = event_endpoints(g, m)
-            record = reduce(g, m)
-            self.records.append(record)
-            stats.reductions[m.kind] += 1
-            for survivor, absorbed in record.identifications:
-                if absorbed in C:
-                    C.remove(absorbed)
-                    C.add(survivor)
-                    self.phi[survivor] = self.phi.pop(absorbed)
-            woken = set(touched)
-            for u in touched:
-                entries = index.pop(u, None)
-                if entries is not None:
-                    g.work += len(entries)
-                    for r in entries:
-                        p = owner[r]
-                        if current[p] == r:
-                            woken.add(p)
-            for w in sorted(woken):
-                if alive[w] and deg[w] <= 3 and not in_queue[w]:
-                    in_queue[w] = True
-                    queue.append(w)
-                    stats.insertions += 1
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
             if self.audit:
                 self.audit(g, tuple(queue), C)
+            while g.n_alive > target:
+                if not queue:
+                    raise ExhaustedQueueNonempty(
+                        f"worklist empty with {g.n_alive} vertices left")
+                v = queue.popleft()
+                in_queue[v] = False
+                stats.pops += 1
+                if not alive[v]:
+                    continue
+                reads.clear()
+                g.__class__ = RecordingGraph
+                m = find_secure_with_pivot(g, v, C)
+                g.__class__ = plain
+                if m is None:
+                    r = len(owner)
+                    owner.append(v)
+                    current[v] = r
+                    footprint = set(reads)
+                    footprint.add(v)
+                    for u in footprint:
+                        index[u].append(r)
+                    g.work += len(footprint)
+                    continue
+                touched = event_endpoints(g, m)
+                record = reduce(g, m)
+                self.records.append(record)
+                stats.reductions[m.kind] += 1
+                for survivor, absorbed in record.identifications:
+                    if absorbed in C:
+                        C.remove(absorbed)
+                        C.add(survivor)
+                        self.phi[survivor] = self.phi.pop(absorbed)
+                woken = set(touched)
+                for u in touched:
+                    entries = index.pop(u, None)
+                    if entries is not None:
+                        g.work += len(entries)
+                        for r in entries:
+                            p = owner[r]
+                            if current[p] == r:
+                                woken.add(p)
+                for w in sorted(woken):
+                    if alive[w] and deg[w] <= 3 and not in_queue[w]:
+                        in_queue[w] = True
+                        queue.append(w)
+                        stats.insertions += 1
+                if self.audit:
+                    self.audit(g, tuple(queue), C)
 
-        # at most len(C) vertices are left, so all of C alive means only C
-        assert all(alive[v] for v in C), (C, g.n_alive)
-        stats.work = g.work - work0
-        return unwind(self.records, self.phi)
+            # at most len(C) vertices are left, so all of C alive means only C
+            assert all(alive[v] for v in C), (C, g.n_alive)
+            stats.work = g.work - work0
+            return unwind(self.records, self.phi)
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 def three_color(g: PlaneGraph, **kwargs) -> dict[int, int]:

@@ -250,10 +250,11 @@ def test_criterion_7_linear_scaling():
     # Each solve is divided by a reference loop timed just before and
     # just after it, so a sample is in units of the machine's speed at
     # that moment and a shared host's swings within a round cancel.
-    # The cyclic collector is off while a run is timed: the solver makes
-    # no reference cycles, and a full collection costs in proportion to
-    # all that the test process holds, so it would land, whole, on
-    # whichever size first crosses its threshold.
+    # run() pauses the cyclic collector itself, since the solver makes no
+    # reference cycles.  The test also keeps it off around the reference
+    # loops: a full collection costs in proportion to all that the test
+    # process holds, so it would land, whole, on whichever sample first
+    # crosses its threshold.
     sizes = (10_000, 20_000, 40_000, 80_000, 160_000)
     graphs = [generate(GenSpec("grid", n, seed=1)) for n in sizes]
     times: list[list[float]] = [[] for _ in graphs]

@@ -3,6 +3,7 @@ import pytest
 from tricolor.cli import main
 from tricolor.graphio import parse, parse_coloring, serialize
 from tricolor.instances import cube_graph, cycle_graph, graph_from_faces
+from tricolor.multigram import KIND_ORDER
 from tricolor.oracle import SimpleGraph, facial_cycles, is_proper
 
 
@@ -19,6 +20,10 @@ def test_color_then_check(tmp_path, cube_file, capsys):
     coloring = parse_coloring(out.out)
     assert len(coloring) == 8 and set(coloring.values()) <= {0, 1, 2}
     assert out.err.startswith("pops=") and "removed=" not in out.err
+    stats = dict(field.split("=") for field in out.err.split())
+    assert list(stats)[:3] == ["pops", "insertions", "work"]
+    assert int(stats["work"]) > 0
+    assert sum(int(stats[k]) for k in KIND_ORDER) > 0
     colfile = tmp_path / "cube.col"
     colfile.write_text(out.out)
     assert main(["check", str(cube_file), str(colfile)]) == 0

@@ -15,6 +15,7 @@ from tricolor.instances import (
 )
 from tricolor.multigram import admissible
 from tricolor.oracle import SimpleGraph, face_orbits
+from tricolor.solver import Solver
 
 from conftest import small_corpus_builders
 
@@ -155,6 +156,49 @@ class TestReadRecording:
         assert g.dart_between(4, 8) is None     # center and a corner
         assert g.reads[:3] == [4, 8, 8]         # degrees, then the corner
         assert set(g.reads[3:]) == {5, 7}
+
+    @pytest.mark.parametrize("call, read", [
+        (lambda g: g.neighbors(0), {0, 2, 3, 4}),
+        (lambda g: g.neighbors(5), {5}),
+        # scanned from 2, the smaller degree: hit on its first dart
+        (lambda g: g.dart_between(0, 2), {0, 2}),
+        # scanned from 2: hit on its last dart, after the head 0
+        (lambda g: g.dart_between(2, 1), {0, 1, 2}),
+        # a tie scans from u = 0, every head
+        (lambda g: g.dart_between(0, 1), {0, 1, 2, 3, 4}),
+        (lambda g: g.dart_between(5, 0), {0, 5}),
+        # the face of dart 0 is 0, 2, 1, 3
+        (lambda g: g.walk_face(0, 4), {0, 1, 2, 3}),
+        # open after two darts: the head of the second is read, not 3
+        (lambda g: g.walk_face(0, 2), {0, 1, 2}),
+    ], ids=["neighbors", "neighbors-isolated", "dart-first", "dart-last",
+            "dart-miss", "dart-isolated", "walk-closed", "walk-open"])
+    def test_footprint_reads_pinned(self, call, read):
+        # K_{2,3} with parts {0, 1} and {2, 3, 4}, plus an isolated 5; a
+        # failed search's footprint decides wake-ups, work and pops
+        g = build([[2, 4, 3], [2, 3, 4], [0, 1], [0, 1], [0, 1], []])
+        plain = call(g)
+        g.__class__ = RecordingGraph
+        assert call(g) == plain
+        assert set(g.reads) == read
+
+
+def test_neighbors_are_the_heads_of_darts_at():
+    # at every loop head of full runs, dead vertices and alive isolated
+    # ones included
+    seen = {"dead": 0, "isolated": 0}
+
+    def audit(g, queue, C):
+        for v in range(len(g.v_alive)):
+            assert g.neighbors(v) == [g.head(d) for d in g.darts_at(v)]
+            if not g.v_alive[v]:
+                seen["dead"] += 1
+            elif g.v_deg[v] == 0:
+                seen["isolated"] += 1
+
+    for name, make in small_corpus_builders():
+        Solver(make(), audit=audit).run()
+    assert seen["dead"] and seen["isolated"], seen
 
 
 class TestRemoveEdge:

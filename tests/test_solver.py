@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,10 @@ from tricolor.solver import (
     TriangleFound, close_set, three_color,
 )
 
-from conftest import GRID_INSERTIONS_PER_VERTEX, small_corpus, validating_audit
+from conftest import (
+    GRID_INSERTIONS_PER_VERTEX, small_corpus, small_corpus_builders,
+    validating_audit,
+)
 
 
 class TestThreeColor:
@@ -235,6 +240,70 @@ def _union(graphs: list[PlaneGraph]) -> PlaneGraph:
         rot.extend([base + w for w in g.neighbors(v)]
                    for v in range(len(g.v_alive)))
     return build(rot)
+
+
+class TestCollectorPause:
+    """run() pauses the cyclic garbage collector.  That is only sound
+    while a run makes no reference cycles, which reference counting
+    alone would never free."""
+
+    @staticmethod
+    def _unreachable_after_run(make, phi=None) -> int:
+        # the run holds the only reference to its graph, so a cycle
+        # through the graph is unreachable once the run is deleted
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = make()
+            gc.collect()
+            solver = Solver(g, precoloring=phi)
+            coloring = solver.run()
+            del solver, coloring, g
+            return gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_small_corpus_makes_no_cycles(self):
+        precolored = 0
+        for name, make in small_corpus_builders():
+            assert self._unreachable_after_run(make) == 0, name
+            cycles = [vs for vs, _ in facial_cycles(make()) if len(vs) in (4, 5)]
+            if cycles and precolored < 6:
+                precolored += 1
+                phi = dict(zip(cycles[0], (0, 1, 0, 1, 2)))
+                assert self._unreachable_after_run(make, phi) == 0, name
+        assert precolored == 6
+
+    @pytest.mark.parametrize("kind", ["grid", "quad", "augmented"])
+    def test_generated_makes_no_cycles(self, kind):
+        spec = GenSpec(kind, 2000, seed=1)
+        assert self._unreachable_after_run(lambda: generate(spec)) == 0
+
+    def test_collector_state_restored(self):
+        class Stop(Exception):
+            pass
+
+        def stop(g, queue, C):
+            assert not gc.isenabled()
+            raise Stop
+
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable()
+            Solver(cube_graph()).run()
+            assert gc.isenabled()
+            with pytest.raises(Stop):
+                Solver(cube_graph(), audit=stop).run()
+            assert gc.isenabled()
+            gc.disable()
+            Solver(cube_graph()).run()
+            assert not gc.isenabled()
+        finally:
+            if was_enabled:
+                gc.enable()
+            else:
+                gc.disable()
 
 
 class TestStats:
