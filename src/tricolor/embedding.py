@@ -27,10 +27,11 @@ checks of its size bound; no surgery computes it.
 
 ``RecordingGraph`` is the same graph with read primitives that also
 append to ``reads`` every vertex whose degree, rotation or identity as a
-dart's origin they read.  The solver switches a graph's class to it for
-the length of one pivot search and back, so the footprint of a failed
-search is recorded while builds, validation, generators and surgery run
-the plain primitives and pay nothing for it.
+dart's origin they read.  ``multigram.footprint`` switches a graph's
+class to it to replay a pivot search that found nothing, and back, so
+only the footprint of a failed search is recorded: the searches
+themselves, builds, validation, generators and surgery run the plain
+primitives and pay nothing for it.
 """
 
 from __future__ import annotations
@@ -169,13 +170,21 @@ class PlaneGraph:
     def dart_between(self, u: int, v: int) -> int | None:
         """The dart u->v, or None.  One of u, v must be small; the scan
         runs from the end of smaller degree, u on a tie."""
-        a, b = (u, v) if self.v_deg[u] <= self.v_deg[v] else (v, u)
-        if self.v_deg[a] > DEGREE_CAP:
+        deg = self.v_deg
+        a, b = (u, v) if deg[u] <= deg[v] else (v, u)
+        if deg[a] > DEGREE_CAP:
             raise EmbeddingError(f"adjacency query between big {u} and {v}")
-        self.work += self.v_deg[a]
-        for d in self.darts_at(a):
-            if self.head(d) == b:
-                return d if a == u else self.d_twin[d]
+        self.work += deg[a]
+        d0 = d = self.v_dart[a]
+        if d0 >= 0:
+            origin, twin, nxt = self.d_origin, self.d_twin, self.d_next
+            while True:
+                t = twin[d]
+                if origin[t] == b:
+                    return d if a == u else t
+                d = nxt[d]
+                if d == d0:
+                    break
         return None
 
     def adjacent(self, u: int, v: int) -> bool:
@@ -398,8 +407,8 @@ class RecordingGraph(PlaneGraph):
     """A PlaneGraph whose read primitives log what they read to ``reads``.
 
     Same slots as PlaneGraph, so ``g.__class__`` can be switched either
-    way.  ``dart_between`` and ``adjacent`` reach ``darts_at`` and
-    ``head`` through these overrides.
+    way; ``multigram.footprint`` does so for the replay of a failed
+    search.  ``adjacent`` reaches ``dart_between`` through this override.
     """
 
     __slots__ = ()
@@ -420,9 +429,17 @@ class RecordingGraph(PlaneGraph):
         return out
 
     def dart_between(self, u: int, v: int) -> int | None:
-        self.reads.append(u)
-        self.reads.append(v)
-        return PlaneGraph.dart_between(self, u, v)
+        # the degrees of u and v, then the heads of the scanned end up to
+        # the hit, which the base scan reads in rotation order
+        self.reads += (u, v)
+        d = PlaneGraph.dart_between(self, u, v)
+        a, b = (u, v) if self.v_deg[u] <= self.v_deg[v] else (v, u)
+        heads = PlaneGraph.neighbors(self, a)
+        if d is not None:
+            del heads[heads.index(b) + 1:]
+        self.reads.append(a)
+        self.reads += heads
+        return d
 
     def walk_face(self, d: int, limit: int) -> tuple[list[int], bool]:
         out, closed = PlaneGraph.walk_face(self, d, limit)

@@ -23,14 +23,15 @@ a triangle), so the test is skipped rather than scanned.
 The precolored facial cycle C is passed as the set of its vertex ids:
 only membership in C is ever tested.  A plain run passes ``NO_CYCLE``.
 
-Everything here is read-only on the graph.
+Everything here is read-only on the graph; ``footprint`` switches its
+class for the length of one replayed search and back.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, NamedTuple
+from typing import AbstractSet, Iterator, NamedTuple
 
-from .embedding import DEGREE_CAP, PlaneGraph
+from .embedding import DEGREE_CAP, PlaneGraph, RecordingGraph
 
 MONOGRAM = "monogram"
 TETRAGRAM = "tetragram"
@@ -106,27 +107,26 @@ def pendant_darts(g: PlaneGraph, verts: tuple[int, ...], n: int) -> list[int]:
     return out
 
 
-def cycle_candidates(g: PlaneGraph, v: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def cycle_candidates(g: PlaneGraph, v: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Facial cycles of length 4..6 through v, as (vertices, darts).
 
-    One entry per incident face and traversal direction, vertices listed
-    from v; at most 7 sigma steps are spent per incident face.
+    Yielded face by face as each incident face is walked, in rotation
+    order: the forward listing from v, then the reversed one.  At most 7
+    sigma steps are spent per incident face, and a consumer that stops
+    early walks no further face.
     """
-    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    origin = g.d_origin
     for d in g.darts_at(v):
         walk, closed = g.walk_face(d, 7)
         k = len(walk)
         if not closed or k < 4 or k > 6:
             continue
-        verts = tuple(g.d_origin[e] for e in walk)
+        verts = tuple([origin[e] for e in walk])
         if len(set(verts)) != k:
             continue
         darts = tuple(walk)
-        out.append((verts, darts))
-        rv = (verts[0],) + tuple(reversed(verts[1:]))
-        rd = (darts[0],) + tuple(reversed(darts[1:]))
-        out.append((rv, rd))
-    return out
+        yield verts, darts
+        yield (verts[0], *verts[:0:-1]), (darts[0], *darts[:0:-1])
 
 
 def _has_shape(g: PlaneGraph, kind: str, verts: tuple[int, ...]) -> bool:
@@ -310,25 +310,61 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
     """Some (C-)secure multigram with pivot v, or None; constant work.
 
     Kinds are tried in KIND_ORDER; within a kind, incident faces in
-    rotation order, forward listing before reversed.
+    rotation order, forward listing before reversed.  Tetragram, the
+    first cycle kind, is tried on each listing as ``cycle_candidates``
+    walks its face, so a secure one ends the search before the later
+    faces are walked; the listings are kept, and the later kinds are
+    tried on them once every face is walked.
     """
-    deg = g.v_deg[v]
-    if deg > 3:
+    deg = g.v_deg
+    if deg[v] > 3:
         return None
-    if deg <= 2:
+    if deg[v] <= 2:
         if v not in C:
             return Multigram(MONOGRAM, (v,))
         return None
     if v in C:
         return None
-    cycles = cycle_candidates(g, v)
-    for kind in KIND_ORDER[1:]:
-        n_aux = SHAPES[kind][2]
-        for verts, darts in cycles:
-            if not _has_shape(g, kind, verts):
-                continue
+    cycles = []
+    k, n3, n_aux = SHAPES[TETRAGRAM]
+    for cand in cycle_candidates(g, v):
+        cycles.append(cand)
+        verts, darts = cand
+        if len(verts) == k and all(deg[w] == 3 for w in verts[:n3]):
             aux = tuple(g.head(d) for d in pendant_darts(g, verts, n_aux))
-            m = Multigram(kind, verts, aux, darts)
+            m = Multigram(TETRAGRAM, verts, aux, darts)
             if is_secure(g, m, C):
                 return m
+    for kind in KIND_ORDER[2:]:
+        k, n3, n_aux = SHAPES[kind]
+        for verts, darts in cycles:
+            if len(verts) == k and all(deg[w] == 3 for w in verts[:n3]):
+                aux = tuple(g.head(d) for d in pendant_darts(g, verts, n_aux))
+                m = Multigram(kind, verts, aux, darts)
+                if is_secure(g, m, C):
+                    return m
     return None
+
+
+def footprint(g: PlaneGraph, v: int, C: AbstractSet[int] = NO_CYCLE) -> set[int]:
+    """The footprint of a search at pivot v that found nothing: v and
+    every vertex whose degree, rotation or identity as a dart's origin
+    it read.
+
+    The search is replayed on g switched to ``RecordingGraph`` and g is
+    switched back.  It is read-only and deterministic, so the replay
+    reads what the search read.  Recording is bookkeeping: the replay's
+    ``work`` is dropped.
+    """
+    cls, work = g.__class__, g.work
+    reads = g.reads
+    reads.clear()
+    g.__class__ = RecordingGraph
+    try:
+        find_secure_with_pivot(g, v, C)
+    finally:
+        g.__class__ = cls
+        g.work = work
+    out = set(reads)
+    out.add(v)
+    return out

@@ -7,12 +7,13 @@ iteration pops a pivot and looks for a (C-)secure multigram there in
 constant time.  Only vertices of degree <= 3 enter the queue: nothing
 else can pivot a secure multigram.
 
-Re-insertion is driven by footprints.  Each search runs on the graph
-switched to ``RecordingGraph``, which logs to ``g.reads`` every vertex
-whose degree, rotation or identity as a dart's origin it reads (the
-finder tests membership in C only of vertices whose degree it read).
-A failed search registers that set plus the pivot as its footprint, and
-a reverse index maps each such vertex to the pivots whose latest
+Re-insertion is driven by footprints.  Each search runs on the plain
+graph.  A failed search registers ``footprint(g, v, C)``: the pivot and
+every vertex whose degree, rotation or identity as a dart's origin the
+search read (the finder tests membership in C only of vertices whose
+degree it read), recorded by replaying the search on the graph switched
+to ``RecordingGraph``.  Most searches hit and pay nothing for recording.
+A reverse index maps each footprint vertex to the pivots whose latest
 footprint holds it.  Before a reduction the engine computes
 ``event_endpoints(g, m)``; after it, the engine re-queues that set plus
 the pivots indexed under it.  This is sound because every vertex whose
@@ -62,8 +63,8 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .embedding import DEGREE_CAP, PlaneGraph, RecordingGraph
-from .multigram import KIND_ORDER, find_secure_with_pivot
+from .embedding import DEGREE_CAP, PlaneGraph
+from .multigram import KIND_ORDER, find_secure_with_pivot, footprint
 from .reducer import ReductionRecord, event_endpoints, reduce, unwind
 
 
@@ -224,8 +225,6 @@ class Solver:
         index: defaultdict[int, list[int]] = defaultdict(list)
         owner: list[int] = []
         current = [-1] * len(alive)
-        reads = g.reads
-        plain = type(g)
 
         was_enabled = gc.isenabled()
         gc.disable()
@@ -241,19 +240,15 @@ class Solver:
                 stats.pops += 1
                 if not alive[v]:
                     continue
-                reads.clear()
-                g.__class__ = RecordingGraph
                 m = find_secure_with_pivot(g, v, C)
-                g.__class__ = plain
                 if m is None:
                     r = len(owner)
                     owner.append(v)
                     current[v] = r
-                    footprint = set(reads)
-                    footprint.add(v)
-                    for u in footprint:
+                    read = footprint(g, v, C)
+                    for u in read:
                         index[u].append(r)
-                    g.work += len(footprint)
+                    g.work += len(read)
                     continue
                 touched = event_endpoints(g, m)
                 record = reduce(g, m)

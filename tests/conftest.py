@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from tricolor.embedding import validate
+from tricolor.embedding import PlaneGraph, build, validate
 from tricolor.generators import augmented, grid, quad
 from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph, grid_graph,
@@ -58,6 +58,16 @@ def small_corpus_builders():
 
 def small_corpus():
     return [(name, make()) for name, make in small_corpus_builders()]
+
+
+def disjoint_union(graphs: list[PlaneGraph]) -> PlaneGraph:
+    """Disjoint union, each graph's ids shifted past the previous ones."""
+    rot: list[list[int]] = []
+    for g in graphs:
+        base = len(rot)
+        rot.extend([base + w for w in g.neighbors(v)]
+                   for v in range(len(g.v_alive)))
+    return build(rot)
 
 
 def validating_audit(g, queue, C):

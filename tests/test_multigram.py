@@ -2,15 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tricolor.embedding import DEGREE_CAP, build
-from tricolor.generators import augmented
+from tricolor.embedding import DEGREE_CAP, PlaneGraph, RecordingGraph, build
+from tricolor.generators import GenSpec, augmented, generate
 from tricolor.instances import (
     big_hub_graph, cube_graph, dodecahedron_graph, hexagram_flower,
     k23_graph, pentagram_flower,
 )
 from tricolor.multigram import (
-    DECAGRAM, HEXAGRAM, KIND_ORDER, MONOGRAM, OCTAGRAM, PENTAGRAM, TETRAGRAM,
-    Multigram, admissible, find_secure_with_pivot, is_secure,
+    DECAGRAM, HEXAGRAM, KIND_ORDER, MONOGRAM, NO_CYCLE, OCTAGRAM, PENTAGRAM,
+    SHAPES, TETRAGRAM, Multigram, admissible, find_secure_with_pivot,
+    footprint, is_secure, pendant_darts,
 )
 from tricolor.oracle import (
     all_secure_multigrams_slow, facial_cycles, is_safe_slow, is_secure_slow,
@@ -18,10 +19,10 @@ from tricolor.oracle import (
 )
 from tricolor.solver import Solver
 
-from conftest import small_corpus
+from conftest import disjoint_union, small_corpus
 
 #: regression ceiling for the work of one find_secure_with_pivot call
-#: (max observed across the corpus: 159)
+#: (max observed across the corpus: 95)
 WORK_CEILING = 400
 
 
@@ -249,3 +250,129 @@ def test_find_work_is_bounded():
 def test_kind_order_fixed():
     assert KIND_ORDER == (MONOGRAM, TETRAGRAM, OCTAGRAM, DECAGRAM,
                           PENTAGRAM, HEXAGRAM)
+
+
+def find_all_listed_first(g, v, C=NO_CYCLE):
+    """Reference finder: every facial 4- to 6-cycle at the pivot is
+    listed, face by face in rotation order, forward before reversed,
+    before any kind is tried; then the kinds are tried in KIND_ORDER."""
+    if g.v_deg[v] > 3:
+        return None
+    if g.v_deg[v] <= 2:
+        return None if v in C else Multigram(MONOGRAM, (v,))
+    if v in C:
+        return None
+    cycles = []
+    for d in g.darts_at(v):
+        walk, closed = g.walk_face(d, 6)
+        verts = tuple(g.d_origin[e] for e in walk)
+        if closed and len(walk) >= 4 and len(set(verts)) == len(walk):
+            cycles.append((verts, tuple(walk)))
+            cycles.append(((v, *reversed(verts[1:])),
+                           (d, *reversed(walk[1:]))))
+    for kind in KIND_ORDER[1:]:
+        k, n3, n_aux = SHAPES[kind]
+        for verts, darts in cycles:
+            if len(verts) != k or any(g.v_deg[w] != 3 for w in verts[:n3]):
+                continue
+            aux = tuple(g.head(d) for d in pendant_darts(g, verts, n_aux))
+            m = Multigram(kind, verts, aux, darts)
+            if is_secure(g, m, C):
+                return m
+    return None
+
+
+def _hub_cube(leaves=60):
+    """A cube whose corner 0 is replaced by one edge from its neighbor a
+    to a hub that pendant leaves keep big.  At a the tetragram on the
+    face away from the hub is insecure, since a's third neighbor is big,
+    and the octagram there is secure."""
+    cube = [cube_graph().neighbors(v) for v in range(8)]
+    a = cube[0][0]
+    rot = [[a, *range(8, 8 + leaves)]]
+    rot += [[w for w in cube[v] if w != 0 or v == a] for v in range(1, 8)]
+    rot += [[0]] * leaves
+    return build(rot)
+
+
+def _each_search(check):
+    """Call ``check(g, v, C)`` at every loop head, with g.work restored
+    after it; return the number of calls.  The small corpus and a hub
+    cube, solved plain and precolored on two facial 4- or 5-cycles,
+    check every vertex id.  Generated quad and augmented instances of 2k
+    vertices and a union of the gadget constructions check the pivots
+    the solver pops next, up to the first hit: the searches the run
+    itself makes."""
+    count = 0
+
+    def every_id(g, queue, C):
+        nonlocal count
+        work = g.work
+        for v in range(len(g.v_alive)):
+            check(g, v, C)
+            count += 1
+        g.work = work
+
+    def next_pops(g, queue, C):
+        nonlocal count
+        work = g.work
+        for v in queue:
+            if g.v_alive[v]:
+                count += 1
+                if check(g, v, C) is not None:
+                    break
+        g.work = work
+
+    for name, g in small_corpus() + [("hub_cube", _hub_cube())]:
+        Solver(g.copy(), audit=every_id).run()
+        cycles = [vs for vs, _ in facial_cycles(g) if len(vs) in (4, 5)]
+        for cyc in cycles[:2]:
+            phi = dict(zip(cyc, (0, 1, 0, 1, 2)[:len(cyc)]))
+            Solver(g.copy(), precoloring=phi, audit=every_id).run()
+    graphs = [generate(GenSpec(kind, 2000, seed=1))
+              for kind in ("quad", "augmented")]
+    graphs.append(disjoint_union(
+        [big_hub_graph(), big_hub_graph(pendant=False)]
+        + [make() for make in (pentagram_flower, hexagram_flower,
+                               cube_graph, dodecahedron_graph, k23_graph)
+           for _ in range(4)]))
+    for g in graphs:
+        Solver(g, audit=next_pops).run()
+    return count
+
+
+def test_first_hit_matches_listing_every_candidate_first():
+    # tetragrams are tried as each face is walked; the result is the
+    # multigram of the all-faces-first order, darts and aux included
+    kinds = set()
+
+    def check(g, v, C):
+        m = find_secure_with_pivot(g, v, C)
+        assert m == find_all_listed_first(g, v, C), (v, m)
+        if m is not None:
+            kinds.add(m.kind)
+        return m
+
+    assert _each_search(check) > 10_000
+    assert kinds == set(KIND_ORDER)
+
+
+def test_footprint_is_the_recorded_search():
+    # the plain search and the recording one return the same and count
+    # the same work; footprint returns the recording's reads plus the
+    # pivot, leaves the class plain and drops the replay's work
+    def check(g, v, C):
+        w0 = g.work
+        m = find_secure_with_pivot(g, v, C)
+        w1 = g.work
+        g.reads.clear()
+        g.__class__ = RecordingGraph
+        recorded = find_secure_with_pivot(g, v, C)
+        g.__class__ = PlaneGraph
+        assert recorded == m and g.work - w1 == w1 - w0, v
+        read = set(g.reads) | {v}
+        assert footprint(g, v, C) == read, v
+        assert type(g) is PlaneGraph and g.work == 2 * w1 - w0, v
+        return m
+
+    assert _each_search(check) > 10_000

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tricolor.embedding import PlaneGraph, build
+from tricolor.embedding import build
 from tricolor.generators import GenSpec, augmented, generate, quad
 from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph, grid_graph,
@@ -21,8 +21,8 @@ from tricolor.solver import (
 )
 
 from conftest import (
-    GRID_INSERTIONS_PER_VERTEX, small_corpus, small_corpus_builders,
-    validating_audit,
+    GRID_INSERTIONS_PER_VERTEX, disjoint_union, small_corpus,
+    small_corpus_builders, validating_audit,
 )
 
 
@@ -214,12 +214,11 @@ class TestWorklistInvariant:
                   for seed, size in enumerate((150, 250, 350, 500) * 2)]
         graphs += [generate(GenSpec("grid", size, seed=seed, delete_prob=0.1))
                    for seed, size in enumerate((225, 400) * 2)]
-        graphs.append(_union([big_hub_graph(), big_hub_graph(pendant=False)]
-                             + [make() for make in (pentagram_flower,
-                                                    hexagram_flower,
-                                                    cube_graph,
-                                                    dodecahedron_graph)
-                                for _ in range(4)]))
+        graphs.append(disjoint_union(
+            [big_hub_graph(), big_hub_graph(pendant=False)]
+            + [make() for make in (pentagram_flower, hexagram_flower,
+                                   cube_graph, dodecahedron_graph)
+               for _ in range(4)]))
         for g in graphs:
             precolored = [g.copy() for _ in range(2)]
             Solver(g, audit=audit).run()
@@ -230,16 +229,6 @@ class TestWorklistInvariant:
                 Solver(h, precoloring=phi, audit=audit).run()
         assert checked > 10_000
         assert not failures, failures[:5]
-
-
-def _union(graphs: list[PlaneGraph]) -> PlaneGraph:
-    """Disjoint union, each graph's ids shifted past the previous ones."""
-    rot: list[list[int]] = []
-    for g in graphs:
-        base = len(rot)
-        rot.extend([base + w for w in g.neighbors(v)]
-                   for v in range(len(g.v_alive)))
-    return build(rot)
 
 
 class TestCollectorPause:
@@ -325,7 +314,7 @@ class TestStats:
             assert sum(r.vertices_removed for r in s.records) == n0, name
 
     def test_work_per_vertex_bounded(self):
-        # footprint re-insertion spends 10.8-12.2 work per vertex here;
+        # footprint re-insertion spends 9.9-11.0 work per vertex here;
         # re-queuing every vertex close to an edge event spent 371-433
         for kind in ("augmented", "quad"):
             for seed in (1, 2):
