@@ -23,7 +23,8 @@ scans) insist that at least one involved vertex is small
 on the cap.  The ``work`` counter accumulates primitive step counts so
 tests can assert the constant-work contracts.  ``edge_window`` reads the
 +-2 facial window of an edge (the paper's edge-closeness set) for the
-checks of its size bound; no surgery computes it.
+checks of its size bound; no surgery computes it.  ``remove_vertex``
+deletes a vertex with all its edges in one walk of its rotation.
 
 ``RecordingGraph`` is the same graph with read primitives that also
 append to ``reads`` every vertex whose degree, rotation or identity as a
@@ -190,6 +191,21 @@ class PlaneGraph:
     def adjacent(self, u: int, v: int) -> bool:
         return self.dart_between(u, v) is not None
 
+    def dart_avoiding(self, v: int, a: int, b: int) -> int:
+        """The first dart of v, in rotation order from ``v_dart[v]``, whose
+        head is neither a nor b; EmbeddingError if there is none."""
+        d0 = d = self.v_dart[v]
+        if d0 >= 0:
+            origin, twin, nxt = self.d_origin, self.d_twin, self.d_next
+            while True:
+                w = origin[twin[d]]
+                if w != a and w != b:
+                    return d
+                d = nxt[d]
+                if d == d0:
+                    break
+        raise EmbeddingError(f"no dart of {v} avoids {a} and {b}")
+
     # ------------------------------------------------------------------
     # face tracing
 
@@ -273,6 +289,40 @@ class PlaneGraph:
             v_deg[u] -= 1
         self.m_alive -= 1
         self.work += 1
+
+    def remove_vertex(self, v: int) -> list[int]:
+        """Delete v's edges in one walk of its rotation, each unlinked and
+        counted in ``work`` as ``remove_edge`` does, then v through
+        ``remove_isolated_vertex``; returns the heads in rotation order."""
+        nxt, prv, v_dart, v_deg = self.d_next, self.d_prev, self.v_dart, self.v_deg
+        origin, twin, alive = self.d_origin, self.d_twin, self.d_alive
+        k = v_deg[v]
+        heads = []
+        d = v_dart[v]
+        for _ in range(k):
+            # unlink d from v's rotation, then its twin t from w's
+            nxt[prv[d]] = nxt[d]
+            prv[nxt[d]] = prv[d]
+            t = twin[d]
+            w = origin[t]
+            heads.append(w)
+            n = nxt[t]
+            if n == t:
+                v_dart[w] = -1
+            else:
+                p = prv[t]
+                nxt[p] = n
+                prv[n] = p
+                if v_dart[w] == t:
+                    v_dart[w] = n
+            alive[d] = alive[t] = False
+            v_deg[w] -= 1
+            d = nxt[d]
+        v_deg[v] = 0
+        self.m_alive -= k
+        self.work += k
+        self.remove_isolated_vertex(v)
+        return heads
 
     def _check_position(self, w: int, ref: int | None) -> None:
         """w is alive and ref places a new dart there: None only at an
@@ -409,6 +459,8 @@ class RecordingGraph(PlaneGraph):
     Same slots as PlaneGraph, so ``g.__class__`` can be switched either
     way; ``multigram.footprint`` does so for the replay of a failed
     search.  ``adjacent`` reaches ``dart_between`` through this override.
+    ``dart_between`` and ``dart_avoiding`` log the heads of the rotation
+    they scan only up to the hit.
     """
 
     __slots__ = ()
@@ -439,6 +491,13 @@ class RecordingGraph(PlaneGraph):
             del heads[heads.index(b) + 1:]
         self.reads.append(a)
         self.reads += heads
+        return d
+
+    def dart_avoiding(self, v: int, a: int, b: int) -> int:
+        d = PlaneGraph.dart_avoiding(self, v, a, b)
+        heads = PlaneGraph.neighbors(self, v)
+        self.reads.append(v)
+        self.reads += heads[:heads.index(self.d_origin[self.d_twin[d]]) + 1]
         return d
 
     def walk_face(self, d: int, limit: int) -> tuple[list[int], bool]:

@@ -98,13 +98,9 @@ def pendant_darts(g: PlaneGraph, verts: tuple[int, ...], n: int) -> list[int]:
     """For each of the first n vertices of the cycle verts, all of degree
     3, the dart to its neighbor off the cycle."""
     k = len(verts)
-    out = []
-    for i in range(n):
-        ends = (verts[i - 1], verts[(i + 1) % k])
-        g.work += 3
-        out.append(next(d for d in g.darts_at(verts[i])
-                        if g.head(d) not in ends))
-    return out
+    g.work += 3 * n
+    return [g.dart_avoiding(verts[i], verts[i - 1], verts[(i + 1) % k])
+            for i in range(n)]
 
 
 def cycle_candidates(g: PlaneGraph, v: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -326,19 +322,27 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
     if v in C:
         return None
     cycles = []
-    k, n3, n_aux = SHAPES[TETRAGRAM]
+    # the tetragram's one leading degree-3 vertex is the pivot itself
+    k, _, n_aux = SHAPES[TETRAGRAM]
     for cand in cycle_candidates(g, v):
         cycles.append(cand)
         verts, darts = cand
-        if len(verts) == k and all(deg[w] == 3 for w in verts[:n3]):
+        if len(verts) == k:
             aux = tuple(g.head(d) for d in pendant_darts(g, verts, n_aux))
             m = Multigram(TETRAGRAM, verts, aux, darts)
             if is_secure(g, m, C):
                 return m
+    # each listing's run of leading degree-3 vertices, counted once
+    leads = []
+    for verts, _ in cycles:
+        lead = 1
+        while lead < len(verts) and deg[verts[lead]] == 3:
+            lead += 1
+        leads.append(lead)
     for kind in KIND_ORDER[2:]:
         k, n3, n_aux = SHAPES[kind]
-        for verts, darts in cycles:
-            if len(verts) == k and all(deg[w] == 3 for w in verts[:n3]):
+        for (verts, darts), lead in zip(cycles, leads):
+            if len(verts) == k and lead >= n3:
                 aux = tuple(g.head(d) for d in pendant_darts(g, verts, n_aux))
                 m = Multigram(kind, verts, aux, darts)
                 if is_secure(g, m, C):

@@ -42,10 +42,11 @@ class ReductionRecord(NamedTuple):
         return len(self.removed) + len(self.identifications)
 
 
-def _next_surviving(g: PlaneGraph, d: int, doomed: set[int]) -> int | None:
-    """First dart after d in its rotation that will survive, else None."""
+def _next_surviving(g: PlaneGraph, d: int, gone: tuple) -> int | None:
+    """First dart after d in its rotation whose head is not in gone, or
+    None; the edges at gone are the ones a reduction deletes."""
     e = g.d_next[d]
-    while e != d and e in doomed:
+    while e != d and g.head(e) in gone:
         e = g.d_next[e]
     return None if e == d else e
 
@@ -99,10 +100,7 @@ def reduce(g: PlaneGraph, m: Multigram) -> ReductionRecord:
 
 def _reduce_monogram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     v = m.vertices[0]
-    nbrs = tuple(g.neighbors(v))
-    while g.v_deg[v]:
-        g.remove_edge(g.v_dart[v])
-    g.remove_isolated_vertex(v)
+    nbrs = tuple(g.remove_vertex(v))
     return ReductionRecord(m.kind, m.vertices, ((v, nbrs),), (),
                            len(nbrs), 0)
 
@@ -119,11 +117,8 @@ def _reduce_identifying(g: PlaneGraph, m: Multigram) -> ReductionRecord:
 def _reduce_octagram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     verts = m.vertices
     removed = tuple((v, tuple(g.neighbors(v))) for v in verts)
-    for d in m.darts:
-        g.remove_edge(d)
     for v in verts:
-        g.remove_edge(g.v_dart[v])
-        g.remove_isolated_vertex(v)
+        g.remove_vertex(v)
     return ReductionRecord(m.kind, verts, removed, (), 8, 0)
 
 
@@ -131,17 +126,11 @@ def _reduce_decagram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     verts = m.vertices
     x1, x3 = m.aux[0], m.aux[2]
     pend = pendant_darts(g, verts, 5)
-    doomed: set[int] = set()
-    for d in (*m.darts, *pend):
-        doomed.add(d)
-        doomed.add(g.d_twin[d])
-    r1 = _next_surviving(g, g.d_twin[pend[0]], doomed)
-    r3 = _next_surviving(g, g.d_twin[pend[2]], doomed)
+    r1 = _next_surviving(g, g.d_twin[pend[0]], verts)
+    r3 = _next_surviving(g, g.d_twin[pend[2]], verts)
     removed = tuple((v, tuple(g.neighbors(v))) for v in verts)
-    for d in (*m.darts, *pend):
-        g.remove_edge(d)
     for v in verts:
-        g.remove_isolated_vertex(v)
+        g.remove_vertex(v)
     g.add_edge_at(x1, r1, x3, r3)
     return ReductionRecord(m.kind, verts, removed, (), 10, 1)
 
@@ -151,19 +140,14 @@ def _reduce_pentagram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     v5 = verts[4]
     x1, x2, x3, x4 = m.aux
     pend = pendant_darts(g, verts, 4)
-    doomed: set[int] = set()
-    for d in (*m.darts, *pend):
-        doomed.add(d)
-        doomed.add(g.d_twin[d])
-    r_x2 = _next_surviving(g, g.d_twin[pend[1]], doomed)
-    r_v5 = _next_surviving(g, m.darts[4], doomed)
-    r_x3 = _next_surviving(g, g.d_twin[pend[2]], doomed)
-    r_x4 = _next_surviving(g, g.d_twin[pend[3]], doomed)
-    removed = tuple((v, tuple(g.neighbors(v))) for v in verts[:4])
-    for d in (*m.darts, *pend):
-        g.remove_edge(d)
-    for v in verts[:4]:
-        g.remove_isolated_vertex(v)
+    gone = verts[:4]
+    r_x2 = _next_surviving(g, g.d_twin[pend[1]], gone)
+    r_v5 = _next_surviving(g, m.darts[4], gone)
+    r_x3 = _next_surviving(g, g.d_twin[pend[2]], gone)
+    r_x4 = _next_surviving(g, g.d_twin[pend[3]], gone)
+    removed = tuple((v, tuple(g.neighbors(v))) for v in gone)
+    for v in gone:
+        g.remove_vertex(v)
     res_a = g.identify_across_face(x2, v5, r_x2, r_v5)
     res_b = g.identify_across_face(x3, x4, r_x3, r_x4)
     deleted = 9
@@ -199,7 +183,7 @@ def extend(record: ReductionRecord, coloring: dict[int, int]) -> dict[int, int]:
     i = 0
     while i < k:
         v, nbrs = removed[i]
-        used = {coloring.get(w) for w in nbrs}
+        used = set(map(coloring.get, nbrs))
         c = choice[i]
         while c in used:
             c += 1

@@ -24,12 +24,12 @@ degree, rotation, ``v_dart`` or dart heads the reduction changes is in
   ``v_dart`` and degree at the two ends of the edge, and a reduction
   deletes only edges at its multigram's vertices and at an absorbed
   vertex, and adds only an edge between two of their neighbors;
+* ``remove_vertex`` acts as ``remove_edge`` on each edge at the vertex
+  and then ``remove_isolated_vertex``, on a multigram vertex only;
 * ``identify_across_face`` relabels the darts of the absorbed b, which
   changes the heads seen from b's neighbors, and splices the rotations
   of the survivor a and b; b and its neighbors are in the set, and a is
   a multigram vertex or a neighbor of one;
-* ``remove_isolated_vertex`` acts on a multigram vertex or an absorbed
-  one;
 * renaming an absorbed cycle vertex to its survivor in C changes C
   only at those two, both in the set.
 
@@ -59,7 +59,7 @@ frees all it allocates, so ``Solver.run`` pauses the collector.
 from __future__ import annotations
 
 import gc
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -209,10 +209,12 @@ class Solver:
         g = self.graph
         C = self.cycle
         stats = self.stats
+        records, audit, reductions = self.records, self.audit, stats.reductions
         work0 = g.work
         queue: deque[int] = deque(
             v for v in g.vertex_ids() if g.v_deg[v] <= 3)
-        stats.insertions += len(queue)
+        popleft, append = queue.popleft, queue.append
+        pops, insertions = 0, len(queue)
         in_queue = [False] * len(g.v_alive)
         for v in queue:
             in_queue[v] = True
@@ -222,22 +224,22 @@ class Solver:
         # footprint index: vertex -> registrations whose footprint holds
         # it; registration r belongs to pivot owner[r] and is live while
         # current[owner[r]] == r
-        index: defaultdict[int, list[int]] = defaultdict(list)
+        index: dict[int, list[int]] = {}
         owner: list[int] = []
         current = [-1] * len(alive)
 
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            if self.audit:
-                self.audit(g, tuple(queue), C)
+            if audit:
+                audit(g, tuple(queue), C)
             while g.n_alive > target:
                 if not queue:
                     raise ExhaustedQueueNonempty(
                         f"worklist empty with {g.n_alive} vertices left")
-                v = queue.popleft()
+                v = popleft()
                 in_queue[v] = False
-                stats.pops += 1
+                pops += 1
                 if not alive[v]:
                     continue
                 m = find_secure_with_pivot(g, v, C)
@@ -247,40 +249,40 @@ class Solver:
                     current[v] = r
                     read = footprint(g, v, C)
                     for u in read:
-                        index[u].append(r)
+                        index.setdefault(u, []).append(r)
                     g.work += len(read)
                     continue
                 touched = event_endpoints(g, m)
                 record = reduce(g, m)
-                self.records.append(record)
-                stats.reductions[m.kind] += 1
+                records.append(record)
+                reductions[m.kind] += 1
                 for survivor, absorbed in record.identifications:
                     if absorbed in C:
                         C.remove(absorbed)
                         C.add(survivor)
                         self.phi[survivor] = self.phi.pop(absorbed)
-                woken = set(touched)
-                for u in touched:
-                    entries = index.pop(u, None)
-                    if entries is not None:
-                        g.work += len(entries)
-                        for r in entries:
-                            p = owner[r]
-                            if current[p] == r:
-                                woken.add(p)
-                for w in sorted(woken):
+                if index:       # empty while no failed search is indexed
+                    for u in list(touched):
+                        entries = index.pop(u, None)
+                        if entries is not None:
+                            g.work += len(entries)
+                            touched.update(owner[r] for r in entries
+                                           if current[owner[r]] == r)
+                for w in sorted(touched):
                     if alive[w] and deg[w] <= 3 and not in_queue[w]:
                         in_queue[w] = True
-                        queue.append(w)
-                        stats.insertions += 1
-                if self.audit:
-                    self.audit(g, tuple(queue), C)
+                        append(w)
+                        insertions += 1
+                if audit:
+                    audit(g, tuple(queue), C)
 
             # at most len(C) vertices are left, so all of C alive means only C
             assert all(alive[v] for v in C), (C, g.n_alive)
             stats.work = g.work - work0
-            return unwind(self.records, self.phi)
+            return unwind(records, self.phi)
         finally:
+            stats.pops += pops
+            stats.insertions += insertions
             if was_enabled:
                 gc.enable()
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,12 @@ class TestFaceTracing:
                                 if g.d_alive[d]]
 
 
+def _avoid_error(g, v, a, b):
+    with pytest.raises(EmbeddingError, match="avoids") as err:
+        g.dart_avoiding(v, a, b)
+    return str(err.value)
+
+
 class TestReadRecording:
     """On a graph switched to RecordingGraph, the finder's read
     primitives log every vertex whose degree, rotation or dart identity
@@ -171,8 +179,14 @@ class TestReadRecording:
         (lambda g: g.walk_face(0, 4), {0, 1, 2, 3}),
         # open after two darts: the head of the second is read, not 3
         (lambda g: g.walk_face(0, 2), {0, 1, 2}),
+        # 0's rotation is 2, 4, 3: a hit on its first dart reads 2 only
+        (lambda g: g.dart_avoiding(0, 4, 3), {0, 2}),
+        (lambda g: g.dart_avoiding(0, 2, 4), {0, 2, 3, 4}),
+        (lambda g: _avoid_error(g, 2, 0, 1), set()),
+        (lambda g: _avoid_error(g, 5, 0, 1), set()),
     ], ids=["neighbors", "neighbors-isolated", "dart-first", "dart-last",
-            "dart-miss", "dart-isolated", "walk-closed", "walk-open"])
+            "dart-miss", "dart-isolated", "walk-closed", "walk-open",
+            "avoid-first", "avoid-last", "avoid-none", "avoid-isolated"])
     def test_footprint_reads_pinned(self, call, read):
         # K_{2,3} with parts {0, 1} and {2, 3, 4}, plus an isolated 5; a
         # failed search's footprint decides wake-ups, work and pops
@@ -224,6 +238,69 @@ class TestRemoveEdge:
         validate(g)
         lens = sorted(len(o) for o in face_orbits(g))
         assert lens == [4, 4, 4, 4, 6]
+
+
+def _remove_edge_by_edge(g, v):
+    heads = g.neighbors(v)
+    while g.v_deg[v]:
+        g.remove_edge(g.v_dart[v])
+    g.remove_isolated_vertex(v)
+    return heads
+
+
+def _state(g):
+    return (g.v_alive, g.v_deg, g.v_dart, g.d_origin, g.d_twin, g.d_next,
+            g.d_prev, g.d_alive, g.n_alive, g.m_alive, g.work)
+
+
+class TestRemoveVertex:
+    """remove_vertex leaves every array, counter and ``work`` exactly as
+    deleting the vertex's edges one by one and then the vertex does."""
+
+    @staticmethod
+    def delete_in_lockstep(g, order):
+        # copies start with work 0; each deletion is checked on the graph
+        # that the deletions before it left
+        one, ref = g.copy(), g.copy()
+        for v in order:
+            assert one.remove_vertex(v) == _remove_edge_by_edge(ref, v)
+            assert _state(one) == _state(ref)
+        validate(one)
+
+    def test_every_vertex_of_the_small_corpus(self):
+        for name, make in small_corpus_builders():
+            g = make()
+            for v in g.vertex_ids():
+                self.delete_in_lockstep(g, [v])
+
+    @pytest.mark.parametrize("kind", ["quad", "augmented"])
+    def test_sampled_vertices_of_generated_graphs(self, kind):
+        g = generate(GenSpec(kind, 3000, seed=4))
+        ids = list(g.vertex_ids())
+        hub = max(ids, key=g.v_deg.__getitem__)
+        sample = random.Random(4).sample(ids, 300)
+        self.delete_in_lockstep(g, [hub] + [v for v in sample if v != hub])
+
+    def test_big_hub(self):
+        g = big_hub_graph()
+        hub = max(g.vertex_ids(), key=g.v_deg.__getitem__)
+        assert g.v_deg[hub] > 59
+        # a rim neighbor of the hub, the hub, then rim vertices it left
+        self.delete_in_lockstep(g, [0, hub, 1, 2, 3])
+
+    def test_dead_vertex_raises(self):
+        g = cube_graph()
+        g.remove_vertex(0)
+        with pytest.raises(EmbeddingError, match="dead vertex 0"):
+            g.remove_vertex(0)
+
+    def test_isolated_vertex(self):
+        g = build([[1], [0], []])
+        assert g.remove_vertex(2) == []
+        assert (g.n_alive, g.m_alive, g.work) == (2, 1, 1)
+        assert g.remove_vertex(0) == [1]
+        assert (g.n_alive, g.m_alive, g.v_deg[1], g.v_dart[1]) == (1, 0, 0, -1)
+        validate(g)
 
 
 class TestAddEdge:

@@ -296,6 +296,33 @@ class TestCollectorPause:
 
 
 class TestStats:
+    def test_counts_written_when_audit_raises(self):
+        # pops and insertions reach stats on the way out of run, a raise
+        # included: at the first audit, midway, and at the last audit,
+        # after which a full run pops and inserts nothing more
+        class Stop(Exception):
+            pass
+
+        ref = Solver(augmented(300, 3))
+        ref.run()
+        calls = len(ref.records) + 1
+        for k in (1, 2, calls // 2, calls):
+            queues = []
+
+            def stop(g, queue, C):
+                queues.append(queue)
+                if len(queues) == k:
+                    raise Stop
+
+            s = Solver(augmented(300, 3), audit=stop)
+            with pytest.raises(Stop):
+                s.run()
+            # every inserted pivot was popped or is still queued
+            assert s.stats.insertions == s.stats.pops + len(queues[-1]) > 0
+            assert s.stats.pops >= len(s.records) == k - 1
+        assert (s.stats.pops, s.stats.insertions) == (ref.stats.pops,
+                                                      ref.stats.insertions)
+
     def test_empty(self):
         s = Solver(build([]))
         s.run()
