@@ -12,13 +12,13 @@ from .embedding import DEGREE_CAP, PlaneGraph, build, validate
 from .graphio import parse, serialize
 from .multigram import Multigram, admissible, find_secure_with_pivot, is_secure
 from .reducer import ReductionRecord, extend, reduce, unwind
-from .solver import Solver, SolverStats, close_set, three_color
+from .solver import Solver, SolverStats, three_color
 
 __all__ = [
     "DEGREE_CAP", "PlaneGraph", "build", "validate",
     "parse", "serialize",
     "Multigram", "admissible", "find_secure_with_pivot", "is_secure",
     "ReductionRecord", "extend", "reduce", "unwind",
-    "Solver", "SolverStats", "close_set", "three_color",
+    "Solver", "SolverStats", "three_color",
     "__version__",
 ]

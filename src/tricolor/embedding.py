@@ -21,9 +21,7 @@ Vertices of degree >= 60 are *big*; bounded queries (adjacency, vicinity
 scans) insist that at least one involved vertex is small
 (degree <= DEGREE_CAP = 59) and cost O(1) with constants depending only
 on the cap.  The ``work`` counter accumulates primitive step counts so
-tests can assert the constant-work contracts.  ``edge_window`` reads the
-+-2 facial window of an edge (the paper's edge-closeness set) for the
-checks of its size bound; no surgery computes it.  ``remove_vertex``
+tests can assert the constant-work contracts.  ``remove_vertex``
 deletes a vertex with all its edges in one walk of its rotation.
 
 ``RecordingGraph`` is the same graph with read primitives that also
@@ -258,13 +256,6 @@ class PlaneGraph:
                  origin[walk[1]], origin[walk[2]], origin[walk[3]]]
         self.work += 2
         return sorted(set(picks)), False
-
-    def edge_window(self, d: int) -> tuple[int, ...]:
-        """Vertices within facial-walk distance 2 of edge(d)'s ends on both
-        sides of the edge, sorted; at most 10 of them."""
-        verts = set(self.edge_vicinity(d)[0])
-        verts.update(self.edge_vicinity(self.d_twin[d])[0])
-        return tuple(sorted(verts))
 
     # ------------------------------------------------------------------
     # mutation

@@ -440,24 +440,3 @@ def closeness_slow(g: PlaneGraph, u: int, v: int, cap: int = 200) -> bool:
         if len(verts) <= 6 and u in verts and v in verts:
             return True
     return False
-
-
-def close_to_edge_slow(g: PlaneGraph, d: int, w: int, cap: int = 200) -> bool:
-    """w lies on a facial walk through edge(d) within walk distance 2
-    of one of its ends."""
-    _check_cap(g.n_alive, cap)
-    for side in (d, g.d_twin[d]):
-        orbit = g.trace_face(side)
-        verts = [g.d_origin[e] for e in orbit]
-        k = len(verts)
-        # ends of the edge sit at walk positions i and i+1
-        i = orbit.index(side)
-        ends = (i, (i + 1) % k)
-        for j, z in enumerate(verts):
-            if z != w:
-                continue
-            for e in ends:
-                delta = abs(j - e)
-                if min(delta, k - delta) <= 2:
-                    return True
-    return False

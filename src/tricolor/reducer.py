@@ -3,13 +3,14 @@
 Each reduction shrinks the graph by a constant amount (at most 126 edge
 deletions, 116 additions, and at least one vertex removed) and records
 enough to recolor the original: neighbor snapshots of deleted vertices
-and identification pairs.  Coloring extension assigns each absorbed
-vertex its survivor's color and then colors the deleted vertices with
-one bounded depth-first search (<= 3^5 assignments).
+and of absorbed ones, with their survivors.  Coloring extension assigns
+each absorbed vertex its survivor's color and then colors the deleted
+vertices with one bounded depth-first search (<= 3^5 assignments).
 Extension can only fail on a corrupted record, which raises.
 
-``event_endpoints`` names, before a reduction, every vertex the
-reduction will touch; the solver re-queues pivots from that set.
+A reduction's record is also the one statement of what it changed:
+``event_endpoints`` reads off it, after the reduction, every vertex the
+reduction touched, and the solver re-queues pivots from that set.
 """
 
 from __future__ import annotations
@@ -32,14 +33,33 @@ class ReductionRecord(NamedTuple):
     vertices: tuple[int, ...]
     # (vertex, its neighbors at deletion time), in coloring order
     removed: tuple[tuple[int, tuple[int, ...]], ...]
-    # (survivor, absorbed), in application order
-    identifications: tuple[tuple[int, int], ...]
+    # (survivor, absorbed, absorbed's neighbors at identification time),
+    # in application order
+    identifications: tuple[tuple[int, int, tuple[int, ...]], ...]
     edges_deleted: int
     edges_added: int
 
     @property
     def vertices_removed(self) -> int:
         return len(self.removed) + len(self.identifications)
+
+
+def event_endpoints(g: PlaneGraph, record: ReductionRecord) -> set[int]:
+    """Every vertex whose degree, rotation, ``v_dart`` or dart heads the
+    reduction that wrote ``record`` changed, read off the record: its
+    multigram's vertices, each deleted vertex's neighbors, and each
+    identification's survivor, absorbed vertex and moved neighbors.  g,
+    the graph the record came from, is not read; it stays the first
+    argument so that a tracer can read its ``work`` around the call, as
+    ``bench/spans.py`` does."""
+    out = set(record.vertices)
+    for _, nbrs in record.removed:
+        out.update(nbrs)
+    for survivor, absorbed, moved in record.identifications:
+        out.add(survivor)
+        out.add(absorbed)
+        out.update(moved)
+    return out
 
 
 def _next_surviving(g: PlaneGraph, d: int, gone: tuple) -> int | None:
@@ -49,34 +69,6 @@ def _next_surviving(g: PlaneGraph, d: int, gone: tuple) -> int | None:
     while e != d and g.head(e) in gone:
         e = g.d_next[e]
     return None if e == d else e
-
-
-def _identified_ends(g: PlaneGraph, m: Multigram) -> tuple[int, int]:
-    """Indices (survivor, absorbed) into m.vertices for a tetragram or
-    hexagram, which identifies v1 and v3 across their face.  The absorbed
-    side must be small; only a tetragram's v3 can be big."""
-    return (2, 0) if g.v_deg[m.vertices[2]] > DEGREE_CAP else (0, 2)
-
-
-def event_endpoints(g: PlaneGraph, m: Multigram) -> set[int]:
-    """Every vertex whose degree, rotation, ``v_dart`` or dart heads the
-    reduction of m will change: the endpoints of every edge it deletes,
-    moves or adds, computed before it runs."""
-    verts = m.vertices
-    kind = m.kind
-    out = set(verts)
-    if kind == MONOGRAM:
-        out.update(g.neighbors(verts[0]))
-    elif kind in (TETRAGRAM, HEXAGRAM):
-        out.update(g.neighbors(verts[_identified_ends(g, m)[1]]))
-    elif kind in (OCTAGRAM, DECAGRAM):
-        for v in verts:
-            out.update(g.neighbors(v))
-    elif kind == PENTAGRAM:
-        for v in verts:
-            out.update(g.neighbors(v))
-        out.update(g.neighbors(m.aux[3]))
-    return out
 
 
 def reduce(g: PlaneGraph, m: Multigram) -> ReductionRecord:
@@ -106,11 +98,14 @@ def _reduce_monogram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
 
 
 def _reduce_identifying(g: PlaneGraph, m: Multigram) -> ReductionRecord:
-    i, j = _identified_ends(g, m)
+    """Identify v1 and v3 of a tetragram or hexagram across their face.
+    The absorbed side must be small; only a tetragram's v3 can be big,
+    and then it survives."""
+    i, j = (2, 0) if g.v_deg[m.vertices[2]] > DEGREE_CAP else (0, 2)
     a, b = m.vertices[i], m.vertices[j]
     res = g.identify_across_face(a, b, m.darts[i], m.darts[j])
     return ReductionRecord(
-        m.kind, m.vertices, (), ((a, b),),
+        m.kind, m.vertices, (), ((a, b, tuple(res.moved)),),
         len(res.moved) + len(res.collapsed), len(res.moved))
 
 
@@ -156,7 +151,8 @@ def _reduce_pentagram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
         deleted += len(res.moved) + len(res.collapsed)
         added += len(res.moved)
     return ReductionRecord(m.kind, verts, removed,
-                           ((x2, v5), (x3, x4)), deleted, added)
+                           ((x2, v5, tuple(res_a.moved)),
+                            (x3, x4, tuple(res_b.moved))), deleted, added)
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +169,7 @@ def extend(record: ReductionRecord, coloring: dict[int, int]) -> dict[int, int]:
     assignments are tried; running out of them means a corrupted record
     and raises ``ExtensionFailure``.
     """
-    for survivor, absorbed in record.identifications:
+    for survivor, absorbed, _ in record.identifications:
         if survivor not in coloring:
             raise ExtensionFailure(f"survivor {survivor} uncolored")
         coloring[absorbed] = coloring[survivor]

@@ -14,26 +14,16 @@ search read (the finder tests membership in C only of vertices whose
 degree it read), recorded by replaying the search on the graph switched
 to ``RecordingGraph``.  Most searches hit and pay nothing for recording.
 A reverse index maps each footprint vertex to the pivots whose latest
-footprint holds it.  Before a reduction the engine computes
-``event_endpoints(g, m)``; after it, the engine re-queues that set plus
-the pivots indexed under it.  This is sound because every vertex whose
-degree, rotation, ``v_dart`` or dart heads the reduction changes is in
-``event_endpoints(g, m)`` computed before the reduction:
-
-* ``remove_edge`` and ``add_edge_at`` change only the rotation,
-  ``v_dart`` and degree at the two ends of the edge, and a reduction
-  deletes only edges at its multigram's vertices and at an absorbed
-  vertex, and adds only an edge between two of their neighbors;
-* ``remove_vertex`` acts as ``remove_edge`` on each edge at the vertex
-  and then ``remove_isolated_vertex``, on a multigram vertex only;
-* ``identify_across_face`` relabels the darts of the absorbed b, which
-  changes the heads seen from b's neighbors, and splices the rotations
-  of the survivor a and b; b and its neighbors are in the set, and a is
-  a multigram vertex or a neighbor of one;
-* renaming an absorbed cycle vertex to its survivor in C changes C
-  only at those two, both in the set.
-
-``tests/test_reducer.py`` checks the claim state by state, for every
+footprint holds it.  After a reduction the engine re-queues
+``event_endpoints(g, record)``, read off the reduction's record, plus
+the pivots indexed under it.  This is sound by one rule: the record
+names the multigram's vertices, each deleted vertex with its neighbors
+and each absorbed vertex with its neighbors and survivor, and every
+edge a reduction deletes, moves or adds has both ends among them.
+Surgery changes the degree, rotation, ``v_dart`` or dart heads only at
+the ends of such edges and at the absorbed vertex, and renaming an
+absorbed cycle vertex to its survivor changes C only at those two.
+``tests/test_reducer.py`` checks the rule state by state, for every
 secure multigram of the small corpus and every reduction of full runs.
 So a search that failed keeps failing until a reduction touches its
 footprint, and a vertex that was never popped becomes a pivot only when
@@ -43,8 +33,10 @@ makes its older entries stale, and a touched vertex's entries are
 dropped once scanned.  Registrations and scanned entries count in
 ``work``.
 
-``close_set`` (the paper's closeness rule) is kept as a reference the
-tests check against the slow oracle.
+``close_set`` (the paper's closeness rule) is on no solver path.  It
+stays only because ``bench/spans.py`` resolves it by name; it goes
+together with ``PlaneGraph.edge_vicinity`` once the benchmark drops
+both span targets.
 
 The recursion of the underlying argument is replaced by an explicit
 record stack; colors flow back through it once the graph is gone.  For
@@ -252,11 +244,11 @@ class Solver:
                         index.setdefault(u, []).append(r)
                     g.work += len(read)
                     continue
-                touched = event_endpoints(g, m)
                 record = reduce(g, m)
+                touched = event_endpoints(g, record)
                 records.append(record)
                 reductions[m.kind] += 1
-                for survivor, absorbed in record.identifications:
+                for survivor, absorbed, _ in record.identifications:
                     if absorbed in C:
                         C.remove(absorbed)
                         C.add(survivor)

@@ -2,28 +2,31 @@
 
 Criterion 1 (correctness at scale) shares its run with criteria 5 and 6
 through a session fixture so the ladder of >= 1000 instances is solved
-exactly once; criterion 6 reads the edge windows of its inputs before
-they are solved.
+exactly once; criterion 6 reads the re-insertion sets off its records.
 """
 
 from __future__ import annotations
 
 import gc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import pytest
 
+import tricolor.solver
+from tricolor.embedding import DEGREE_CAP
 from tricolor.generators import GenSpec, generate
 from tricolor.instances import (
     cube_graph, cycle_graph, dodecahedron_graph, grid_graph, k23_graph,
 )
-from tricolor.multigram import find_secure_with_pivot, is_secure
+from tricolor.multigram import SHAPES, find_secure_with_pivot, is_secure
 from tricolor.oracle import (
     SimpleGraph, all_secure_multigrams_slow, brute_force_3color,
     enumerate_3colorings, facial_cycles, is_proper, is_secure_slow,
     multigram_shapes_slow,
 )
+from tricolor.reducer import event_endpoints
 from tricolor.solver import Solver
 
 from conftest import (
@@ -66,6 +69,35 @@ def _scale_ladder() -> list[GenSpec]:
 
 
 @dataclass
+class Reinsertion:
+    """Largest re-insertion set and footprint over the records of some
+    runs."""
+    records: int = 0
+    max_set: int = 0
+    max_footprint: int = 0
+
+    def add(self, solver: Solver) -> None:
+        g = solver.graph
+        self.records += len(solver.records)
+        self.max_set = max(self.max_set, max(
+            (len(event_endpoints(g, r)) for r in solver.records), default=0))
+
+    @contextmanager
+    def sizing_footprints(self):
+        """Solvers run inside this keep the size of every footprint."""
+        footprint = tricolor.solver.footprint
+
+        def sized(g, v, C):
+            read = footprint(g, v, C)
+            self.max_footprint = max(self.max_footprint, len(read))
+            return read
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tricolor.solver, "footprint", sized)
+            yield
+
+
+@dataclass
 class ScaleResults:
     instances: int = 0
     vertices: int = 0
@@ -73,41 +105,35 @@ class ScaleResults:
     max_edges_deleted: int = 0
     max_edges_added: int = 0
     min_vertices_removed: int = 10
-    window_edges: int = 0
-    max_edge_close: int = 0
+    reinsertion: Reinsertion = field(default_factory=Reinsertion)
     seconds: float = 0.0
-
-
-def _max_window(g) -> int:
-    """Largest +-2 facial window over every edge of g."""
-    return max((len(g.edge_window(d)) for _, _, d in g.edges()), default=0)
 
 
 @pytest.fixture(scope="session")
 def at_scale() -> ScaleResults:
     res = ScaleResults()
     t0 = time.perf_counter()
-    for spec in _scale_ladder():
-        g = generate(spec)
-        sg = SimpleGraph.from_plane_graph(g)
-        res.window_edges += g.m_alive
-        res.max_edge_close = max(res.max_edge_close, _max_window(g))
-        solver = Solver(g)
-        coloring = solver.run()
-        ok = (set(coloring) == set(sg.adj)
-              and set(coloring.values()) <= {0, 1, 2}
-              and is_proper(sg, coloring))
-        if not ok:
-            res.check_failures.append(spec)
-        for rec in solver.records:
-            if rec.edges_deleted > res.max_edges_deleted:
-                res.max_edges_deleted = rec.edges_deleted
-            if rec.edges_added > res.max_edges_added:
-                res.max_edges_added = rec.edges_added
-            if rec.vertices_removed < res.min_vertices_removed:
-                res.min_vertices_removed = rec.vertices_removed
-        res.instances += 1
-        res.vertices += len(sg.adj)
+    with res.reinsertion.sizing_footprints():
+        for spec in _scale_ladder():
+            g = generate(spec)
+            sg = SimpleGraph.from_plane_graph(g)
+            solver = Solver(g)
+            coloring = solver.run()
+            ok = (set(coloring) == set(sg.adj)
+                  and set(coloring.values()) <= {0, 1, 2}
+                  and is_proper(sg, coloring))
+            if not ok:
+                res.check_failures.append(spec)
+            for rec in solver.records:
+                if rec.edges_deleted > res.max_edges_deleted:
+                    res.max_edges_deleted = rec.edges_deleted
+                if rec.edges_added > res.max_edges_added:
+                    res.max_edges_added = rec.edges_added
+                if rec.vertices_removed < res.min_vertices_removed:
+                    res.min_vertices_removed = rec.vertices_removed
+            res.reinsertion.add(solver)
+            res.instances += 1
+            res.vertices += len(sg.adj)
     res.seconds = time.perf_counter() - t0
     return res
 
@@ -173,15 +199,19 @@ def test_criterion_3_lemma6_equivalence():
             f"0 discrepancies")
 
 
-def _run_small_corpus(audit) -> None:
+def _run_small_corpus(audit=None) -> list[Solver]:
     """Solve the small corpus plain and precolored on two of each graph's
-    facial 4- and 5-cycles, calling ``audit`` at every loop head."""
+    facial 4- and 5-cycles, calling ``audit`` at every loop head; returns
+    the solvers after their runs."""
+    solvers = []
     for name, g in small_corpus():
-        Solver(g.copy(), audit=audit).run()
         cycles = [vs for vs, _ in facial_cycles(g) if len(vs) in (4, 5)]
-        for cyc in cycles[:2]:
-            phi = dict(zip(cyc, (0, 1, 0, 1, 2)[:len(cyc)]))
-            Solver(g.copy(), precoloring=phi, audit=audit).run()
+        for phi in [None] + [dict(zip(cyc, (0, 1, 0, 1, 2)[:len(cyc)]))
+                             for cyc in cycles[:2]]:
+            solver = Solver(g.copy(), precoloring=phi, audit=audit)
+            solver.run()
+            solvers.append(solver)
+    return solvers
 
 
 def test_criterion_4_worklist_invariant():
@@ -211,24 +241,31 @@ def test_criterion_5_reduction_bounds(at_scale):
             f"min removed {at_scale.min_vertices_removed} >= 1")
 
 
-def test_criterion_6_edge_close_bound(at_scale):
-    # the windows of every edge of every ladder input, and of every edge
-    # at every loop head of the small corpus, run as criterion 4 runs it
-    heads = 0
-    head_max = 0
+# What one record names (see ``event_endpoints``): the multigram's at most
+# six vertices (the longest cycle in SHAPES), the at most three neighbors
+# of each deleted vertex (only vertices of degree <= 3 are deleted, and
+# only multigram vertices), and for each of at most two identifications
+# the survivor and the absorbed vertex's at most DEGREE_CAP neighbors
+# (an absorbed vertex is small).
+LONGEST = max(k for k, _, _ in SHAPES.values())
+REINSERTION_BOUND = LONGEST + 3 * LONGEST + 2 * (1 + DEGREE_CAP)
 
-    def audit(g, queue, C):
-        nonlocal heads, head_max
-        heads += 1
-        head_max = max(head_max, _max_window(g))
 
-    _run_small_corpus(audit)
-    assert 0 < at_scale.max_edge_close <= 10
-    assert 0 < head_max <= 10
-    _report("6 edge-closeness-bound",
-            f"max edge-close window {max(at_scale.max_edge_close, head_max)}"
-            f" <= 10 over {at_scale.window_edges} ladder edges and "
-            f"{heads} loop heads")
+def test_criterion_6_reinsertion_bounded(at_scale):
+    # every record of every ladder run, and of the small corpus run plain
+    # and precolored as criterion 4 runs it
+    corpus = Reinsertion()
+    with corpus.sizing_footprints():
+        for solver in _run_small_corpus():
+            corpus.add(solver)
+    scale = at_scale.reinsertion
+    largest = max(scale.max_set, corpus.max_set)
+    assert scale.records > 0 and corpus.records > 0
+    assert 0 < largest <= REINSERTION_BOUND
+    _report("6 reinsertion-bounded",
+            f"largest re-insertion set {largest} <= {REINSERTION_BOUND} over "
+            f"{scale.records + corpus.records} records; largest footprint "
+            f"{max(scale.max_footprint, corpus.max_footprint)}")
 
 
 def _reference_s() -> float:

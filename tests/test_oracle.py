@@ -10,7 +10,7 @@ from tricolor.instances import (
 )
 from tricolor.oracle import (
     SimpleGraph, TooLarge, all_paths_upto, all_secure_multigrams_slow,
-    brute_force_3color, close_to_edge_slow, closeness_slow,
+    brute_force_3color, closeness_slow,
     enumerate_3colorings, is_proper, is_triangle_free,
 )
 from tricolor.solver import Solver
@@ -161,16 +161,6 @@ class TestCloseness:
         assert closeness_slow(g, 0, 2)
         # antipodal rim vertices: hub path blocked (big), rim path too long
         assert not closeness_slow(g, 0, 60)
-
-    def test_edge_close_window(self):
-        g = cycle_graph(20)
-        d = g.dart_between(0, 1)
-        close = {w for w in g.vertex_ids() if close_to_edge_slow(g, d, w)}
-        assert close == {18, 19, 0, 1, 2, 3}
-
-    def test_far_vertex_not_edge_close(self):
-        g = cycle_graph(20)
-        assert not close_to_edge_slow(g, g.dart_between(0, 1), 10)
 
 
 def test_all_paths_upto():

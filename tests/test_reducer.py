@@ -11,12 +11,13 @@ from tricolor.multigram import (
     Multigram, find_secure_with_pivot, is_secure,
 )
 from tricolor.oracle import (
-    SimpleGraph, all_secure_multigrams_slow, enumerate_3colorings, is_proper,
-    is_triangle_free, multigram_shapes_slow,
+    SimpleGraph, all_secure_multigrams_slow, enumerate_3colorings,
+    facial_cycles, is_proper, is_triangle_free, multigram_shapes_slow,
 )
 from tricolor.reducer import (
     ExtensionFailure, ReductionRecord, event_endpoints, extend, reduce, unwind,
 )
+from tricolor.solver import Solver
 
 from conftest import small_corpus
 
@@ -45,7 +46,9 @@ class TestReduceKinds:
         rec = reduce(g, m)
         validate(g)
         assert (g.n_alive, g.m_alive) == (3, 2)
-        assert rec.identifications == ((m.vertices[0], m.vertices[2]),)
+        # v3's neighbors, in its rotation from its dart on the face
+        assert rec.identifications == (
+            (m.vertices[0], m.vertices[2], (m.vertices[3], m.vertices[1])),)
         assert rec.edges_deleted == 4 and rec.edges_added == 2
 
     def test_octagram_on_cube(self):
@@ -76,8 +79,9 @@ class TestReduceKinds:
         assert is_secure(g, m)
         rec = reduce(g, m)
         validate(g)
-        assert rec.identifications == ((m.aux[1], m.vertices[4]),
-                                       (m.aux[2], m.aux[3]))
+        # v5 and x4 keep only the neighbors v1..v4's deletion leaves
+        assert rec.identifications == ((m.aux[1], m.vertices[4], (10, 9)),
+                                       (m.aux[2], m.aux[3], (14, 13)))
         # 9 structural deletions + moved edges + one collapsed parallel
         assert g.n_alive == 17 - 6
         assert is_triangle_free(SimpleGraph.from_plane_graph(g))
@@ -89,7 +93,9 @@ class TestReduceKinds:
         assert is_secure(g, m)
         rec = reduce(g, m)
         validate(g)
-        assert rec.identifications == ((m.vertices[0], m.vertices[2]),)
+        # 8 is v3's neighbor off the cycle
+        assert rec.identifications == (
+            (m.vertices[0], m.vertices[2], (m.vertices[3], 8, m.vertices[1])),)
         assert g.n_alive == 17
         assert is_triangle_free(SimpleGraph.from_plane_graph(g))
 
@@ -100,7 +106,9 @@ class TestReduceKinds:
         assert is_secure(g, m)
         rec = reduce(g, m)
         validate(g)
-        assert rec.identifications == ((m.vertices[2], m.vertices[0]),)
+        assert rec.identifications == (
+            (m.vertices[2], m.vertices[0], (m.vertices[1], m.aux[0],
+                                            m.vertices[3])),)
         assert is_triangle_free(SimpleGraph.from_plane_graph(g))
 
     def test_insecure_guard(self):
@@ -127,7 +135,7 @@ class TestExtend:
         assert out[9] == 2
 
     def test_extension_failure_on_bad_record(self):
-        rec = ReductionRecord(MONOGRAM, (9,), (), ((7, 9),), 0, 0)
+        rec = ReductionRecord(MONOGRAM, (9,), (), ((7, 9, ()),), 0, 0)
         with pytest.raises(ExtensionFailure):
             extend(rec, {})
 
@@ -214,7 +222,7 @@ class TestRoundTripProperty:
             for m in all_secure_multigrams_slow(g0):
                 g = g0.copy()
                 rec = reduce(g, m)
-                for survivor, absorbed in rec.identifications:
+                for survivor, absorbed, _ in rec.identifications:
                     assert g0.v_deg[absorbed] <= 59 or g0.v_deg[survivor] <= 59
 
 
@@ -225,14 +233,31 @@ def _vertex_states(g):
             for v in range(len(g.v_alive))]
 
 
-def _uncovered(g, m):
-    """Vertices whose state reducing m changes but that
-    ``event_endpoints`` computed before the reduction leaves out."""
-    touched = event_endpoints(g, m)
-    before = _vertex_states(g)
-    reduce(g, m)
+def _uncovered(before, g, record):
+    """Vertices whose state (``_vertex_states``) went from ``before`` to
+    g's now, by the reduction that wrote ``record``, but that
+    ``event_endpoints`` leaves out.  Also checks that each identification
+    moved exactly the absorbed vertex's neighbors before the reduction,
+    less the vertices it deleted, with earlier absorbed ones renamed to
+    their survivors (a pentagram deletes v1..v4 before it identifies)."""
+    gone = {v for v, _ in record.removed}
+    renamed = {}
+    for survivor, absorbed, moved in record.identifications:
+        nbrs = {renamed.get(w, w) for _, w in before[absorbed][3]}
+        assert set(moved) == nbrs - gone, record
+        renamed[absorbed] = survivor
     after = _vertex_states(g)
-    return {v for v, state in enumerate(before) if after[v] != state} - touched
+    changed = {v for v, state in enumerate(before) if after[v] != state}
+    return changed - event_endpoints(g, record)
+
+
+def _precolored_runs():
+    """Graphs of the small corpus with a proper coloring phi of one of
+    their facial 4- or 5-cycles."""
+    for name, g in small_corpus():
+        for verts, _ in facial_cycles(g)[:3]:
+            if len(verts) in (4, 5):
+                yield name, g, dict(zip(verts, (0, 1, 0, 1, 2)))
 
 
 class TestEventEndpoints:
@@ -245,7 +270,9 @@ class TestEventEndpoints:
         for name, g0 in small_corpus():
             for m in all_secure_multigrams_slow(g0):
                 fired[m.kind] += 1
-                missing = _uncovered(g0.copy(), m)
+                g = g0.copy()
+                before = _vertex_states(g)
+                missing = _uncovered(before, g, reduce(g, m))
                 if missing:
                     uncovered.append((name, m, missing))
         runs = [quad(400, seed) for seed in (1, 2, 3)]
@@ -259,8 +286,45 @@ class TestEventEndpoints:
                     m = find_secure_with_pivot(g, v)
                     if m is not None:
                         fired[m.kind] += 1
-                        missing = _uncovered(g, m)
+                        before = _vertex_states(g)
+                        missing = _uncovered(before, g, reduce(g, m))
                         if missing:
                             uncovered.append((m, missing))
         assert uncovered == [], uncovered[:5]
         assert all(fired.values()), fired
+
+    def test_covers_precolored_runs(self):
+        # the solver's own loop, which also renames an absorbed cycle
+        # vertex to its survivor in C: each loop head after the first
+        # follows exactly one reduction, the newest record
+        uncovered = []
+        renames = 0
+        for name, g, phi in _precolored_runs():
+            solver = Solver(g.copy(), precoloring=phi)
+            last = {}
+
+            def audit(g, queue, C):
+                nonlocal renames
+                if last:
+                    record = solver.records[-1]
+                    missing = _uncovered(last["states"], g, record)
+                    touched = event_endpoints(g, record)
+                    missing |= (last["C"] ^ C) - touched
+                    renames += len(last["C"] - C)
+                    if missing:
+                        uncovered.append((name, record, missing))
+                last["states"] = _vertex_states(g)
+                last["C"] = set(C)
+
+            solver.audit = audit
+            solver.run()
+        assert uncovered == [], uncovered[:5]
+        assert renames > 0
+
+    def test_reads_every_part_of_the_record(self):
+        # the rule, not today's reductions, in which every survivor and
+        # absorbed vertex is also a multigram vertex or a deleted
+        # vertex's neighbor
+        rec = ReductionRecord(PENTAGRAM, (1, 2), ((1, (3, 4)),),
+                              ((5, 6, (7, 8)), (9, 10, ())), 0, 0)
+        assert event_endpoints(None, rec) == set(range(1, 11))

@@ -12,8 +12,8 @@ from tricolor.instances import (
 )
 from tricolor.multigram import find_secure_with_pivot
 from tricolor.oracle import (
-    SimpleGraph, all_secure_multigrams_slow, close_to_edge_slow,
-    closeness_slow, facial_cycles, is_proper,
+    SimpleGraph, all_secure_multigrams_slow, closeness_slow, facial_cycles,
+    is_proper,
 )
 from tricolor.solver import (
     ExhaustedQueueNonempty, ImproperPrecoloring, NotAFacialCycle, Solver,
@@ -129,28 +129,6 @@ class TestPrecolored:
 
 
 class TestCloseness:
-    def test_two_vertex_edge_deletion(self):
-        # both sides of a lone edge are one 2-dart walk
-        g = build([[1], [0]])
-        window = g.edge_window(0)
-        g.remove_edge(0)
-        assert window == (0, 1)
-
-    def test_edge_close_at_most_ten(self):
-        for name, g in small_corpus():
-            for u, w, d in g.edges():
-                assert len(g.edge_window(d)) <= 10, name
-
-    def test_edge_close_matches_slow(self):
-        for make in (lambda: grid_graph(4), cube_graph, k23_graph,
-                     lambda: cycle_graph(9)):
-            g = make()
-            for u, w, d in g.edges():
-                fast = set(g.edge_window(d))
-                slow = {z for z in g.vertex_ids()
-                        if close_to_edge_slow(g, d, z)}
-                assert fast == slow
-
     def test_close_set_matches_slow_on_grid(self):
         g = grid_graph(5)
         for u in (0, 6, 12):
