@@ -35,7 +35,6 @@ primitives and pay nothing for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from operator import eq
 from typing import Iterator, Sequence
@@ -53,16 +52,6 @@ class NonPlanarEmbedding(EmbeddingError):
 
 class EmbeddingCorruption(EmbeddingError):
     """Raised by the validator when an invariant is broken."""
-
-
-@dataclass
-class IdentifyResult:
-    # neighbors whose edge to the absorbed vertex now ends at the
-    # survivor, in the absorbed vertex's rotation order
-    moved: list[int]
-    # neighbors whose moved edge paralleled one at the survivor and was
-    # deleted
-    collapsed: list[int]
 
 
 class PlaneGraph:
@@ -157,14 +146,6 @@ class PlaneGraph:
                 if d == d0:
                     break
         return out
-
-    def edges(self) -> Iterator[tuple[int, int, int]]:
-        """All alive edges as (origin, head, dart) with dart < twin."""
-        twin = self.d_twin
-        origin = self.d_origin
-        for d in range(len(origin)):
-            if self.d_alive[d] and d < twin[d]:
-                yield origin[d], origin[twin[d]], d
 
     def dart_between(self, u: int, v: int) -> int | None:
         """The dart u->v, or None.  One of u, v must be small; the scan
@@ -378,14 +359,17 @@ class PlaneGraph:
         self.work += 1
 
     def identify_across_face(self, a: int, b: int, d_a: int | None,
-                             d_b: int | None) -> IdentifyResult:
+                             d_b: int | None) -> tuple[list[int], list[int]]:
         """Merge b into a across the face holding both given positions.
 
         b must be small: its darts get relabeled, so the absorbed side
         bounds the work.  b's rotation enters a's as one clockwise block
         in the corner before d_a; parallel pairs this creates bound
         2-faces (guaranteed by the callers' safety predicates) and lose
-        their moved copy before return.
+        their moved copy before return.  Returns ``(moved, collapsed)``:
+        the neighbors whose edge to b now ends at a, in b's rotation
+        order, and those of them whose moved edge paralleled one at a
+        and was deleted.
         """
         self._check_position(a, d_a)
         self._check_position(b, d_b)
@@ -441,7 +425,7 @@ class PlaneGraph:
                 u, w = origin[doomed], origin[twin[doomed]]
                 self.remove_edge(doomed)
                 collapsed.append(w if u == a else u)
-        return IdentifyResult(moved, collapsed)
+        return moved, collapsed
 
 
 class RecordingGraph(PlaneGraph):

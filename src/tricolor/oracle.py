@@ -19,6 +19,10 @@ from .multigram import (
 )
 
 
+ENUMERATE_CAP = 14   # vertices enumerate_3colorings takes
+SLOW_CAP = 200       # vertices the literal multigram and closeness take
+
+
 class TooLarge(Exception):
     pass
 
@@ -115,9 +119,9 @@ def brute_force_3color(sg: SimpleGraph, cap: int = 30) -> dict[int, int] | None:
     return dict(coloring) if rec(0) else None
 
 
-def enumerate_3colorings(sg: SimpleGraph, cap: int = 14) -> Iterator[dict[int, int]]:
+def enumerate_3colorings(sg: SimpleGraph) -> Iterator[dict[int, int]]:
     """All proper 3-colorings (small instances only)."""
-    _check_cap(len(sg), cap)
+    _check_cap(len(sg), ENUMERATE_CAP)
     order = sorted(sg.adj)
     coloring: dict[int, int] = {}
 
@@ -336,8 +340,7 @@ def is_secure_slow(g: PlaneGraph, m: Multigram,
     raise ValueError(kind)
 
 
-def multigram_shapes_slow(g: PlaneGraph, cap: int = 200,
-                          sg: SimpleGraph | None = None,
+def multigram_shapes_slow(g: PlaneGraph, sg: SimpleGraph | None = None,
                           cycles=None) -> list[Multigram]:
     """Every multigram listing whose degrees fit its kind, secure or not.
 
@@ -345,7 +348,7 @@ def multigram_shapes_slow(g: PlaneGraph, cap: int = 200,
     length 4/5/6 in all rotations and both orientations, with pivots of
     any degree.
     """
-    _check_cap(g.n_alive, cap)
+    _check_cap(g.n_alive, SLOW_CAP)
     if sg is None:
         sg = SimpleGraph.from_plane_graph(g)
     if cycles is None:
@@ -394,17 +397,16 @@ def multigram_shapes_slow(g: PlaneGraph, cap: int = 200,
 
 
 def all_secure_multigrams_slow(g: PlaneGraph,
-                               C: AbstractSet[int] = NO_CYCLE,
-                               cap: int = 200) -> list[Multigram]:
+                               C: AbstractSet[int] = NO_CYCLE) -> list[Multigram]:
     """All (C-)secure multigrams, from the definitions: the secure
     listings of multigram_shapes_slow, first one per kind and vertex
     tuple."""
-    _check_cap(g.n_alive, cap)
+    _check_cap(g.n_alive, SLOW_CAP)
     sg = SimpleGraph.from_plane_graph(g)
     cycles = facial_cycles(g)
     out: list[Multigram] = []
     seen: set[tuple] = set()
-    for m in multigram_shapes_slow(g, cap, sg, cycles):
+    for m in multigram_shapes_slow(g, sg, cycles):
         key = (m.kind, m.vertices)
         if key not in seen and is_secure_slow(g, m, C, sg, cycles):
             seen.add(key)
@@ -415,10 +417,10 @@ def all_secure_multigrams_slow(g: PlaneGraph,
 # ----------------------------------------------------------------------
 # literal closeness
 
-def closeness_slow(g: PlaneGraph, u: int, v: int, cap: int = 200) -> bool:
+def closeness_slow(g: PlaneGraph, u: int, v: int) -> bool:
     """Close = small-vertex path of length <= 4, or a shared facial
     cycle of length <= 6 (defined for small u, v only)."""
-    _check_cap(g.n_alive, cap)
+    _check_cap(g.n_alive, SLOW_CAP)
     if not (_small(g, u) and _small(g, v)):
         return False
     if u == v:

@@ -2,11 +2,12 @@
 
 Each reduction shrinks the graph by a constant amount (at most 126 edge
 deletions, 116 additions, and at least one vertex removed) and records
-enough to recolor the original: neighbor snapshots of deleted vertices
-and of absorbed ones, with their survivors.  Coloring extension assigns
-each absorbed vertex its survivor's color and then colors the deleted
-vertices with one bounded depth-first search (<= 3^5 assignments).
-Extension can only fail on a corrupted record, which raises.
+enough to recolor the original: each deleted vertex with its neighbors
+when it was deleted, and each absorbed one with its survivor and its
+neighbors when it was identified.  Coloring extension assigns each
+absorbed vertex its survivor's color and then colors the deleted ones
+with one bounded depth-first search (<= 3^5 assignments).  Extension
+can only fail on a corrupted record, which raises.
 
 A reduction's record is also the one statement of what it changed:
 ``event_endpoints`` reads off it, after the reduction, every vertex the
@@ -31,7 +32,7 @@ class ExtensionFailure(Exception):
 class ReductionRecord(NamedTuple):
     kind: str
     vertices: tuple[int, ...]
-    # (vertex, its neighbors at deletion time), in coloring order
+    # (vertex, its neighbors when it was deleted), in coloring order
     removed: tuple[tuple[int, tuple[int, ...]], ...]
     # (survivor, absorbed, absorbed's neighbors at identification time),
     # in application order
@@ -74,85 +75,60 @@ def _next_surviving(g: PlaneGraph, d: int, gone: tuple) -> int | None:
 def reduce(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     """Apply the per-kind reduction of m, mutating g.
 
-    m must be (C-)secure; the reduction does not re-check it.
+    Each kind states a plan, read off g before it changes: the vertices
+    it deletes (``gone``), the decagram's added edge x1-x3 (``chord``)
+    and the (survivor, absorbed) identifications across a face
+    (``joins``).  One path applies it and counts the edges surgery
+    deleted and added.  ``gone`` goes last-listed first, so each deleted
+    vertex keeps every neighbor ``extend`` colors before it.  m must be
+    (C-)secure; the reduction does not re-check it.
     """
     kind = m.kind
-    if kind == MONOGRAM:
-        return _reduce_monogram(g, m)
-    if kind in (TETRAGRAM, HEXAGRAM):
-        return _reduce_identifying(g, m)
-    if kind == OCTAGRAM:
-        return _reduce_octagram(g, m)
-    if kind == DECAGRAM:
-        return _reduce_decagram(g, m)
-    if kind == PENTAGRAM:
-        return _reduce_pentagram(g, m)
-    raise ValueError(kind)
-
-
-def _reduce_monogram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
-    v = m.vertices[0]
-    nbrs = tuple(g.remove_vertex(v))
-    return ReductionRecord(m.kind, m.vertices, ((v, nbrs),), (),
-                           len(nbrs), 0)
-
-
-def _reduce_identifying(g: PlaneGraph, m: Multigram) -> ReductionRecord:
-    """Identify v1 and v3 of a tetragram or hexagram across their face.
-    The absorbed side must be small; only a tetragram's v3 can be big,
-    and then it survives."""
-    i, j = (2, 0) if g.v_deg[m.vertices[2]] > DEGREE_CAP else (0, 2)
-    a, b = m.vertices[i], m.vertices[j]
-    res = g.identify_across_face(a, b, m.darts[i], m.darts[j])
-    return ReductionRecord(
-        m.kind, m.vertices, (), ((a, b, tuple(res.moved)),),
-        len(res.moved) + len(res.collapsed), len(res.moved))
-
-
-def _reduce_octagram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     verts = m.vertices
-    removed = tuple((v, tuple(g.neighbors(v))) for v in verts)
-    for v in verts:
-        g.remove_vertex(v)
-    return ReductionRecord(m.kind, verts, removed, (), 8, 0)
+    chord = None
+    joins = ()
+    if kind == MONOGRAM or kind == OCTAGRAM:
+        gone = verts
+    elif kind in (TETRAGRAM, HEXAGRAM):
+        # the absorbed side must be small; only a tetragram's v3 can be
+        # big, and then it survives
+        gone = ()
+        i, j = (2, 0) if g.v_deg[verts[2]] > DEGREE_CAP else (0, 2)
+        joins = ((verts[i], verts[j], m.darts[i], m.darts[j]),)
+    elif kind == DECAGRAM:
+        gone = verts
+        pend = pendant_darts(g, verts, 5)
+        chord = (m.aux[0], _next_surviving(g, g.d_twin[pend[0]], gone),
+                 m.aux[2], _next_surviving(g, g.d_twin[pend[2]], gone))
+    elif kind == PENTAGRAM:
+        # x2 absorbs v5 and x3 absorbs x4 once v1..v4 are gone
+        gone = verts[:4]
+        _, x2, x3, x4 = m.aux
+        pend = pendant_darts(g, verts, 4)
+        joins = ((x2, verts[4], _next_surviving(g, g.d_twin[pend[1]], gone),
+                  _next_surviving(g, m.darts[4], gone)),
+                 (x3, x4, _next_surviving(g, g.d_twin[pend[2]], gone),
+                  _next_surviving(g, g.d_twin[pend[3]], gone)))
+    else:
+        raise ValueError(kind)
 
-
-def _reduce_decagram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
-    verts = m.vertices
-    x1, x3 = m.aux[0], m.aux[2]
-    pend = pendant_darts(g, verts, 5)
-    r1 = _next_surviving(g, g.d_twin[pend[0]], verts)
-    r3 = _next_surviving(g, g.d_twin[pend[2]], verts)
-    removed = tuple((v, tuple(g.neighbors(v))) for v in verts)
-    for v in verts:
-        g.remove_vertex(v)
-    g.add_edge_at(x1, r1, x3, r3)
-    return ReductionRecord(m.kind, verts, removed, (), 10, 1)
-
-
-def _reduce_pentagram(g: PlaneGraph, m: Multigram) -> ReductionRecord:
-    verts = m.vertices
-    v5 = verts[4]
-    x1, x2, x3, x4 = m.aux
-    pend = pendant_darts(g, verts, 4)
-    gone = verts[:4]
-    r_x2 = _next_surviving(g, g.d_twin[pend[1]], gone)
-    r_v5 = _next_surviving(g, m.darts[4], gone)
-    r_x3 = _next_surviving(g, g.d_twin[pend[2]], gone)
-    r_x4 = _next_surviving(g, g.d_twin[pend[3]], gone)
-    removed = tuple((v, tuple(g.neighbors(v))) for v in gone)
-    for v in gone:
-        g.remove_vertex(v)
-    res_a = g.identify_across_face(x2, v5, r_x2, r_v5)
-    res_b = g.identify_across_face(x3, x4, r_x3, r_x4)
-    deleted = 9
-    added = 0
-    for res in (res_a, res_b):
-        deleted += len(res.moved) + len(res.collapsed)
-        added += len(res.moved)
-    return ReductionRecord(m.kind, verts, removed,
-                           ((x2, v5, tuple(res_a.moved)),
-                            (x3, x4, tuple(res_b.moved))), deleted, added)
+    removed = ()
+    deleted = added = 0
+    for v in reversed(gone):
+        nbrs = tuple(g.remove_vertex(v))
+        removed = ((v, nbrs),) + removed
+        deleted += len(nbrs)
+    if chord is not None:
+        g.add_edge_at(*chord)
+        added = 1
+    identifications = ()
+    for a, b, d_a, d_b in joins:
+        moved, collapsed = g.identify_across_face(a, b, d_a, d_b)
+        identifications += ((a, b, tuple(moved)),)
+        deleted += len(moved) + len(collapsed)
+        added += len(moved)
+    return ReductionRecord(kind, verts, removed, identifications,
+                           deleted, added)
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph, grid_graph,
     hexagram_flower, k23_graph, path_graph, pentagram_flower,
 )
-from tricolor.oracle import SimpleGraph, is_triangle_free
-from tricolor.solver import TriangleFound
+from tricolor.oracle import SimpleGraph, facial_cycles, is_triangle_free
+from tricolor.solver import Solver, TriangleFound
 
 #: frozen regression constant for queue insertions per vertex on grids
 #: (measured 1.000 on pristine grids; +10% tolerance)
@@ -58,6 +58,22 @@ def small_corpus_builders():
 
 def small_corpus():
     return [(name, make()) for name, make in small_corpus_builders()]
+
+
+def run_small_corpus(audit=None, extra=()) -> list[Solver]:
+    """Solve the small corpus, and the ``(name, graph)`` pairs in
+    ``extra``, plain and precolored on each graph's first two facial 4-
+    or 5-cycles, calling ``audit`` at every loop head; returns the
+    solvers after their runs."""
+    solvers = []
+    for name, g in small_corpus() + list(extra):
+        cycles = [vs for vs, _ in facial_cycles(g) if len(vs) in (4, 5)]
+        for phi in [None] + [dict(zip(cyc, (0, 1, 0, 1, 2)))
+                             for cyc in cycles[:2]]:
+            solver = Solver(g.copy(), precoloring=phi, audit=audit)
+            solver.run()
+            solvers.append(solver)
+    return solvers
 
 
 def disjoint_union(graphs: list[PlaneGraph]) -> PlaneGraph:

@@ -30,7 +30,8 @@ from tricolor.reducer import event_endpoints
 from tricolor.solver import Solver
 
 from conftest import (
-    GRID_INSERTIONS_PER_VERTEX, small_corpus, small_corpus_builders,
+    GRID_INSERTIONS_PER_VERTEX, run_small_corpus, small_corpus,
+    small_corpus_builders,
 )
 
 
@@ -199,21 +200,6 @@ def test_criterion_3_lemma6_equivalence():
             f"0 discrepancies")
 
 
-def _run_small_corpus(audit=None) -> list[Solver]:
-    """Solve the small corpus plain and precolored on two of each graph's
-    facial 4- and 5-cycles, calling ``audit`` at every loop head; returns
-    the solvers after their runs."""
-    solvers = []
-    for name, g in small_corpus():
-        cycles = [vs for vs, _ in facial_cycles(g) if len(vs) in (4, 5)]
-        for phi in [None] + [dict(zip(cyc, (0, 1, 0, 1, 2)[:len(cyc)]))
-                             for cyc in cycles[:2]]:
-            solver = Solver(g.copy(), precoloring=phi, audit=audit)
-            solver.run()
-            solvers.append(solver)
-    return solvers
-
-
 def test_criterion_4_worklist_invariant():
     violations: list = []
     heads = 0
@@ -226,7 +212,7 @@ def test_criterion_4_worklist_invariant():
         if missing:
             violations.append(missing)
 
-    _run_small_corpus(audit)
+    run_small_corpus(audit)
     assert not violations
     _report("4 worklist-invariant", f"{heads} loop heads, 0 violations")
 
@@ -256,7 +242,7 @@ def test_criterion_6_reinsertion_bounded(at_scale):
     # and precolored as criterion 4 runs it
     corpus = Reinsertion()
     with corpus.sizing_footprints():
-        for solver in _run_small_corpus():
+        for solver in run_small_corpus():
             corpus.add(solver)
     scale = at_scale.reinsertion
     largest = max(scale.max_set, corpus.max_set)

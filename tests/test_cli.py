@@ -34,7 +34,8 @@ def test_color_then_check(tmp_path, cube_file, capsys):
 def test_check_rejects_corrupted(tmp_path, cube_file, capsys):
     main(["color", str(cube_file)])
     coloring = parse_coloring(capsys.readouterr().out)
-    u, w, _ = next(cube_graph().edges())
+    u = 0
+    w = cube_graph().neighbors(u)[0]
     coloring[u] = coloring[w]
     bad = tmp_path / "bad.col"
     bad.write_text("".join(f"{v} {c}\n" for v, c in coloring.items()))

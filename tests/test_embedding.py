@@ -420,11 +420,11 @@ class TestIdentify:
         g = cycle_graph(4)
         d0 = g.v_dart[0]
         d2 = g.trace_face(d0)[2]
-        res = g.identify_across_face(0, 2, d0, d2)
+        moved, collapsed = g.identify_across_face(0, 2, d0, d2)
         validate(g)
         assert g.v_alive[0] and not g.v_alive[2]
         assert (g.n_alive, g.m_alive) == (3, 2)
-        assert sorted(res.moved) == sorted(res.collapsed) == [1, 3]
+        assert sorted(moved) == sorted(collapsed) == [1, 3]
 
     def test_cube_face_antipodal(self):
         g = cube_graph()
@@ -445,10 +445,10 @@ class TestIdentify:
         # identify 1 and 3 across the face; common neighbor 2
         da = next(d for d in face if g.d_origin[d] == 1)
         db = next(d for d in face if g.d_origin[d] == 3)
-        res = g.identify_across_face(1, 3, da, db)
+        moved, collapsed = g.identify_across_face(1, 3, da, db)
         validate(g)
         assert (g.n_alive, g.m_alive) == (5, 5)
-        assert sorted(res.moved) == [2, 4] and res.collapsed == [2]
+        assert sorted(moved) == [2, 4] and collapsed == [2]
 
     def test_adjacent_rejected(self):
         g = cycle_graph(4)

@@ -19,7 +19,7 @@ from tricolor.oracle import (
 )
 from tricolor.solver import Solver
 
-from conftest import disjoint_union, small_corpus
+from conftest import disjoint_union, run_small_corpus, small_corpus
 
 #: regression ceiling for the work of one find_secure_with_pivot call
 #: (max observed across the corpus: 95)
@@ -228,12 +228,7 @@ def test_find_aux_matches_oracle_shapes():
                 assert (m.kind, m.vertices, m.aux) in shapes, m
         g.work = work
 
-    for name, g in small_corpus():
-        Solver(g.copy(), audit=audit).run()
-        cycles = [vs for vs, _ in facial_cycles(g) if len(vs) in (4, 5)]
-        for cyc in cycles[:2]:
-            phi = dict(zip(cyc, (0, 1, 0, 1, 2)[:len(cyc)]))
-            Solver(g.copy(), precoloring=phi, audit=audit).run()
+    run_small_corpus(audit)
     assert found
 
 
@@ -323,12 +318,7 @@ def _each_search(check):
                     break
         g.work = work
 
-    for name, g in small_corpus() + [("hub_cube", _hub_cube())]:
-        Solver(g.copy(), audit=every_id).run()
-        cycles = [vs for vs, _ in facial_cycles(g) if len(vs) in (4, 5)]
-        for cyc in cycles[:2]:
-            phi = dict(zip(cyc, (0, 1, 0, 1, 2)[:len(cyc)]))
-            Solver(g.copy(), precoloring=phi, audit=every_id).run()
+    run_small_corpus(every_id, [("hub_cube", _hub_cube())])
     graphs = [generate(GenSpec(kind, 2000, seed=1))
               for kind in ("quad", "augmented")]
     graphs.append(disjoint_union(

@@ -143,7 +143,7 @@ class TestSecureEnumeration:
 
     def test_cap(self):
         with pytest.raises(TooLarge):
-            all_secure_multigrams_slow(grid_graph(15), cap=200)
+            all_secure_multigrams_slow(grid_graph(15))
 
 
 class TestCloseness:

@@ -236,10 +236,22 @@ def _vertex_states(g):
 def _uncovered(before, g, record):
     """Vertices whose state (``_vertex_states``) went from ``before`` to
     g's now, by the reduction that wrote ``record``, but that
-    ``event_endpoints`` leaves out.  Also checks that each identification
-    moved exactly the absorbed vertex's neighbors before the reduction,
-    less the vertices it deleted, with earlier absorbed ones renamed to
-    their survivors (a pentagram deletes v1..v4 before it identifies)."""
+    ``event_endpoints`` leaves out.  Also checks that the record tells
+    what surgery did: its edge and vertex counts match the change in
+    g's, each deleted vertex is listed with its neighbors before the
+    reduction less the deleted vertices listed after it, and each
+    identification moved exactly the absorbed vertex's neighbors before
+    the reduction, less the vertices it deleted, with earlier absorbed
+    ones renamed to their survivors (a pentagram deletes v1..v4 before
+    it identifies)."""
+    n0 = sum(alive for alive, _, _, _ in before)
+    m0 = sum(deg for _, deg, _, _ in before) // 2
+    assert n0 - g.n_alive == record.vertices_removed, record
+    assert m0 - g.m_alive == record.edges_deleted - record.edges_added, record
+    for i, (v, nbrs) in enumerate(record.removed):
+        later = {u for u, _ in record.removed[i + 1:]}
+        assert sorted(nbrs) == sorted(
+            w for _, w in before[v][3] if w not in later), record
     gone = {v for v, _ in record.removed}
     renamed = {}
     for survivor, absorbed, moved in record.identifications:
@@ -264,7 +276,8 @@ class TestEventEndpoints:
     def test_covers_every_changed_vertex(self):
         # the solver re-queues only from this set, so it must hold every
         # vertex a reduction changes, on the oracle's listings (all six
-        # kinds) and on the mid-run states of full runs
+        # kinds) and on the mid-run states of full runs; each record's
+        # counts and neighbor lists are checked against the surgery too
         fired = dict.fromkeys(KIND_ORDER, 0)
         uncovered = []
         for name, g0 in small_corpus():
