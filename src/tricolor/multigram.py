@@ -53,6 +53,8 @@ SHAPES = {
     HEXAGRAM: (6, 1, 1),
 }
 
+_new = tuple.__new__
+
 #: The constraint cycle C of a plain run: no precolored vertex.
 NO_CYCLE: frozenset[int] = frozenset()
 
@@ -241,18 +243,26 @@ def _four_face_thirds(g: PlaneGraph, v1: int, x: int) -> set[int]:
 
 def is_secure(g: PlaneGraph, m: Multigram,
               C: AbstractSet[int] = NO_CYCLE) -> bool:
-    """Full per-kind (C-)security including safety."""
-    deg = g.v_deg
+    """Full per-kind (C-)security including safety: the shape gate
+    (``_has_shape``) for a cycle kind, then ``_secure``.  An unknown kind
+    raises ``ValueError``."""
     verts = m.vertices
     kind = m.kind
-
     if kind == MONOGRAM:
-        return deg[verts[0]] <= 2 and verts[0] not in C
-    if not _has_shape(g, kind, verts):
-        return False
+        return g.v_deg[verts[0]] <= 2 and verts[0] not in C
+    return _has_shape(g, kind, verts) and _secure(g, kind, verts, m.aux, C)
 
+
+def _secure(g: PlaneGraph, kind: str, verts: tuple[int, ...],
+            aux: tuple[int, ...], C: AbstractSet[int]) -> bool:
+    """(C-)security, safety included, of the cycle kind listed as verts
+    with the pendants aux, once its shape is established: by
+    ``_has_shape`` in ``is_secure``, by the finder's own length and
+    degree tests on the listings it walks.  Every graph read goes
+    through g's methods, so a ``RecordingGraph`` logs them."""
+    deg = g.v_deg
     if kind == TETRAGRAM:
-        v1, v3, x = verts[0], verts[2], m.aux[0]
+        v1, v3, x = verts[0], verts[2], aux[0]
         if not (admissible(g, v1, C) and admissible(g, x, C)):
             return False
         if not admissible(g, v3, C):
@@ -267,15 +277,15 @@ def is_secure(g: PlaneGraph, m: Multigram,
         return all(admissible(g, w, C) for w in verts)
 
     if kind == DECAGRAM:
-        x1, x3 = m.aux[0], m.aux[2]
+        x1, x3 = aux[0], aux[2]
         if not all(admissible(g, w, C) for w in (*verts, x1, x3)):
             return False
         return _decagram_safe(g, x1, x3)
 
     if kind == PENTAGRAM:
-        if not all(admissible(g, w, C) for w in (*verts, *m.aux)):
+        if not all(admissible(g, w, C) for w in (*verts, *aux)):
             return False
-        v5, x2, x3, x4 = verts[4], m.aux[1], m.aux[2], m.aux[3]
+        v5, x2, x3, x4 = verts[4], aux[1], aux[2], aux[3]
         if _no_forbidden_neighbor(g, v5, C):
             side25 = v5
         elif _no_forbidden_neighbor(g, x2, C):
@@ -288,10 +298,10 @@ def is_secure(g: PlaneGraph, m: Multigram,
             side34 = x4
         else:
             return False
-        return _pentagram_safe(g, verts, m.aux, side25, side34)
+        return _pentagram_safe(g, verts, aux, side25, side34)
 
     # HEXAGRAM
-    v1, v3, v6, x = verts[0], verts[2], verts[5], m.aux[0]
+    v1, v3, v6, x = verts[0], verts[2], verts[5], aux[0]
     if not all(admissible(g, w, C) for w in (v1, v3, v6, x)):
         return False
     # Paths through v2 are impossible in a triangle-free graph (v2, b
@@ -310,14 +320,17 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
     first cycle kind, is tried on each listing as ``cycle_candidates``
     walks its face, so a secure one ends the search before the later
     faces are walked; the listings are kept, and the later kinds are
-    tried on them once every face is walked.
+    tried on them once every face is walked.  The length and degree
+    tests here establish each listing's shape, so ``_secure`` is called
+    directly and a ``Multigram`` is built only for the hit, with
+    ``tuple.__new__`` rather than the class call.
     """
     deg = g.v_deg
     if deg[v] > 3:
         return None
     if deg[v] <= 2:
         if v not in C:
-            return Multigram(MONOGRAM, (v,))
+            return _new(Multigram, (MONOGRAM, (v,), (), ()))
         return None
     if v in C:
         return None
@@ -328,10 +341,9 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
         cycles.append(cand)
         verts, darts = cand
         if len(verts) == k:
-            aux = tuple(g.head(d) for d in pendant_darts(g, verts, n_aux))
-            m = Multigram(TETRAGRAM, verts, aux, darts)
-            if is_secure(g, m, C):
-                return m
+            aux = tuple(map(g.head, pendant_darts(g, verts, n_aux)))
+            if _secure(g, TETRAGRAM, verts, aux, C):
+                return _new(Multigram, (TETRAGRAM, verts, aux, darts))
     # each listing's run of leading degree-3 vertices, counted once
     leads = []
     for verts, _ in cycles:
@@ -343,10 +355,9 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
         k, n3, n_aux = SHAPES[kind]
         for (verts, darts), lead in zip(cycles, leads):
             if len(verts) == k and lead >= n3:
-                aux = tuple(g.head(d) for d in pendant_darts(g, verts, n_aux))
-                m = Multigram(kind, verts, aux, darts)
-                if is_secure(g, m, C):
-                    return m
+                aux = tuple(map(g.head, pendant_darts(g, verts, n_aux)))
+                if _secure(g, kind, verts, aux, C):
+                    return _new(Multigram, (kind, verts, aux, darts))
     return None
 
 

@@ -11,7 +11,13 @@ can only fail on a corrupted record, which raises.
 
 A reduction's record is also the one statement of what it changed:
 ``event_endpoints`` reads off it, after the reduction, every vertex the
-reduction touched, and the solver re-queues pivots from that set.
+reduction touched, as one tuple that may repeat a vertex, and the solver
+re-queues pivots from it.
+
+Records are built with ``tuple.__new__`` rather than the class call,
+which runs a Python-level ``__new__``; a reduction pays only for the
+tuple it keeps.  The class, its fields, equality and repr are the same
+either way.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ from .multigram import (
     DECAGRAM, HEXAGRAM, MONOGRAM, OCTAGRAM, PENTAGRAM, TETRAGRAM,
     Multigram, pendant_darts,
 )
+
+
+_new = tuple.__new__
 
 
 class ExtensionFailure(Exception):
@@ -45,21 +54,19 @@ class ReductionRecord(NamedTuple):
         return len(self.removed) + len(self.identifications)
 
 
-def event_endpoints(g: PlaneGraph, record: ReductionRecord) -> set[int]:
+def event_endpoints(g: PlaneGraph, record: ReductionRecord) -> tuple[int, ...]:
     """Every vertex whose degree, rotation, ``v_dart`` or dart heads the
-    reduction that wrote ``record`` changed, read off the record: its
-    multigram's vertices, each deleted vertex's neighbors, and each
-    identification's survivor, absorbed vertex and moved neighbors.  g,
-    the graph the record came from, is not read; it stays the first
-    argument so that a tracer can read its ``work`` around the call, as
-    ``bench/spans.py`` does."""
-    out = set(record.vertices)
+    reduction that wrote ``record`` changed, read off the record as one
+    tuple in which a vertex may repeat: its multigram's vertices, each
+    deleted vertex's neighbors, and each identification's survivor,
+    absorbed vertex and moved neighbors.  g, the graph the record came
+    from, is not read; it stays the first argument so that a tracer can
+    read its ``work`` around the call, as ``bench/spans.py`` does."""
+    out = record.vertices
     for _, nbrs in record.removed:
-        out.update(nbrs)
+        out += nbrs
     for survivor, absorbed, moved in record.identifications:
-        out.add(survivor)
-        out.add(absorbed)
-        out.update(moved)
+        out += (survivor, absorbed, *moved)
     return out
 
 
@@ -127,8 +134,8 @@ def reduce(g: PlaneGraph, m: Multigram) -> ReductionRecord:
         identifications += ((a, b, tuple(moved)),)
         deleted += len(moved) + len(collapsed)
         added += len(moved)
-    return ReductionRecord(kind, verts, removed, identifications,
-                           deleted, added)
+    return _new(ReductionRecord, (kind, verts, removed, identifications,
+                                  deleted, added))
 
 
 # ----------------------------------------------------------------------

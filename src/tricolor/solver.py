@@ -16,10 +16,14 @@ to ``RecordingGraph``.  Most searches hit and pay nothing for recording.
 A reverse index maps each footprint vertex to the pivots whose latest
 footprint holds it.  After a reduction the engine re-queues
 ``event_endpoints(g, record)``, read off the reduction's record, plus
-the pivots indexed under it.  This is sound by one rule: the record
-names the multigram's vertices, each deleted vertex with its neighbors
-and each absorbed vertex with its neighbors and survivor, and every
-edge a reduction deletes, moves or adds has both ends among them.
+the pivots indexed under it.  That tuple may repeat a vertex: the
+filter marks ``in_queue`` as it admits one, which drops the repeats,
+and only the batch it appends is sorted, so each batch enters the
+queue in ascending id order and no set is built.  This is sound by one
+rule: the record names the multigram's vertices, each deleted vertex
+with its neighbors and each absorbed vertex with its neighbors and
+survivor, and every edge a reduction deletes, moves or adds has both
+ends among them.
 Surgery changes the degree, rotation, ``v_dart`` or dart heads only at
 the ends of such edges and at the absorbed vertex, and renaming an
 absorbed cycle vertex to its survivor changes C only at those two.
@@ -205,7 +209,7 @@ class Solver:
         work0 = g.work
         queue: deque[int] = deque(
             v for v in g.vertex_ids() if g.v_deg[v] <= 3)
-        popleft, append = queue.popleft, queue.append
+        popleft, extend = queue.popleft, queue.extend
         pops, insertions = 0, len(queue)
         in_queue = [False] * len(g.v_alive)
         for v in queue:
@@ -254,27 +258,35 @@ class Solver:
                         C.add(survivor)
                         self.phi[survivor] = self.phi.pop(absorbed)
                 if index:       # empty while no failed search is indexed
-                    for u in list(touched):
+                    woken = []
+                    for u in touched:
                         entries = index.pop(u, None)
                         if entries is not None:
                             g.work += len(entries)
-                            touched.update(owner[r] for r in entries
-                                           if current[owner[r]] == r)
-                for w in sorted(touched):
+                            woken += [owner[r] for r in entries
+                                      if current[owner[r]] == r]
+                    touched += tuple(woken)
+                # marking in_queue drops repeats; the batch goes in
+                # ascending id order
+                batch = []
+                for w in touched:
                     if alive[w] and deg[w] <= 3 and not in_queue[w]:
                         in_queue[w] = True
-                        append(w)
-                        insertions += 1
+                        batch.append(w)
+                if batch:
+                    batch.sort()
+                    extend(batch)
+                    insertions += len(batch)
                 if audit:
                     audit(g, tuple(queue), C)
 
             # at most len(C) vertices are left, so all of C alive means only C
             assert all(alive[v] for v in C), (C, g.n_alive)
-            stats.work = g.work - work0
             return unwind(records, self.phi)
         finally:
             stats.pops += pops
             stats.insertions += insertions
+            stats.work += g.work - work0
             if was_enabled:
                 gc.enable()
 

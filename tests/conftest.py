@@ -86,6 +86,16 @@ def disjoint_union(graphs: list[PlaneGraph]) -> PlaneGraph:
     return build(rot)
 
 
+def gadget_union() -> PlaneGraph:
+    """Both hub graphs and four copies of each hand-built configuration;
+    solving it fails searches, so the footprint index fills."""
+    return disjoint_union(
+        [big_hub_graph(), big_hub_graph(pendant=False)]
+        + [make() for make in (pentagram_flower, hexagram_flower,
+                               cube_graph, dodecahedron_graph, k23_graph)
+           for _ in range(4)])
+
+
 def validating_audit(g, queue, C):
     """Solver audit hook: full structural check and triangle test at
     every loop head, so after every reduction."""

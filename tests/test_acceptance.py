@@ -81,7 +81,8 @@ class Reinsertion:
         g = solver.graph
         self.records += len(solver.records)
         self.max_set = max(self.max_set, max(
-            (len(event_endpoints(g, r)) for r in solver.records), default=0))
+            (len(set(event_endpoints(g, r))) for r in solver.records),
+            default=0))
 
     @contextmanager
     def sizing_footprints(self):

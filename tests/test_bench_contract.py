@@ -5,7 +5,9 @@ rename in ``src/`` would leave a layer empty or break ``--trace 1``.
 This colors the cube through the benchmark's own pipeline with the
 tracer installed; installing fails if any wrapped name is gone.
 ``solver.close_set`` is wrapped too but lies off the solve path, so its
-layer records no calls.
+layer records no calls.  A solver that inlined a wrapped call would
+leave its layer short, so the test counts ``event_endpoints`` against
+``reduce``.
 """
 
 import sys
@@ -32,6 +34,9 @@ def test_tracer_records_hot_layers():
         tracer.uninstall()
     tracer.fold(keep=False)
     assert pipeline.is_correct(reference, out)
-    for layer in ("reducer.event_endpoints", "multigram.find",
-                  "reducer.reduce"):
-        assert tracer.totals[layer].calls > 0, layer
+    calls = {layer: total.calls for layer, total in tracer.totals.items()}
+    assert calls.get("multigram.find", 0) > 0
+    # the solver reads the touched vertices of each reduction through the
+    # wrapped name, once per reduction
+    assert (calls.get("reducer.event_endpoints", 0)
+            == calls.get("reducer.reduce", 0) > 0), calls

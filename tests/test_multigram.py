@@ -19,7 +19,7 @@ from tricolor.oracle import (
 )
 from tricolor.solver import Solver
 
-from conftest import disjoint_union, run_small_corpus, small_corpus
+from conftest import gadget_union, run_small_corpus, small_corpus
 
 #: regression ceiling for the work of one find_secure_with_pivot call
 #: (max observed across the corpus: 95)
@@ -321,11 +321,7 @@ def _each_search(check):
     run_small_corpus(every_id, [("hub_cube", _hub_cube())])
     graphs = [generate(GenSpec(kind, 2000, seed=1))
               for kind in ("quad", "augmented")]
-    graphs.append(disjoint_union(
-        [big_hub_graph(), big_hub_graph(pendant=False)]
-        + [make() for make in (pentagram_flower, hexagram_flower,
-                               cube_graph, dodecahedron_graph, k23_graph)
-           for _ in range(4)]))
+    graphs.append(gadget_union())
     for g in graphs:
         Solver(g, audit=next_pops).run()
     return count

@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,19 +11,21 @@ from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph, grid_graph,
     graph_from_faces, hexagram_flower, k23_graph, pentagram_flower,
 )
-from tricolor.multigram import find_secure_with_pivot
+import tricolor.solver
+from tricolor.multigram import KIND_ORDER, Multigram, find_secure_with_pivot
 from tricolor.oracle import (
     SimpleGraph, all_secure_multigrams_slow, closeness_slow, facial_cycles,
     is_proper,
 )
+from tricolor.reducer import ReductionRecord, event_endpoints
 from tricolor.solver import (
     ExhaustedQueueNonempty, ImproperPrecoloring, NotAFacialCycle, Solver,
     TriangleFound, close_set, three_color,
 )
 
 from conftest import (
-    GRID_INSERTIONS_PER_VERTEX, disjoint_union, small_corpus,
-    small_corpus_builders, validating_audit,
+    GRID_INSERTIONS_PER_VERTEX, disjoint_union, gadget_union,
+    run_small_corpus, small_corpus, small_corpus_builders, validating_audit,
 )
 
 
@@ -273,11 +276,117 @@ class TestCollectorPause:
                 gc.disable()
 
 
+class TestRecordsAndHits:
+    def test_built_as_the_class_call_builds_them(self, monkeypatch):
+        # reduce and the finder build their tuples without the class
+        # call; each must still be exactly what the class call builds
+        # from its fields
+        kept = []
+
+        def keeping(fn):
+            def kept_call(*args):
+                out = fn(*args)
+                if out is not None:
+                    kept.append(out)
+                return out
+            return kept_call
+
+        for name in ("reduce", "find_secure_with_pivot"):
+            monkeypatch.setattr(tricolor.solver, name,
+                                keeping(getattr(tricolor.solver, name)))
+        run_small_corpus()
+        Solver(generate(GenSpec("augmented", 2000, seed=1))).run()
+        by_type = Counter(type(x) for x in kept)
+        assert set(by_type) == {ReductionRecord, Multigram}
+        assert by_type[ReductionRecord] == by_type[Multigram] > 2000
+        # every line that builds a hit: no octagram fires here, and it
+        # shares its line with the decagram, pentagram and hexagram
+        assert {x.kind for x in kept} == set(KIND_ORDER) - {"octagram"}
+        for x in kept:
+            cls = type(x)
+            assert len(x) == len(cls._fields), x
+            called = cls(**x._asdict())
+            assert x == called and repr(x) == repr(called), x
+
+
+class _OldWakeRule:
+    """Audit hook that replays, at every loop head, the rule the solver
+    had when it woke from a set: the queue left after the pops since the
+    last head, then the sorted set of ``event_endpoints`` of the newest
+    record plus the live pivots indexed under it, less the dead, those
+    of degree > 3 and those still queued.  The footprint index is kept
+    from the registrations the solver makes through ``footprint``, and
+    the newest record from its calls of ``reduce``; a head with a graph
+    not seen before starts a run."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.graph = None
+        self.woken = self.heads = 0
+        footprint, reduce = tricolor.solver.footprint, tricolor.solver.reduce
+
+        def registering(g, v, C):
+            read = footprint(g, v, C)
+            r = len(self.owner)
+            self.owner.append(v)
+            self.current[v] = r
+            for u in read:
+                self.index.setdefault(u, []).append(r)
+            return read
+
+        def recording(g, m):
+            self.record = reduce(g, m)
+            return self.record
+
+        monkeypatch.setattr(tricolor.solver, "footprint", registering)
+        monkeypatch.setattr(tricolor.solver, "reduce", recording)
+
+    def __call__(self, g, queue, C) -> None:
+        self.heads += 1
+        if g is not self.graph:
+            self.graph, self.queue, self.queued = g, queue, set(queue)
+            self.index: dict[int, list[int]] = {}
+            self.owner: list[int] = []
+            self.current: dict[int, int] = {}
+            return
+        record = self.record
+        popped = self.queue.index(record.vertices[0]) + 1
+        rest = self.queue[popped:]
+        self.queued.difference_update(self.queue[:popped])
+        touched = set(event_endpoints(g, record))
+        woken = set()
+        for u in touched:
+            for r in self.index.pop(u, ()):
+                if self.current[self.owner[r]] == r:
+                    woken.add(self.owner[r])
+        self.woken += len(woken)
+        batch = tuple(w for w in sorted(touched | woken)
+                      if g.v_alive[w] and g.v_deg[w] <= 3
+                      and w not in self.queued)
+        assert queue == rest + batch, (self.heads, record)
+        self.queue = queue
+        self.queued.update(batch)
+
+
+class TestWakeOrder:
+    def test_batches_follow_the_sorted_set_rule(self, monkeypatch):
+        # the wake-ups read the tuple event_endpoints returns, repeats
+        # and all, and must queue what sorting the set of it queued
+        rule = _OldWakeRule(monkeypatch)
+        run_small_corpus(rule)
+        assert rule.heads > 1000
+        heads, woken = rule.heads, rule.woken
+        Solver(generate(GenSpec("augmented", 2000, seed=1)), audit=rule).run()
+        assert rule.heads - heads > 1000 and rule.woken > woken
+        woken = rule.woken
+        Solver(gadget_union(), audit=rule).run()
+        assert rule.woken > woken
+
+
 class TestStats:
     def test_counts_written_when_audit_raises(self):
-        # pops and insertions reach stats on the way out of run, a raise
-        # included: at the first audit, midway, and at the last audit,
-        # after which a full run pops and inserts nothing more
+        # pops, insertions and work reach stats on the way out of run, a
+        # raise included: at the first audit, midway, and at the last
+        # audit, after which a full run pops, inserts and works no more
         class Stop(Exception):
             pass
 
@@ -293,13 +402,16 @@ class TestStats:
                     raise Stop
 
             s = Solver(augmented(300, 3), audit=stop)
+            work0 = s.graph.work
             with pytest.raises(Stop):
                 s.run()
             # every inserted pivot was popped or is still queued
             assert s.stats.insertions == s.stats.pops + len(queues[-1]) > 0
             assert s.stats.pops >= len(s.records) == k - 1
-        assert (s.stats.pops, s.stats.insertions) == (ref.stats.pops,
-                                                      ref.stats.insertions)
+            assert s.stats.work == s.graph.work - work0
+            assert (s.stats.work > 0) == (k > 1)
+        assert ((s.stats.pops, s.stats.insertions, s.stats.work)
+                == (ref.stats.pops, ref.stats.insertions, ref.stats.work))
 
     def test_empty(self):
         s = Solver(build([]))
