@@ -24,13 +24,13 @@ on the cap.  The ``work`` counter accumulates primitive step counts so
 tests can assert the constant-work contracts.  ``remove_vertex``
 deletes a vertex with all its edges in one walk of its rotation.
 
-``RecordingGraph`` is the same graph with read primitives that also
-append to ``reads`` every vertex whose degree, rotation or identity as a
-dart's origin they read.  ``multigram.footprint`` switches a graph's
-class to it to replay a pivot search that found nothing, and back, so
-only the footprint of a failed search is recorded: the searches
-themselves, builds, validation, generators and surgery run the plain
-primitives and pay nothing for it.
+``RecordingGraph(g)`` is a view of g: it shares g's arrays, and its
+read primitives also append to its own ``reads`` every vertex whose
+degree, rotation or identity as a dart's origin they read.
+``multigram.footprint`` replays a pivot search that found nothing on
+such a view, so only the footprint of a failed search is recorded: the
+searches themselves, builds, validation, generators and surgery run on
+the plain graph and pay nothing for it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class PlaneGraph:
     __slots__ = (
         "v_alive", "v_deg", "v_dart",
         "d_origin", "d_twin", "d_next", "d_prev", "d_alive",
-        "n_alive", "m_alive", "work", "reads",
+        "n_alive", "m_alive", "work",
     )
 
     def __init__(self) -> None:
@@ -75,7 +75,6 @@ class PlaneGraph:
         self.n_alive = 0
         self.m_alive = 0
         self.work = 0
-        self.reads: list[int] = []     # filled by RecordingGraph only
 
     # ------------------------------------------------------------------
     # construction
@@ -429,16 +428,25 @@ class PlaneGraph:
 
 
 class RecordingGraph(PlaneGraph):
-    """A PlaneGraph whose read primitives log what they read to ``reads``.
+    """A read-only view of a PlaneGraph whose read primitives log what
+    they read to ``reads``.
 
-    Same slots as PlaneGraph, so ``g.__class__`` can be switched either
-    way; ``multigram.footprint`` does so for the replay of a failed
-    search.  ``adjacent`` reaches ``dart_between`` through this override.
-    ``dart_between`` and ``dart_avoiding`` log the heads of the rotation
-    they scan only up to the hit.
+    The view shares g's arrays and keeps its own ``reads`` and ``work``,
+    so a search replayed on it, as ``multigram.footprint`` replays a
+    failed one, leaves g's ``work`` as it was.  ``adjacent`` reaches
+    ``dart_between`` through this override.  ``dart_between`` and
+    ``dart_avoiding`` log the heads of the rotation they scan only up to
+    the hit.
     """
 
-    __slots__ = ()
+    __slots__ = ("reads",)
+
+    def __init__(self, g: PlaneGraph) -> None:
+        self.v_alive, self.v_deg, self.v_dart = g.v_alive, g.v_deg, g.v_dart
+        self.d_origin, self.d_twin = g.d_origin, g.d_twin
+        self.d_next, self.d_prev, self.d_alive = g.d_next, g.d_prev, g.d_alive
+        self.work = 0
+        self.reads: list[int] = []
 
     def head(self, d: int) -> int:
         w = self.d_origin[self.d_twin[d]]

@@ -11,9 +11,9 @@ Three families:
                endpoints are non-adjacent and share no neighbor; this
                introduces odd faces (pentagons, heptagons, ...)
 
-Every generator validates its own output with the embedding validator
-and the triangle-freeness checker rather than trusting the construction
-argument.
+``generate`` validates its output with the embedding validator and the
+triangle-freeness checker rather than trusting the construction
+argument; the family functions it calls do not.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ class GenSpec:
             raise InvalidSpec("size must be >= 1")
         if not 0.0 <= self.delete_prob < 1.0:
             raise InvalidSpec("delete_prob must be in [0, 1)")
+        if self.delete_prob > 0.0 and self.kind != "grid":
+            raise InvalidSpec(
+                f"delete_prob applies to grid only, not {self.kind!r}")
 
 
 def generate(spec: GenSpec) -> PlaneGraph:
@@ -118,42 +121,42 @@ def quad(size: int, seed: int = 0) -> PlaneGraph:
     return g
 
 
+def _corner_pair(g: PlaneGraph, rng: random.Random, walk: list[int],
+                 t: int) -> tuple[int, int] | None:
+    """The darts of walk at a random i and at i + t, when their origins
+    are two distinct, non-adjacent vertices below DEGREE_SOFT_CAP."""
+    i = rng.randrange(len(walk))
+    du, dv = walk[i], walk[(i + t) % len(walk)]
+    u, w = g.d_origin[du], g.d_origin[dv]
+    if (u == w or g.v_deg[u] >= DEGREE_SOFT_CAP
+            or g.v_deg[w] >= DEGREE_SOFT_CAP or g.adjacent(u, w)):
+        return None
+    return du, dv
+
+
 def _try_even_chord(g: PlaneGraph, rng: random.Random,
                     walk: list[int]) -> None:
     # split an even face into two even faces: offset must be odd >= 3
-    length = len(walk)
-    offsets = [t for t in range(3, length - 2) if t % 2 == 1]
+    offsets = [t for t in range(3, len(walk) - 2) if t % 2 == 1]
     if not offsets:
         return
-    t = rng.choice(offsets)
-    i = rng.randrange(length)
-    du, dv = walk[i], walk[(i + t) % length]
-    u, w = g.d_origin[du], g.d_origin[dv]
-    if u == w or g.v_deg[u] >= DEGREE_SOFT_CAP or g.v_deg[w] >= DEGREE_SOFT_CAP:
-        return
-    if g.adjacent(u, w):
-        return
-    g.add_edge(du, dv)
+    pair = _corner_pair(g, rng, walk, rng.choice(offsets))
+    if pair is not None:
+        g.add_edge(*pair)
 
 
 def _insert_degree2(g: PlaneGraph, rng: random.Random,
                     walk: list[int]) -> None:
     # new vertex joined to two face vertices at even walk distance
-    length = len(walk)
-    evens = [t for t in range(2, length - 1) if t % 2 == 0]
+    evens = [t for t in range(2, len(walk) - 1) if t % 2 == 0]
     if not evens:
         return
-    t = rng.choice(evens)
-    i = rng.randrange(length)
-    du, dv = walk[i], walk[(i + t) % length]
-    u, w = g.d_origin[du], g.d_origin[dv]
-    if u == w or g.v_deg[u] >= DEGREE_SOFT_CAP or g.v_deg[w] >= DEGREE_SOFT_CAP:
-        return
-    if g.adjacent(u, w):
-        return
-    z = g.new_vertex()
-    g.add_edge_at(u, du, z, None)
-    g.add_edge_at(z, g.v_dart[z], w, dv)
+    pair = _corner_pair(g, rng, walk, rng.choice(evens))
+    if pair is not None:
+        du, dv = pair
+        z = g.new_vertex()
+        g.add_edge_at(g.d_origin[du], du, z, None)
+        g.add_edge_at(z, g.v_dart[z], g.d_origin[dv], dv)
 
 
 def _double_subdivide(g: PlaneGraph, d: int) -> None:
@@ -179,14 +182,10 @@ def augmented(size: int, seed: int = 0) -> PlaneGraph:
         walk = _random_face(g, rng)
         if walk is None or len(walk) < 5:
             continue
-        length = len(walk)
-        t = rng.randrange(2, length - 1)
-        i = rng.randrange(length)
-        du, dv = walk[i], walk[(i + t) % length]
-        u, w = g.d_origin[du], g.d_origin[dv]
-        if u == w or g.v_deg[u] >= DEGREE_SOFT_CAP or g.v_deg[w] >= DEGREE_SOFT_CAP:
+        pair = _corner_pair(g, rng, walk, rng.randrange(2, len(walk) - 1))
+        if pair is None:
             continue
-        if g.adjacent(u, w) or not set(g.neighbors(u)).isdisjoint(g.neighbors(w)):
-            continue
-        g.add_edge(du, dv)
+        u, w = g.d_origin[pair[0]], g.d_origin[pair[1]]
+        if set(g.neighbors(u)).isdisjoint(g.neighbors(w)):
+            g.add_edge(*pair)
     return g

@@ -23,8 +23,7 @@ a triangle), so the test is skipped rather than scanned.
 The precolored facial cycle C is passed as the set of its vertex ids:
 only membership in C is ever tested.  A plain run passes ``NO_CYCLE``.
 
-Everything here is read-only on the graph; ``footprint`` switches its
-class for the length of one replayed search and back.
+Everything here is read-only on the graph.
 """
 
 from __future__ import annotations
@@ -366,20 +365,13 @@ def footprint(g: PlaneGraph, v: int, C: AbstractSet[int] = NO_CYCLE) -> set[int]
     every vertex whose degree, rotation or identity as a dart's origin
     it read.
 
-    The search is replayed on g switched to ``RecordingGraph`` and g is
-    switched back.  It is read-only and deterministic, so the replay
-    reads what the search read.  Recording is bookkeeping: the replay's
-    ``work`` is dropped.
+    The search is replayed on a ``RecordingGraph`` view of g.  It is
+    read-only and deterministic, so the replay reads what the search
+    read.  Recording is bookkeeping: the replay counts its ``work`` on
+    the view, and g's is left as it was.
     """
-    cls, work = g.__class__, g.work
-    reads = g.reads
-    reads.clear()
-    g.__class__ = RecordingGraph
-    try:
-        find_secure_with_pivot(g, v, C)
-    finally:
-        g.__class__ = cls
-        g.work = work
-    out = set(reads)
+    view = RecordingGraph(g)
+    find_secure_with_pivot(view, v, C)
+    out = set(view.reads)
     out.add(v)
     return out

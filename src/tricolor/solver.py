@@ -11,19 +11,19 @@ Re-insertion is driven by footprints.  Each search runs on the plain
 graph.  A failed search registers ``footprint(g, v, C)``: the pivot and
 every vertex whose degree, rotation or identity as a dart's origin the
 search read (the finder tests membership in C only of vertices whose
-degree it read), recorded by replaying the search on the graph switched
-to ``RecordingGraph``.  Most searches hit and pay nothing for recording.
-A reverse index maps each footprint vertex to the pivots whose latest
-footprint holds it.  After a reduction the engine re-queues
+degree it read), recorded by replaying the search on a
+``RecordingGraph`` view of the graph.  Most searches hit and pay nothing
+for recording.  An index maps each footprint vertex to the pivots whose
+footprint held it.  After a reduction the engine re-queues
 ``event_endpoints(g, record)``, read off the reduction's record, plus
-the pivots indexed under it.  That tuple may repeat a vertex: the
-filter marks ``in_queue`` as it admits one, which drops the repeats,
-and only the batch it appends is sorted, so each batch enters the
-queue in ascending id order and no set is built.  This is sound by one
-rule: the record names the multigram's vertices, each deleted vertex
-with its neighbors and each absorbed vertex with its neighbors and
-survivor, and every edge a reduction deletes, moves or adds has both
-ends among them.
+every pivot indexed under it.  That tuple may repeat a vertex: the
+filter (alive, degree <= 3, not queued) marks ``in_queue`` as it admits
+one, which drops the repeats, and only the batch it appends is sorted,
+so each batch enters the queue in ascending id order and no set is
+built.  This is sound by one rule: the record names the multigram's
+vertices, each deleted vertex with its neighbors and each absorbed
+vertex with its neighbors and survivor, and every edge a reduction
+deletes, moves or adds has both ends among them.
 Surgery changes the degree, rotation, ``v_dart`` or dart heads only at
 the ends of such edges and at the absorbed vertex, and renaming an
 absorbed cycle vertex to its survivor changes C only at those two.
@@ -31,11 +31,11 @@ absorbed cycle vertex to its survivor changes C only at those two.
 secure multigram of the small corpus and every reduction of full runs.
 So a search that failed keeps failing until a reduction touches its
 footprint, and a vertex that was never popped becomes a pivot only when
-its degree drops, when it is touched itself.  An index entry is the
-number of the registration that made it; a pivot's newer registration
-makes its older entries stale, and a touched vertex's entries are
-dropped once scanned.  Registrations and scanned entries count in
-``work``.
+its degree drops, when it is touched itself.  A pivot that failed again
+is still listed under the vertices of its older footprints; waking it
+from one of those is a spare pop, never a missed one.  A touched
+vertex's entries are dropped once scanned.  Registrations and scanned
+entries count in ``work``.
 
 ``close_set`` (the paper's closeness rule) is on no solver path.  It
 stays only because ``bench/spans.py`` resolves it by name; it goes
@@ -57,7 +57,7 @@ from __future__ import annotations
 import gc
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 from .embedding import DEGREE_CAP, PlaneGraph
 from .multigram import KIND_ORDER, find_secure_with_pivot, footprint
@@ -162,7 +162,7 @@ def close_set(g: PlaneGraph, sources: Iterable[int]) -> set[int]:
 # ----------------------------------------------------------------------
 # engine
 
-AuditHook = Callable[[PlaneGraph, tuple[int, ...], set[int]], None]
+AuditHook = Callable[[PlaneGraph, tuple[int, ...], AbstractSet[int]], None]
 
 
 class Solver:
@@ -171,13 +171,14 @@ class Solver:
     ``precoloring``, if given, maps the vertices of one facial cycle of
     length 3..5 to colors in {0, 1, 2}, adjacent ones different; the
     coloring run() returns agrees with it there.  Its keys are the
-    constraint cycle C, kept as a set in ``cycle`` (empty for a plain
-    run).  An empty precoloring is no cycle and raises NotAFacialCycle.
+    constraint cycle C (none for a plain run); a reduction that absorbs
+    a cycle vertex renames it in ``phi`` to its survivor.  An empty
+    precoloring is no cycle and raises NotAFacialCycle.
 
     ``audit`` is called at every loop head with the graph, a queue
-    snapshot and ``cycle``; tests use it to replay the worklist
-    invariant against the slow oracle and to validate the embedding
-    after every reduction.
+    snapshot and C, a live view of ``phi``'s keys; tests use it to
+    replay the worklist invariant against the slow oracle and to
+    validate the embedding after every reduction.
     """
 
     def __init__(self, g: PlaneGraph,
@@ -185,7 +186,6 @@ class Solver:
                  audit: AuditHook | None = None) -> None:
         self.graph = g
         self.phi = {} if precoloring is None else dict(precoloring)
-        self.cycle: set[int] = set()
         if precoloring is not None:
             order = facial_cycle(g, precoloring)
             if any(self.phi[v] not in (0, 1, 2) for v in order):
@@ -193,7 +193,6 @@ class Solver:
             if any(self.phi[u] == self.phi[w]
                    for u, w in zip(order, order[1:] + order[:1])):
                 raise ImproperPrecoloring("adjacent cycle vertices share a color")
-            self.cycle.update(order)
         self.audit = audit
         self.stats = SolverStats()
         self.records: list[ReductionRecord] = []
@@ -203,7 +202,8 @@ class Solver:
         collector, process-wide state, is off during the loop and the
         unwind, and back on after them, on return or raise, if it was on."""
         g = self.graph
-        C = self.cycle
+        phi = self.phi
+        C = phi.keys()
         stats = self.stats
         records, audit, reductions = self.records, self.audit, stats.reductions
         work0 = g.work
@@ -217,12 +217,8 @@ class Solver:
         target = len(C)
         deg = g.v_deg
         alive = g.v_alive
-        # footprint index: vertex -> registrations whose footprint holds
-        # it; registration r belongs to pivot owner[r] and is live while
-        # current[owner[r]] == r
+        # footprint index: vertex -> pivots whose footprint held it
         index: dict[int, list[int]] = {}
-        owner: list[int] = []
-        current = [-1] * len(alive)
 
         was_enabled = gc.isenabled()
         gc.disable()
@@ -240,12 +236,9 @@ class Solver:
                     continue
                 m = find_secure_with_pivot(g, v, C)
                 if m is None:
-                    r = len(owner)
-                    owner.append(v)
-                    current[v] = r
                     read = footprint(g, v, C)
                     for u in read:
-                        index.setdefault(u, []).append(r)
+                        index.setdefault(u, []).append(v)
                     g.work += len(read)
                     continue
                 record = reduce(g, m)
@@ -254,17 +247,14 @@ class Solver:
                 reductions[m.kind] += 1
                 for survivor, absorbed, _ in record.identifications:
                     if absorbed in C:
-                        C.remove(absorbed)
-                        C.add(survivor)
-                        self.phi[survivor] = self.phi.pop(absorbed)
+                        phi[survivor] = phi.pop(absorbed)
                 if index:       # empty while no failed search is indexed
                     woken = []
                     for u in touched:
-                        entries = index.pop(u, None)
-                        if entries is not None:
-                            g.work += len(entries)
-                            woken += [owner[r] for r in entries
-                                      if current[owner[r]] == r]
+                        pivots = index.pop(u, None)
+                        if pivots is not None:
+                            g.work += len(pivots)
+                            woken += pivots
                     touched += tuple(woken)
                 # marking in_queue drops repeats; the batch goes in
                 # ascending id order
@@ -282,7 +272,7 @@ class Solver:
 
             # at most len(C) vertices are left, so all of C alive means only C
             assert all(alive[v] for v in C), (C, g.n_alive)
-            return unwind(records, self.phi)
+            return unwind(records, phi)
         finally:
             stats.pops += pops
             stats.insertions += insertions

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tricolor.embedding import (
-    EmbeddingCorruption, EmbeddingError, NonPlanarEmbedding, PlaneGraph,
+    EmbeddingCorruption, EmbeddingError, NonPlanarEmbedding,
     RecordingGraph, build, validate,
 )
 from tricolor.generators import GenSpec, generate, quad
@@ -128,42 +128,41 @@ def _avoid_error(g, v, a, b):
 
 
 class TestReadRecording:
-    """On a graph switched to RecordingGraph, the finder's read
-    primitives log every vertex whose degree, rotation or dart identity
-    they read; the plain class logs nothing."""
+    """On a RecordingGraph view, the finder's read primitives log every
+    vertex whose degree, rotation or dart identity they read; the plain
+    graph keeps no log, and its reads reach no view."""
 
     def test_plain_graph_records_nothing(self):
         g = cube_graph()
+        view = RecordingGraph(g)
         list(g.neighbors(0))
         g.walk_face(0, 7)
         g.dart_between(0, 1)
-        assert g.reads == []
+        assert view.reads == [] and view.work == 0
+        assert not hasattr(g, "reads")
 
     def test_open_walk_records_the_next_origin(self):
         # the rotation at the head of the last dart was read to find
         # that the walk goes on
         g = cycle_graph(9)
-        g.__class__ = RecordingGraph
-        walk, closed = g.walk_face(0, 3)
-        g.__class__ = PlaneGraph
+        view = RecordingGraph(g)
+        walk, closed = view.walk_face(0, 3)
         assert not closed
-        assert g.reads == [g.d_origin[e] for e in walk] + [g.head(walk[-1])]
+        assert view.reads == [g.d_origin[e] for e in walk] + [g.head(walk[-1])]
 
     def test_neighbors_and_head(self):
-        g = cube_graph()
-        g.__class__ = RecordingGraph
-        nbrs = list(g.neighbors(2))
-        assert g.reads == [2] + nbrs
-        g.reads.clear()
-        w = g.head(g.v_dart[5])
-        assert g.reads == [w]
+        view = RecordingGraph(cube_graph())
+        nbrs = list(view.neighbors(2))
+        assert view.reads == [2] + nbrs
+        view.reads.clear()
+        w = view.head(view.v_dart[5])
+        assert view.reads == [w]
 
     def test_dart_between_records_both_ends_and_the_scan(self):
-        g = grid_graph(3)
-        g.__class__ = RecordingGraph
-        assert g.dart_between(4, 8) is None     # center and a corner
-        assert g.reads[:3] == [4, 8, 8]         # degrees, then the corner
-        assert set(g.reads[3:]) == {5, 7}
+        view = RecordingGraph(grid_graph(3))
+        assert view.dart_between(4, 8) is None  # center and a corner
+        assert view.reads[:3] == [4, 8, 8]      # degrees, then the corner
+        assert set(view.reads[3:]) == {5, 7}
 
     @pytest.mark.parametrize("call, read", [
         (lambda g: g.neighbors(0), {0, 2, 3, 4}),
@@ -191,10 +190,13 @@ class TestReadRecording:
         # K_{2,3} with parts {0, 1} and {2, 3, 4}, plus an isolated 5; a
         # failed search's footprint decides wake-ups, work and pops
         g = build([[2, 4, 3], [2, 3, 4], [0, 1], [0, 1], [0, 1], []])
+        w0 = g.work
         plain = call(g)
-        g.__class__ = RecordingGraph
-        assert call(g) == plain
-        assert set(g.reads) == read
+        view = RecordingGraph(g)
+        assert call(view) == plain
+        assert set(view.reads) == read
+        # the view counts the work the plain call counted, on its own
+        assert view.work == g.work - w0
 
 
 def test_neighbors_are_the_heads_of_darts_at():

@@ -64,6 +64,7 @@ class TestGenSpec:
 
     @pytest.mark.parametrize("spec", [
         GenSpec("brick", 10), GenSpec("grid", 0), GenSpec("grid", 9, 0, 1.5),
+        GenSpec("quad", 10, 0, 0.5),
     ])
     def test_invalid_specs(self, spec):
         with pytest.raises(InvalidSpec):

@@ -2,7 +2,7 @@ import gc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tricolor.embedding import build
@@ -129,6 +129,31 @@ class TestPrecolored:
                 col = three_color(g.copy(), precoloring=phi)
                 assert is_proper(sg, col), name
                 assert all(col[v] == phi[v] for v in cyc), name
+
+    @given(st.sampled_from([quad, augmented]), st.integers(8, 40),
+           st.integers(0, 10_000), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_relabeled_plain_and_precolored(self, family, size, seed, data):
+        # the same instance under random ids, solved plain and with a
+        # precolored facial 4- or 5-cycle, each checked at every loop head
+        g = family(size, seed)
+        n = len(g.v_alive)
+        perm = data.draw(st.permutations(range(n)))
+        rot = [[] for _ in range(n)]
+        for v in range(n):
+            rot[perm[v]] = [perm[w] for w in g.neighbors(v)]
+        g = build(rot)
+        sg = SimpleGraph.from_plane_graph(g)
+        col = three_color(g.copy(), audit=validating_audit)
+        assert is_proper(sg, col) and set(col) == set(sg.adj)
+        cycles = [vs for vs, _ in facial_cycles(g) if len(vs) in (4, 5)]
+        assume(cycles)      # a quad instance may have only longer faces
+        cyc = data.draw(st.sampled_from(cycles))
+        colors = data.draw(st.permutations((0, 1, 2)))
+        phi = {v: colors[c] for v, c in zip(cyc, (0, 1, 0, 1, 2))}
+        col = three_color(g, precoloring=phi, audit=validating_audit)
+        assert is_proper(sg, col) and set(col) == set(sg.adj)
+        assert all(col[v] == c for v, c in phi.items())
 
 
 class TestCloseness:
@@ -313,11 +338,11 @@ class _OldWakeRule:
     """Audit hook that replays, at every loop head, the rule the solver
     had when it woke from a set: the queue left after the pops since the
     last head, then the sorted set of ``event_endpoints`` of the newest
-    record plus the live pivots indexed under it, less the dead, those
-    of degree > 3 and those still queued.  The footprint index is kept
-    from the registrations the solver makes through ``footprint``, and
-    the newest record from its calls of ``reduce``; a head with a graph
-    not seen before starts a run."""
+    record plus every pivot indexed under it, less the dead, those of
+    degree > 3 and those still queued.  The footprint index is kept from
+    the registrations the solver makes through ``footprint``, and the
+    newest record from its calls of ``reduce``; a head with a graph not
+    seen before starts a run."""
 
     def __init__(self, monkeypatch) -> None:
         self.graph = None
@@ -326,11 +351,8 @@ class _OldWakeRule:
 
         def registering(g, v, C):
             read = footprint(g, v, C)
-            r = len(self.owner)
-            self.owner.append(v)
-            self.current[v] = r
             for u in read:
-                self.index.setdefault(u, []).append(r)
+                self.index.setdefault(u, set()).add(v)
             return read
 
         def recording(g, m):
@@ -344,9 +366,7 @@ class _OldWakeRule:
         self.heads += 1
         if g is not self.graph:
             self.graph, self.queue, self.queued = g, queue, set(queue)
-            self.index: dict[int, list[int]] = {}
-            self.owner: list[int] = []
-            self.current: dict[int, int] = {}
+            self.index: dict[int, set[int]] = {}
             return
         record = self.record
         popped = self.queue.index(record.vertices[0]) + 1
@@ -355,9 +375,7 @@ class _OldWakeRule:
         touched = set(event_endpoints(g, record))
         woken = set()
         for u in touched:
-            for r in self.index.pop(u, ()):
-                if self.current[self.owner[r]] == r:
-                    woken.add(self.owner[r])
+            woken.update(self.index.pop(u, ()))
         self.woken += len(woken)
         batch = tuple(w for w in sorted(touched | woken)
                       if g.v_alive[w] and g.v_deg[w] <= 3
