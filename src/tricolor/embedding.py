@@ -36,7 +36,7 @@ the plain graph and pay nothing for it.
 from __future__ import annotations
 
 from itertools import accumulate, chain, compress, repeat
-from operator import eq
+from operator import eq, ne
 from typing import Iterator, Sequence
 
 DEGREE_CAP = 59
@@ -500,8 +500,16 @@ def build(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
     exactly the two matching lists; components must pass the genus-0
     Euler check.  Dart ids follow the lists: vertex u's darts are one
     consecutive block in rotation order, and ``v_dart[u]`` is the first.
-    The arrays come from whole-list passes, which also find the faults;
-    a scan then names the first one in dart order.
+
+    The twin of dart u->w sits in w's block at u's position in w's
+    rotation.  For a small w that position is ``list.index``, a scan of
+    at most DEGREE_CAP entries; a big w would make those scans quadratic,
+    so it gets one {neighbor: position} dict built from its own rotation.
+    The dicts hold at most one entry per dart, so build stays linear and
+    keeps no table keyed by dart.  Whole-list passes find range and
+    self-loop faults before the pairing; a u that w's rotation lacks
+    fails the lookup, and a repeated pair leaves twin no involution.
+    On any fault ``_fault`` names the first one in dart order.
     """
     n = len(rotations)
     deg = list(map(len, rotations))
@@ -509,24 +517,21 @@ def build(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
     nd = len(heads)
     ids = list(range(nd + 1))       # the dart ints that every dart array shares
     origin = list(chain.from_iterable(map(repeat, range(n), deg)))
-    pos = dict(zip([u * n + w for u, w in zip(origin, heads)], ids))
-    if (len(pos) < nd or any(map(eq, origin, heads))
+    if (any(map(eq, origin, heads))
             or heads and (min(heads) < 0 or max(heads) >= n)):
-        listed: set[tuple[int, int]] = set()
-        for u, w in zip(origin, heads):
-            if not 0 <= w < n:
-                raise EmbeddingError(f"vertex {u} lists unknown {w}")
-            if w == u:
-                raise EmbeddingError(f"vertex {u} lists itself")
-            if (u, w) in listed:
-                raise EmbeddingError(f"vertex {u} lists {w} twice")
-            listed.add((u, w))
-    twin = list(map(pos.get, [w * n + u for u, w in zip(origin, heads)]))
-    del pos                         # before the next/prev lists add to the peak
-    if None in twin:
-        d = twin.index(None)
-        u, w = origin[d], heads[d]
-        raise EmbeddingError(f"edge {u}-{w} missing from the rotation of {w}")
+        raise _fault(n, origin, heads)
+    start = [0, *accumulate(deg)]
+    big = {w: dict(zip(rotations[w], range(deg[w])))
+           for w in range(n) if deg[w] > DEGREE_CAP}
+    try:
+        twin = [ids[start[w] + (rotations[w].index(u) if deg[w] <= DEGREE_CAP
+                                else big[w][u])]
+                for u, w in zip(origin, heads)]
+    except (ValueError, KeyError):  # some u is missing from w's rotation
+        raise _fault(n, origin, heads) from None
+    if any(map(ne, map(twin.__getitem__, twin), ids)):     # a repeated pair
+        raise _fault(n, origin, heads)
+    del heads, start                # before the next/prev lists add to the peak
     # each block's darts point to their neighbors in the block, cyclically
     nxt = ids[1:]
     prv = ids[nd - 1:nd] + ids[:nd - 1]
@@ -549,6 +554,24 @@ def build(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
     g.m_alive = nd // 2
     _check_euler(g)
     return g
+
+
+def _fault(n: int, origin: list[int], heads: list[int]) -> EmbeddingError:
+    """The error naming the first unknown, self-listed or repeated
+    neighbor in dart order or, if there is none, the first dart whose
+    reverse is not listed."""
+    listed: set[tuple[int, int]] = set()
+    for u, w in zip(origin, heads):
+        if not 0 <= w < n:
+            return EmbeddingError(f"vertex {u} lists unknown {w}")
+        if w == u:
+            return EmbeddingError(f"vertex {u} lists itself")
+        if (u, w) in listed:
+            return EmbeddingError(f"vertex {u} lists {w} twice")
+        listed.add((u, w))
+    u, w = next((u, w) for u, w in zip(origin, heads)
+                if (w, u) not in listed)
+    return EmbeddingError(f"edge {u}-{w} missing from the rotation of {w}")
 
 
 def _check_euler(g: PlaneGraph) -> None:

@@ -44,6 +44,11 @@ def parse_rotations(text: str) -> list[list[int]]:
                 raise GraphSyntaxError(lineno, "non-integer header") from None
             if n < 0 or m < 0:
                 raise GraphSyntaxError(lineno, "negative counts")
+            # one "v" line per vertex: a larger n cannot be listed, and
+            # would be allocated below before any line is read
+            if n > len(text):
+                raise GraphSyntaxError(lineno, f"header claims {n} vertices "
+                                               f"in {len(text)} characters")
             rotations = [[] for _ in range(n)]
             seen = bytearray(n)
         elif tag == "v":

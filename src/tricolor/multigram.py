@@ -323,6 +323,14 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
     tests here establish each listing's shape, so ``_secure`` is called
     directly and a ``Multigram`` is built only for the hit, with
     ``tuple.__new__`` rather than the class call.
+
+    Tetragram and octagram skip the reversed listing (v1, v4, v3, v2)
+    of a 4-face.  The tetragram test reads v1, v3 and the pendant x of
+    v1, which ``dart_avoiding`` finds from the same pair {v2, v4} in
+    both listings; the octagram test reads only the vertex set.  So the
+    reversed test would repeat the forward result with the same reads,
+    and only ``work`` would differ.  Pentagram, decagram and hexagram
+    keep both listings: their tests read positions that reversal moves.
     """
     deg = g.v_deg
     if deg[v] > 3:
@@ -339,7 +347,7 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
     for cand in cycle_candidates(g, v):
         cycles.append(cand)
         verts, darts = cand
-        if len(verts) == k:
+        if len(verts) == k and len(cycles) % 2:    # forward: 1st, 3rd, ...
             aux = tuple(map(g.head, pendant_darts(g, verts, n_aux)))
             if _secure(g, TETRAGRAM, verts, aux, C):
                 return _new(Multigram, (TETRAGRAM, verts, aux, darts))
@@ -352,7 +360,8 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
         leads.append(lead)
     for kind in KIND_ORDER[2:]:
         k, n3, n_aux = SHAPES[kind]
-        for (verts, darts), lead in zip(cycles, leads):
+        step = 2 if kind == OCTAGRAM else 1     # forward listings only
+        for (verts, darts), lead in zip(cycles[::step], leads[::step]):
             if len(verts) == k and lead >= n3:
                 aux = tuple(map(g.head, pendant_darts(g, verts, n_aux)))
                 if _secure(g, kind, verts, aux, C):

@@ -1,14 +1,16 @@
 import random
+import time
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tricolor.embedding import (
     EmbeddingCorruption, EmbeddingError, NonPlanarEmbedding,
     RecordingGraph, build, validate,
 )
-from tricolor.generators import GenSpec, generate, quad
+from tricolor.generators import GenSpec, augmented, generate, quad
 from tricolor.graphio import parse_rotations, serialize
 from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph,
@@ -19,7 +21,7 @@ from tricolor.multigram import admissible
 from tricolor.oracle import SimpleGraph, face_orbits
 from tricolor.solver import Solver
 
-from conftest import small_corpus_builders
+from conftest import gadget_union, small_corpus_builders
 
 
 def components(g):
@@ -95,6 +97,117 @@ class TestBuild:
     def test_empty_graph(self):
         g = build([])
         assert g.n_alive == 0 and g.m_alive == 0
+
+
+def _reference_arrays(rotations):
+    """build's eight arrays with the twins paired through one dict keyed
+    by ``u * n + w`` over every dart, and build's fault messages: the
+    first unknown, self-listed or repeated neighbor in dart order, else
+    the first dart whose reverse is not listed."""
+    n = len(rotations)
+    origin = [u for u, r in enumerate(rotations) for _ in r]
+    heads = [w for r in rotations for w in r]
+    pos = {}
+    for d, (u, w) in enumerate(zip(origin, heads)):
+        if not 0 <= w < n:
+            raise EmbeddingError(f"vertex {u} lists unknown {w}")
+        if w == u:
+            raise EmbeddingError(f"vertex {u} lists itself")
+        if u * n + w in pos:
+            raise EmbeddingError(f"vertex {u} lists {w} twice")
+        pos[u * n + w] = d
+    twin = [pos.get(w * n + u) for u, w in zip(origin, heads)]
+    if None in twin:
+        d = twin.index(None)
+        raise EmbeddingError(f"edge {origin[d]}-{heads[d]} missing from "
+                             f"the rotation of {heads[d]}")
+    v_dart, nxt, prv = [], [], []
+    for b, r in zip(accumulate(map(len, rotations), initial=0), rotations):
+        k = len(r)
+        v_dart.append(b if k else -1)
+        nxt += [b + (i + 1) % k for i in range(k)]
+        prv += [b + (i - 1) % k for i in range(k)]
+    return ([True] * n, [len(r) for r in rotations], v_dart, origin, twin,
+            nxt, prv, [True] * len(heads))
+
+
+ARRAYS = ("v_alive", "v_deg", "v_dart", "d_origin", "d_twin", "d_next",
+          "d_prev", "d_alive")
+
+#: graphs for the pairing tests, each from (size, seed); the hub graphs,
+#: the large stars and the gadget union have big vertices
+PAIRING_SOURCES = {
+    "quad": quad,
+    "augmented": augmented,
+    "grid": lambda size, seed: generate(GenSpec("grid", size, seed, 0.2)),
+    "big_hub": lambda size, seed: big_hub_graph(60 + size % 5, seed % 2 == 0),
+    "star": lambda size, seed: star_graph(size),
+    "gadgets": lambda size, seed: gadget_union(),
+}
+
+
+def _relabeled_rotations(data, source):
+    g = PAIRING_SOURCES[source](data.draw(st.integers(4, 120)),
+                                data.draw(st.integers(0, 1000)))
+    n = len(g.v_alive)
+    perm = data.draw(st.permutations(range(n)))
+    rot = [[] for _ in range(n)]
+    for v in range(n):
+        rot[perm[v]] = [perm[w] for w in g.neighbors(v)]
+    return rot
+
+
+class TestPairing:
+    """build pairs twins by rotation position; the reference is the
+    per-dart dict pairing it replaced."""
+
+    @given(st.sampled_from(sorted(PAIRING_SOURCES)), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_arrays_match_dict_pairing(self, source, data):
+        rot = _relabeled_rotations(data, source)
+        g = build(rot)
+        for name, want in zip(ARRAYS, _reference_arrays(rot)):
+            assert getattr(g, name) == want, name
+
+    @given(st.sampled_from(sorted(PAIRING_SOURCES)),
+           st.sampled_from(["drop", "repeat", "self", "range", "one-sided"]),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_single_corruption_message(self, source, fault, data):
+        rot = _relabeled_rotations(data, source)
+        n = len(rot)
+        hub = max(range(n), key=lambda v: len(rot[v]))
+        u = data.draw(st.one_of(st.just(hub), st.integers(0, n - 1)))
+        r = rot[u]
+        at = data.draw(st.integers(0, len(r)))
+        if fault in ("drop", "repeat"):
+            assume(r)
+        if fault == "drop":
+            del r[at % len(r)]
+        elif fault == "repeat":
+            r.insert(at, r[data.draw(st.integers(0, len(r) - 1))])
+        elif fault == "self":
+            r.insert(at, u)
+        elif fault == "range":
+            r.insert(at, data.draw(st.sampled_from([-1, n, n + 7])))
+        else:
+            others = sorted(set(range(n)) - set(r) - {u})
+            assume(others)
+            r.insert(at, data.draw(st.sampled_from(others)))
+        with pytest.raises(EmbeddingError) as want:
+            _reference_arrays(rot)
+        with pytest.raises(EmbeddingError) as got:
+            build(rot)
+        assert type(got.value) is EmbeddingError
+        assert str(got.value) == str(want.value)
+
+    def test_hub_of_a_large_star(self):
+        # a per-dart scan of the hub's rotation would take minutes
+        t0 = time.perf_counter()
+        g = star_graph(100_000)
+        assert time.perf_counter() - t0 < 10.0
+        assert g.v_deg[0] == 100_000
+        assert g.d_origin[g.d_twin[g.v_dart[0]]] == 1
 
 
 class TestFaceTracing:

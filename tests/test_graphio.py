@@ -68,6 +68,8 @@ class TestSyntaxErrors:
         ("p 2\n", "line 1: header must be 'p <n> <m>'"),
         ("p 2 x\n", "line 1: non-integer header"),
         ("p -1 0\n", "line 1: negative counts"),
+        ("p 1000000000000 0", "line 1: header claims 1000000000000 vertices "
+                              "in 17 characters"),
         ("p 1 0\np 1 0\n", "line 2: duplicate header"),
         ("v 0 1\n", "line 1: vertex line before header"),
         ("p 2 1\nv 0 x\n", "line 2: non-integer vertex id"),
