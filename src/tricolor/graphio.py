@@ -10,6 +10,8 @@ Ids are 0-based and dense.  serialize() emits vertices in ascending id
 order with each rotation rotated to start at its smallest neighbor, so
 parse o serialize is the identity on freshly built graphs.
 
+Every vertex needs its own "v" line, an isolated one too ("v <id>").
+
 Coloring files are lines of "<id> <color>".
 """
 
@@ -74,6 +76,9 @@ def parse_rotations(text: str) -> list[list[int]]:
             raise GraphSyntaxError(lineno, f"unknown record '{tag}'")
     if rotations is None:
         raise GraphSyntaxError(0, "missing header")
+    v = seen.find(0)
+    if v >= 0:
+        raise GraphSyntaxError(0, f"vertex {v} has no 'v' line")
     total = sum(map(len, rotations))
     if total != 2 * m:
         raise GraphSyntaxError(0, f"header claims {m} edges, found {total} darts")
@@ -118,5 +123,15 @@ def parse_coloring(text: str) -> dict[int, int]:
     return out
 
 
+#: Lines per chunk of ``format_coloring``'s output.
+CHUNK = 1024
+
+
 def format_coloring(coloring: dict[int, int]) -> str:
-    return "".join(f"{v} {coloring[v]}\n" for v in sorted(coloring))
+    """One "<id> <color>" line per vertex, ids ascending.  Lines are
+    joined CHUNK at a time and then the chunks, so no list holds one
+    string per vertex."""
+    ids = sorted(coloring)
+    chunks = ["".join([f"{v} {coloring[v]}\n" for v in ids[i:i + CHUNK]])
+              for i in range(0, len(ids), CHUNK)]
+    return "".join(chunks)

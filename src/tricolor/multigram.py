@@ -52,6 +52,10 @@ SHAPES = {
     HEXAGRAM: (6, 1, 1),
 }
 
+#: The longest face a cycle kind lies on: ``cycle_candidates`` walks no
+#: further.
+_LONGEST = max(k for k, _, _ in SHAPES.values())
+
 _new = tuple.__new__
 
 #: The constraint cycle C of a plain run: no precolored vertex.
@@ -108,15 +112,15 @@ def cycle_candidates(g: PlaneGraph, v: int) -> Iterator[tuple[tuple[int, ...], t
     """Facial cycles of length 4..6 through v, as (vertices, darts).
 
     Yielded face by face as each incident face is walked, in rotation
-    order: the forward listing from v, then the reversed one.  At most 7
-    sigma steps are spent per incident face, and a consumer that stops
-    early walks no further face.
+    order: the forward listing from v, then the reversed one.  At most
+    ``_LONGEST`` sigma steps are spent per incident face, and a consumer
+    that stops early walks no further face.
     """
     origin = g.d_origin
     for d in g.darts_at(v):
-        walk, closed = g.walk_face(d, 7)
+        walk, closed = g.walk_face(d, _LONGEST)
         k = len(walk)
-        if not closed or k < 4 or k > 6:
+        if not closed or k < 4:
             continue
         verts = tuple([origin[e] for e in walk])
         if len(set(verts)) != k:
@@ -182,7 +186,7 @@ def _is_facial_cycle5(g: PlaneGraph, cyc: tuple[int, int, int, int, int]) -> boo
     if d is None:
         return False
     rev = (cyc[1], cyc[0], cyc[4], cyc[3], cyc[2])
-    return g.face_cycle(d, 6) == cyc or g.face_cycle(g.d_twin[d], 6) == rev
+    return g.face_cycle(d, 5) == cyc or g.face_cycle(g.d_twin[d], 5) == rev
 
 
 def _pentagram_safe(g: PlaneGraph, verts, xs, side25: int, side34: int) -> bool:
@@ -234,7 +238,7 @@ def _four_face_thirds(g: PlaneGraph, v1: int, x: int) -> set[int]:
     if d is None:
         return out
     for e, at in ((d, 2), (g.d_twin[d], 3)):
-        verts = g.face_cycle(e, 5)
+        verts = g.face_cycle(e, 4)
         if verts is not None and len(verts) == 4:
             out.add(verts[at])
     return out

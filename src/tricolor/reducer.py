@@ -2,12 +2,15 @@
 
 Each reduction shrinks the graph by a constant amount (at most 126 edge
 deletions, 116 additions, and at least one vertex removed) and records
-enough to recolor the original: each deleted vertex with its neighbors
-when it was deleted, and each absorbed one with its survivor and its
-neighbors when it was identified.  Coloring extension assigns each
-absorbed vertex its survivor's color and then colors the deleted ones
-with one bounded depth-first search (<= 3^5 assignments).  Extension
-can only fail on a corrupted record, which raises.
+enough to recolor the original: the neighbors each deleted vertex had
+when it was deleted, and each absorbed vertex with its survivor and its
+neighbors when it was identified.  The deleted vertices are a prefix of
+the multigram's vertices in coloring order (all of them, or a
+pentagram's first four), so the record does not list them again.
+Coloring extension assigns each absorbed vertex its survivor's color and
+then colors the deleted ones with one bounded depth-first search
+(<= 3^5 assignments).  Extension can only fail on a corrupted record,
+which raises.
 
 A reduction's record is also the one statement of what it changed:
 ``event_endpoints`` reads off it, after the reduction, every vertex the
@@ -41,8 +44,9 @@ class ExtensionFailure(Exception):
 class ReductionRecord(NamedTuple):
     kind: str
     vertices: tuple[int, ...]
-    # (vertex, its neighbors when it was deleted), in coloring order
-    removed: tuple[tuple[int, tuple[int, ...]], ...]
+    # removed[i]: the neighbors vertices[i] had when it was deleted; the
+    # deleted vertices are vertices[:len(removed)], in coloring order
+    removed: tuple[tuple[int, ...], ...]
     # (survivor, absorbed, absorbed's neighbors at identification time),
     # in application order
     identifications: tuple[tuple[int, int, tuple[int, ...]], ...]
@@ -63,7 +67,7 @@ def event_endpoints(g: PlaneGraph, record: ReductionRecord) -> tuple[int, ...]:
     from, is not read; it stays the first argument so that a tracer can
     read its ``work`` around the call, as ``bench/spans.py`` does."""
     out = record.vertices
-    for _, nbrs in record.removed:
+    for nbrs in record.removed:
         out += nbrs
     for survivor, absorbed, moved in record.identifications:
         out += (survivor, absorbed, *moved)
@@ -83,12 +87,13 @@ def reduce(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     """Apply the per-kind reduction of m, mutating g.
 
     Each kind states a plan, read off g before it changes: the vertices
-    it deletes (``gone``), the decagram's added edge x1-x3 (``chord``)
-    and the (survivor, absorbed) identifications across a face
-    (``joins``).  One path applies it and counts the edges surgery
-    deleted and added.  ``gone`` goes last-listed first, so each deleted
-    vertex keeps every neighbor ``extend`` colors before it.  m must be
-    (C-)secure; the reduction does not re-check it.
+    it deletes (``gone``, a prefix of m's vertices), the decagram's
+    added edge x1-x3 (``chord``) and the (survivor, absorbed)
+    identifications across a face (``joins``).  One path applies it and
+    counts the edges surgery deleted and added.  ``gone`` goes
+    last-listed first, so each deleted vertex keeps every neighbor
+    ``extend`` colors before it.  m must be (C-)secure; the reduction
+    does not re-check it.
     """
     kind = m.kind
     verts = m.vertices
@@ -104,7 +109,7 @@ def reduce(g: PlaneGraph, m: Multigram) -> ReductionRecord:
         joins = ((verts[i], verts[j], m.darts[i], m.darts[j]),)
     elif kind == DECAGRAM:
         gone = verts
-        pend = pendant_darts(g, verts, 5)
+        pend = pendant_darts(g, verts, 3)     # x1 and x3 only
         chord = (m.aux[0], _next_surviving(g, g.d_twin[pend[0]], gone),
                  m.aux[2], _next_surviving(g, g.d_twin[pend[2]], gone))
     elif kind == PENTAGRAM:
@@ -123,7 +128,7 @@ def reduce(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     deleted = added = 0
     for v in reversed(gone):
         nbrs = tuple(g.remove_vertex(v))
-        removed = ((v, nbrs),) + removed
+        removed = (nbrs,) + removed
         deleted += len(nbrs)
     if chord is not None:
         g.add_edge_at(*chord)
@@ -156,28 +161,27 @@ def extend(record: ReductionRecord, coloring: dict[int, int]) -> dict[int, int]:
         if survivor not in coloring:
             raise ExtensionFailure(f"survivor {survivor} uncolored")
         coloring[absorbed] = coloring[survivor]
-    removed = record.removed
+    verts, removed = record.vertices, record.removed
     k = len(removed)
     choice = [0] * k
     i = 0
     while i < k:
-        v, nbrs = removed[i]
-        used = set(map(coloring.get, nbrs))
+        used = set(map(coloring.get, removed[i]))
         c = choice[i]
         while c in used:
             c += 1
         if c < 3:
-            coloring[v] = c
+            coloring[verts[i]] = c
             choice[i] = c + 1
             i += 1
         else:
-            # no color left for v: uncolor the previous deleted vertex
-            # and go on with its next color
+            # no color left for verts[i]: uncolor the previous deleted
+            # vertex and go on with its next color
             choice[i] = 0
             i -= 1
             if i < 0:
                 raise ExtensionFailure(record)
-            del coloring[removed[i][0]]
+            del coloring[verts[i]]
     return coloring
 
 

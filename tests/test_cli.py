@@ -118,6 +118,16 @@ def test_solver_failure_is_one_error_line(k4_file, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_unlisted_vertex_exits_one(tmp_path, capsys):
+    # the header claims three vertices and no line lists any of them
+    path = tmp_path / "bare.graph"
+    path.write_text("p 3 0\n")
+    assert main(["color", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: line 0: vertex 0 has no 'v' line\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["color"])

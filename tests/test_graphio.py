@@ -1,10 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tricolor.generators import augmented
 from tricolor.graphio import (
-    GraphSyntaxError, format_coloring, parse, parse_coloring, serialize,
+    CHUNK, GraphSyntaxError, format_coloring, parse, parse_coloring,
+    serialize,
 )
 from tricolor.instances import cycle_graph
 
@@ -82,6 +85,8 @@ class TestSyntaxErrors:
         ("p 2 1\n# v 0 1\nq 0 1\n", "line 3: unknown record 'q'"),
         ("# only a comment\n", "line 0: missing header"),
         ("p 2 3\nv 0 1\nv 1 0\n", "line 0: header claims 3 edges, found 2 darts"),
+        ("p 3 0\n", "line 0: vertex 0 has no 'v' line"),
+        ("p 3 0\nv 0\nv 2\n", "line 0: vertex 1 has no 'v' line"),
     ])
     def test_messages(self, text, message):
         with pytest.raises(GraphSyntaxError) as err:
@@ -97,6 +102,15 @@ class TestColoringFiles:
     def test_round_trip(self):
         col = {0: 1, 5: 2, 3: 0}
         assert parse_coloring(format_coloring(col)) == col
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                   3 * CHUNK + 7])
+    def test_chunks_join_to_one_text(self, n):
+        ids = list(range(n))
+        random.Random(n).shuffle(ids)
+        col = {v: v % 3 for v in ids}
+        assert format_coloring(col) == "".join(
+            f"{v} {col[v]}\n" for v in sorted(col))
 
     def test_duplicate_vertex(self):
         with pytest.raises(GraphSyntaxError):

@@ -130,7 +130,7 @@ class TestExtend:
         assert out[v3] == out[v1] == 0
 
     def test_monogram_greedy(self):
-        rec = ReductionRecord(MONOGRAM, (9,), ((9, (1, 2)),), (), 2, 0)
+        rec = ReductionRecord(MONOGRAM, (9,), ((1, 2),), (), 2, 0)
         out = extend(rec, {1: 0, 2: 1})
         assert out[9] == 2
 
@@ -142,16 +142,16 @@ class TestExtend:
     def test_backtracks_where_greedy_fails(self):
         # a=1 first leaves b no color; the search must move a to 2
         a, b, u, w, z = 10, 11, 1, 2, 3
-        rec = ReductionRecord(OCTAGRAM, (a, b),
-                              ((a, (u, b)), (b, (a, w, z))), (), 0, 0)
+        rec = ReductionRecord(OCTAGRAM, (a, b), ((u, b), (a, w, z)), (),
+                              0, 0)
         out = extend(rec, {u: 0, w: 0, z: 2})
         assert (out[a], out[b]) == (2, 1)
 
     def test_no_extension_raises(self):
         # a is forced to 2, and then b has no color
         a, b, u, x, w, z = 10, 11, 1, 2, 3, 4
-        rec = ReductionRecord(OCTAGRAM, (a, b),
-                              ((a, (u, x, b)), (b, (a, w, z))), (), 0, 0)
+        rec = ReductionRecord(OCTAGRAM, (a, b), ((u, x, b), (a, w, z)), (),
+                              0, 0)
         coloring = {u: 0, x: 1, w: 0, z: 1}
         with pytest.raises(ExtensionFailure):
             extend(rec, coloring)
@@ -238,21 +238,24 @@ def _uncovered(before, g, record):
     g's now, by the reduction that wrote ``record``, but that
     ``event_endpoints`` leaves out.  Also checks that the record tells
     what surgery did: its edge and vertex counts match the change in
-    g's, each deleted vertex is listed with its neighbors before the
-    reduction less the deleted vertices listed after it, and each
-    identification moved exactly the absorbed vertex's neighbors before
-    the reduction, less the vertices it deleted, with earlier absorbed
-    ones renamed to their survivors (a pentagram deletes v1..v4 before
-    it identifies)."""
+    g's; the deleted vertices, the first ``len(record.removed)`` of its
+    vertices, are dead, and each one's ``removed`` entry is its
+    neighbors before the reduction less the deleted vertices after it;
+    each identification moved exactly the absorbed vertex's neighbors
+    before the reduction, less the vertices it deleted, with earlier
+    absorbed ones renamed to their survivors (a pentagram deletes v1..v4
+    before it identifies)."""
     n0 = sum(alive for alive, _, _, _ in before)
     m0 = sum(deg for _, deg, _, _ in before) // 2
     assert n0 - g.n_alive == record.vertices_removed, record
     assert m0 - g.m_alive == record.edges_deleted - record.edges_added, record
-    for i, (v, nbrs) in enumerate(record.removed):
-        later = {u for u, _ in record.removed[i + 1:]}
+    deleted = record.vertices[:len(record.removed)]
+    for i, (v, nbrs) in enumerate(zip(deleted, record.removed)):
+        assert not g.v_alive[v], record
+        later = set(deleted[i + 1:])
         assert sorted(nbrs) == sorted(
             w for _, w in before[v][3] if w not in later), record
-    gone = {v for v, _ in record.removed}
+    gone = set(deleted)
     renamed = {}
     for survivor, absorbed, moved in record.identifications:
         nbrs = {renamed.get(w, w) for _, w in before[absorbed][3]}
@@ -338,7 +341,7 @@ class TestEventEndpoints:
         # the rule, not today's reductions, in which every survivor and
         # absorbed vertex is also a multigram vertex or a deleted
         # vertex's neighbor; one tuple in record order, repeats kept
-        rec = ReductionRecord(PENTAGRAM, (1, 2), ((1, (2, 3, 4)),),
+        rec = ReductionRecord(PENTAGRAM, (1, 2), ((2, 3, 4),),
                               ((5, 6, (7, 8)), (9, 10, ())), 0, 0)
         assert event_endpoints(None, rec) == (1, 2, 2, 3, 4, 5, 6, 7, 8,
                                               9, 10)
