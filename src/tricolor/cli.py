@@ -2,13 +2,15 @@
 
 Subcommands:
 
-    color [--precolor FILE] [--validate] [--stats] INPUT
+    color [--precolor FILE] [--stats] INPUT
     check INPUT COLORING
     gen --kind K --size N --seed S [--delete P] [--out FILE]
-    oracle INPUT
+    oracle [--cap N] INPUT
 
-Exit codes: 0 success, 1 check, validation or solver failure, 2 usage
-error.
+``color`` parses its input (rotation pairing, id ranges, Euler check)
+and rejects a graph with a triangle before it solves.
+
+Exit codes: 0 success, 1 check, input or solver failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .embedding import EmbeddingError, validate
+from .embedding import EmbeddingError
 from .generators import GenSpec, InvalidSpec, generate
 from .graphio import (
     GraphSyntaxError, format_coloring, parse, parse_coloring, serialize,
@@ -44,10 +46,8 @@ def _load_graph(path: str):
 
 def _cmd_color(args) -> int:
     g = _load_graph(args.input)
-    if args.validate:
-        validate(g)
-        if not is_triangle_free(SimpleGraph.from_plane_graph(g)):
-            raise TriangleFound("input graph has a triangle")
+    if not is_triangle_free(SimpleGraph.from_plane_graph(g)):
+        raise TriangleFound("input graph has a triangle")
     phi = None
     if args.precolor is not None:
         phi = parse_coloring(_read_text(args.precolor))
@@ -114,8 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--precolor", metavar="FILE",
                    help="'id color' lines covering one facial <=5-cycle")
-    p.add_argument("--validate", action="store_true",
-                   help="check the embedding and triangle-freeness first")
     p.add_argument("--stats", action="store_true",
                    help="print run statistics to stderr")
     p.set_defaults(func=_cmd_color)

@@ -629,7 +629,7 @@ def validate(g: PlaneGraph) -> None:
     dead vertex must keep no dart.  The edge and vertex counters follow,
     then a check that the walks reached every alive dart, so none is in
     no rotation, and last the per-component Euler formula.  Linear cost;
-    run by tests, audit hooks and `tricolor color --validate`.
+    run by tests, audit hooks, ``generate`` and the benchmark.
     """
     v_alive, v_deg = g.v_alive, g.v_deg
     origin, twin, nxt, prv, alive = (g.d_origin, g.d_twin, g.d_next,

@@ -70,7 +70,7 @@ def _validate_output(g: PlaneGraph) -> None:
 
 
 def grid(k: int, delete_prob: float = 0.0, seed: int = 0) -> PlaneGraph:
-    rot = grid_rotations(k, k)
+    rot = grid_rotations(k)
     if delete_prob > 0.0:
         rng = random.Random(seed)
         adj = [set(r) for r in rot]
@@ -83,13 +83,16 @@ def grid(k: int, delete_prob: float = 0.0, seed: int = 0) -> PlaneGraph:
     return build(rot)
 
 
-def _random_face(g: PlaneGraph, rng: random.Random,
-                 cap: int = 64) -> list[int] | None:
+#: longest face walk the growth ops look at
+FACE_CAP = 64
+
+
+def _random_face(g: PlaneGraph, rng: random.Random) -> list[int] | None:
     for _ in range(32):
         d = rng.randrange(len(g.d_origin))
         if not g.d_alive[d]:
             continue
-        walk, closed = g.walk_face(d, cap)
+        walk, closed = g.walk_face(d, FACE_CAP)
         if closed:
             return walk
     return None

@@ -158,25 +158,25 @@ def big_hub_graph(spokes: int = 60, pendant: bool = True) -> PlaneGraph:
     return g
 
 
-def grid_rotations(rows: int, cols: int) -> list[list[int]]:
-    """rows x cols grid; neighbor order N, E, S, W is a plane rotation."""
-    if rows < 1 or cols < 1:
+def grid_rotations(k: int) -> list[list[int]]:
+    """k x k grid; neighbor order N, E, S, W is a plane rotation."""
+    if k < 1:
         raise ValueError("grid needs positive dimensions")
     rot: list[list[int]] = []
-    for i in range(rows):
-        for j in range(cols):
+    for i in range(k):
+        for j in range(k):
             nbrs = []
             if i > 0:
-                nbrs.append((i - 1) * cols + j)
-            if j < cols - 1:
-                nbrs.append(i * cols + j + 1)
-            if i < rows - 1:
-                nbrs.append((i + 1) * cols + j)
+                nbrs.append((i - 1) * k + j)
+            if j < k - 1:
+                nbrs.append(i * k + j + 1)
+            if i < k - 1:
+                nbrs.append((i + 1) * k + j)
             if j > 0:
-                nbrs.append(i * cols + j - 1)
+                nbrs.append(i * k + j - 1)
             rot.append(nbrs)
     return rot
 
 
-def grid_graph(rows: int, cols: int | None = None) -> PlaneGraph:
-    return build(grid_rotations(rows, cols if cols is not None else rows))
+def grid_graph(k: int) -> PlaneGraph:
+    return build(grid_rotations(k))

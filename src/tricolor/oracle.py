@@ -95,48 +95,46 @@ def is_triangle_free(sg: SimpleGraph) -> bool:
     return True
 
 
+def _colorings(sg: SimpleGraph, order: list[int]) -> Iterator[dict[int, int]]:
+    """Every proper 3-coloring, by depth-first search over ``order`` with
+    colors 0, 1, 2 in turn; the stack is ``choice``, the next color to
+    try at each depth, so no input size reaches the recursion limit."""
+    adj, k = sg.adj, len(order)
+    coloring: dict[int, int] = {}
+    choice = [0] * k
+    i = 0
+    while i >= 0:
+        if i == k:
+            yield dict(coloring)
+        else:
+            used = set(map(coloring.get, adj[order[i]]))
+            c = choice[i]
+            while c in used:
+                c += 1
+            if c < 3:
+                coloring[order[i]] = c
+                choice[i] = c + 1
+                i += 1
+                continue
+            choice[i] = 0
+        # back up one depth and go on with its next color
+        i -= 1
+        if i >= 0:
+            del coloring[order[i]]
+
+
 def brute_force_3color(sg: SimpleGraph, cap: int = 30) -> dict[int, int] | None:
-    """Backtracking search, most-constrained-first; None if uncolorable."""
+    """The first coloring most-constrained-first; None if uncolorable."""
     _check_cap(len(sg), cap)
     order = sorted(sg.adj, key=lambda v: -len(sg.adj[v]))
-    coloring: dict[int, int] = {}
-
-    def feasible(v: int, c: int) -> bool:
-        return all(coloring.get(w) != c for w in sg.adj[v])
-
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for c in (0, 1, 2):
-            if feasible(v, c):
-                coloring[v] = c
-                if rec(i + 1):
-                    return True
-                del coloring[v]
-        return False
-
-    return dict(coloring) if rec(0) else None
+    return next(_colorings(sg, order), None)
 
 
 def enumerate_3colorings(sg: SimpleGraph) -> Iterator[dict[int, int]]:
-    """All proper 3-colorings (small instances only)."""
+    """All proper 3-colorings, ids searched in ascending order (small
+    instances only)."""
     _check_cap(len(sg), ENUMERATE_CAP)
-    order = sorted(sg.adj)
-    coloring: dict[int, int] = {}
-
-    def rec(i: int) -> Iterator[dict[int, int]]:
-        if i == len(order):
-            yield dict(coloring)
-            return
-        v = order[i]
-        for c in (0, 1, 2):
-            if all(coloring.get(w) != c for w in sg.adj[v]):
-                coloring[v] = c
-                yield from rec(i + 1)
-                del coloring[v]
-
-    return rec(0)
+    return _colorings(sg, sorted(sg.adj))
 
 
 def all_paths_upto(sg: SimpleGraph, s: int, t: int, max_len: int,

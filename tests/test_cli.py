@@ -5,6 +5,8 @@ from tricolor.graphio import parse, parse_coloring, serialize
 from tricolor.instances import cube_graph, cycle_graph, graph_from_faces
 from tricolor.multigram import KIND_ORDER
 from tricolor.oracle import SimpleGraph, facial_cycles, is_proper
+from tricolor.reducer import ExtensionFailure
+from tricolor.solver import ExhaustedQueueNonempty, Solver
 
 
 @pytest.fixture
@@ -15,7 +17,7 @@ def cube_file(tmp_path):
 
 
 def test_color_then_check(tmp_path, cube_file, capsys):
-    assert main(["color", "--validate", "--stats", str(cube_file)]) == 0
+    assert main(["color", "--stats", str(cube_file)]) == 0
     out = capsys.readouterr()
     coloring = parse_coloring(out.out)
     assert len(coloring) == 8 and set(coloring.values()) <= {0, 1, 2}
@@ -106,16 +108,41 @@ def k4_file(tmp_path):
     return path
 
 
-def test_validate_catches_triangle(k4_file, capsys):
-    assert main(["color", "--validate", str(k4_file)]) == 1
-    assert capsys.readouterr().err == "error: input graph has a triangle\n"
+def test_validate_catches_triangle(tmp_path, k4_file, capsys):
+    # K4 and a triangle with a pendant, which the solver would color
+    tri = tmp_path / "tri.graph"
+    tri.write_text("p 4 4\nv 0 1 2 3\nv 1 2 0\nv 2 0 1\nv 3 0\n")
+    for path in (k4_file, tri):
+        assert main(["color", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: input graph has a triangle\n"
 
 
-def test_solver_failure_is_one_error_line(k4_file, capsys):
-    # without --validate the solver itself runs dry on the triangles
-    assert main(["color", str(k4_file)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+def test_solver_failure_is_one_error_line(cube_file, capsys, monkeypatch):
+    # the triangle check stops every input the solver is known to fail
+    # on, so the failures are injected
+    for exc in (ExhaustedQueueNonempty("worklist empty with 4 vertices left"),
+                ExtensionFailure("survivor 3 uncolored")):
+        def fail(self, exc=exc):
+            raise exc
+        monkeypatch.setattr(Solver, "run", fail)
+        assert main(["color", str(cube_file)]) == 1
+        assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def test_oracle_colors_large_grid(tmp_path, capsys):
+    # one explicit stack: 1600 vertices is far past the recursion limit
+    path = tmp_path / "grid40.graph"
+    assert main(["gen", "--kind", "grid", "--size", "1600",
+                 "--out", str(path)]) == 0
+    assert main(["oracle", "--cap", "2000", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    coloring = parse_coloring(out.out)
+    assert len(coloring) == 1600
+    assert is_proper(SimpleGraph.from_plane_graph(parse(path.read_text())),
+                     coloring)
 
 
 def test_unlisted_vertex_exits_one(tmp_path, capsys):
@@ -128,10 +155,12 @@ def test_unlisted_vertex_exits_one(tmp_path, capsys):
     assert out.err == "error: line 0: vertex 0 has no 'v' line\n"
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["color"])
-    assert exc.value.code == 2
+def test_usage_error_exit_code(cube_file):
+    # color has no --validate: its one gate runs on every input
+    for argv in (["color"], ["color", "--validate", str(cube_file)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def _write(path, data: bytes):

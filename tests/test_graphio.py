@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tricolor.generators import augmented
+from conftest import gadget_union
+from tricolor.embedding import EmbeddingError, validate
+from tricolor.generators import augmented, quad
 from tricolor.graphio import (
     CHUNK, GraphSyntaxError, format_coloring, parse, parse_coloring,
     serialize,
 )
-from tricolor.instances import cycle_graph
+from tricolor.instances import big_hub_graph, cycle_graph
 
 
 def test_c4_round_trip():
@@ -51,6 +53,62 @@ def test_serializing_mutated_graph_rejected():
     g.remove_isolated_vertex(0)
     with pytest.raises(ValueError):
         serialize(g)
+
+
+def _mutant(text: str, rng: random.Random) -> str:
+    """``text`` with one to three rotation entries swapped, dropped,
+    replaced or inserted, each drop, replace or insert mirrored at the
+    other endpoint half the time, and the header's edge count redone."""
+    rot = [line.split()[2:] for line in text.splitlines()[1:]]
+    n = len(rot)
+
+    def insert(v, w):
+        rot[v].insert(rng.randint(0, len(rot[v])), str(w))
+
+    for _ in range(rng.randint(1, 3)):
+        v = rng.randrange(n)
+        r = rot[v]
+        op = rng.choice(("swap", "drop", "replace", "insert"))
+        mirror = rng.random() < 0.5
+        if op == "swap" and len(r) >= 2:
+            i, j = rng.sample(range(len(r)), 2)
+            r[i], r[j] = r[j], r[i]
+        elif op in ("drop", "replace") and r:
+            w = int(r.pop(rng.randrange(len(r))))
+            if mirror and str(v) in rot[w]:
+                rot[w].remove(str(v))
+            if op == "replace":
+                x = rng.randrange(n)
+                insert(v, x)
+                if mirror:
+                    insert(x, v)
+        elif op == "insert":
+            w = rng.randrange(n)
+            insert(v, w)
+            if mirror:
+                insert(w, v)
+    lines = [" ".join(["v", str(v), *r]) for v, r in enumerate(rot)]
+    return "\n".join([f"p {n} {sum(map(len, rot)) // 2}", *lines]) + "\n"
+
+
+def test_parse_accepts_only_valid_embeddings():
+    # parse (pairing, ranges, the Euler check in build) establishes
+    # everything validate checks, so validate never fails after it
+    rng = random.Random(1)
+    accepted = changed = 0
+    for g in (quad(40, 1), augmented(40, 2), big_hub_graph(), gadget_union()):
+        text = serialize(g)
+        for _ in range(300):
+            try:
+                mutant = parse(_mutant(text, rng))
+            except (GraphSyntaxError, EmbeddingError):
+                continue
+            validate(mutant)
+            accepted += 1
+            changed += serialize(mutant) != text
+    # 213 of the 1200 mutants parse, 162 of them a different graph; the
+    # floors keep the test from passing with nothing accepted
+    assert accepted >= 150 and changed >= 100, (accepted, changed)
 
 
 class TestSyntaxErrors:
