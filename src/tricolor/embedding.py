@@ -3,9 +3,9 @@
 A graph drawn in the plane (or on the sphere) is stored as a rotation
 system.  Every edge contributes two *darts* (directed sides); darts and
 vertices are dense integer ids into parallel arrays, and ids are never
-reused, so stale references are detectably dead.  Each vertex keeps the
-cyclic clockwise order of its outgoing darts through ``d_next``/``d_prev``
-and an exact degree counter.
+reused, so stale references are detectably dead (a dart by ``d_origin``
+-1).  Each vertex keeps the cyclic clockwise order of its outgoing
+darts through ``d_next``/``d_prev`` and an exact degree counter.
 
 The face-successor permutation is fixed as
 
@@ -55,11 +55,11 @@ class EmbeddingCorruption(EmbeddingError):
 
 
 class PlaneGraph:
-    """Plane graph as parallel id arrays.  Single-owner mutable value."""
+    """Plane graph as id arrays, origin -1 at a dead dart; single-owner, mutable."""
 
     __slots__ = (
         "v_alive", "v_deg", "v_dart",
-        "d_origin", "d_twin", "d_next", "d_prev", "d_alive",
+        "d_origin", "d_twin", "d_next", "d_prev",
         "n_alive", "m_alive", "work",
     )
 
@@ -67,11 +67,10 @@ class PlaneGraph:
         self.v_alive: list[bool] = []
         self.v_deg: list[int] = []
         self.v_dart: list[int] = []     # some outgoing dart, -1 if isolated
-        self.d_origin: list[int] = []
+        self.d_origin: list[int] = []   # -1 for a dead dart
         self.d_twin: list[int] = []
         self.d_next: list[int] = []
         self.d_prev: list[int] = []
-        self.d_alive: list[bool] = []
         self.n_alive = 0
         self.m_alive = 0
         self.work = 0
@@ -93,7 +92,6 @@ class PlaneGraph:
         self.d_twin.append(-1)
         self.d_next.append(-1)
         self.d_prev.append(-1)
-        self.d_alive.append(True)
         return d
 
     def copy(self) -> "PlaneGraph":
@@ -105,10 +103,15 @@ class PlaneGraph:
         g.d_twin = list(self.d_twin)
         g.d_next = list(self.d_next)
         g.d_prev = list(self.d_prev)
-        g.d_alive = list(self.d_alive)
         g.n_alive = self.n_alive
         g.m_alive = self.m_alive
         return g
+
+    def clear(self) -> None:
+        """Drop every vertex and dart, freeing the arrays; ``work`` stays."""
+        work = self.work
+        PlaneGraph.__init__(self)
+        self.work = work
 
     # ------------------------------------------------------------------
     # basic queries
@@ -193,7 +196,7 @@ class PlaneGraph:
 
     def walk_face(self, d: int, limit: int) -> tuple[list[int], bool]:
         """Up to ``limit`` sigma steps from d: (darts, closed-within-limit)."""
-        if not self.d_alive[d]:
+        if self.d_origin[d] < 0:
             raise EmbeddingError(f"dead dart {d}")
         out = [d]
         nxt, twin = self.d_next, self.d_twin
@@ -241,7 +244,7 @@ class PlaneGraph:
     # mutation
 
     def remove_edge(self, d: int) -> None:
-        if not self.d_alive[d]:
+        if self.d_origin[d] < 0:
             raise EmbeddingError(f"dead dart {d}")
         nxt, prv, v_dart, v_deg = self.d_next, self.d_prev, self.v_dart, self.v_deg
         for e in (d, self.d_twin[d]):
@@ -256,7 +259,7 @@ class PlaneGraph:
                 prv[n] = p
                 if v_dart[u] == e:
                     v_dart[u] = n
-            self.d_alive[e] = False
+            self.d_origin[e] = -1
             v_deg[u] -= 1
         self.m_alive -= 1
         self.work += 1
@@ -266,7 +269,7 @@ class PlaneGraph:
         counted in ``work`` as ``remove_edge`` does, then v through
         ``remove_isolated_vertex``; returns the heads in rotation order."""
         nxt, prv, v_dart, v_deg = self.d_next, self.d_prev, self.v_dart, self.v_deg
-        origin, twin, alive = self.d_origin, self.d_twin, self.d_alive
+        origin, twin = self.d_origin, self.d_twin
         k = v_deg[v]
         heads = []
         d = v_dart[v]
@@ -286,7 +289,7 @@ class PlaneGraph:
                 prv[n] = p
                 if v_dart[w] == t:
                     v_dart[w] = n
-            alive[d] = alive[t] = False
+            origin[d] = origin[t] = -1
             v_deg[w] -= 1
             d = nxt[d]
         v_deg[v] = 0
@@ -296,14 +299,13 @@ class PlaneGraph:
         return heads
 
     def _check_position(self, w: int, ref: int | None) -> None:
-        """w is alive and ref places a new dart there: None only at an
-        isolated w, else an alive dart rooted at w."""
+        """w is alive and ref is a dart at w, or None at an isolated w."""
         if not self.v_alive[w]:
             raise EmbeddingError(f"dead vertex {w}")
         if ref is None:
             if self.v_deg[w] != 0:
                 raise EmbeddingError(f"position required at vertex {w}")
-        elif not self.d_alive[ref] or self.d_origin[ref] != w:
+        elif self.d_origin[ref] != w:
             raise EmbeddingError(f"dart {ref} is dead or not at vertex {w}")
 
     def _insert_before(self, u: int, ref: int | None, nd: int) -> None:
@@ -409,7 +411,7 @@ class PlaneGraph:
         collapsed: list[int] = []
         if deg_a and deg_b:
             for seam in (d_a, d_b):
-                if not self.d_alive[seam]:
+                if origin[seam] < 0:
                     continue
                 e = self.d_next[twin[seam]]
                 if e == twin[seam] or self.d_next[twin[e]] != seam:
@@ -444,7 +446,7 @@ class RecordingGraph(PlaneGraph):
     def __init__(self, g: PlaneGraph) -> None:
         self.v_alive, self.v_deg, self.v_dart = g.v_alive, g.v_deg, g.v_dart
         self.d_origin, self.d_twin = g.d_origin, g.d_twin
-        self.d_next, self.d_prev, self.d_alive = g.d_next, g.d_prev, g.d_alive
+        self.d_next, self.d_prev = g.d_next, g.d_prev
         self.work = 0
         self.reads: list[int] = []
 
@@ -515,8 +517,8 @@ def build(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
     deg = list(map(len, rotations))
     heads = list(chain.from_iterable(rotations))
     nd = len(heads)
-    ids = list(range(nd + 1))       # the dart ints that every dart array shares
-    origin = list(chain.from_iterable(map(repeat, range(n), deg)))
+    ids = list(range(max(nd + 1, n)))   # the ints all arrays share
+    origin = list(chain.from_iterable(map(repeat, ids, deg)))
     if (any(map(eq, origin, heads))
             or heads and (min(heads) < 0 or max(heads) >= n)):
         raise _fault(n, origin, heads)
@@ -533,8 +535,8 @@ def build(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
         raise _fault(n, origin, heads)
     del heads, start                # before the next/prev lists add to the peak
     # each block's darts point to their neighbors in the block, cyclically
-    nxt = ids[1:]
-    prv = ids[nd - 1:nd] + ids[:nd - 1]
+    nxt = ids[1:nd + 1]
+    prv = ids[nd - 1:nd] + ids[:nd - 1] if nd else []
     v_dart = [-1] * n
     for u, k, e in compress(zip(range(n), deg, accumulate(deg)), deg):
         first, last = ids[e - k], ids[e - 1]
@@ -549,9 +551,7 @@ def build(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
     g.d_twin = twin
     g.d_next = nxt
     g.d_prev = prv
-    g.d_alive = [True] * nd
-    g.n_alive = n
-    g.m_alive = nd // 2
+    g.n_alive, g.m_alive = n, nd // 2
     _check_euler(g)
     return g
 
@@ -603,9 +603,8 @@ def _check_euler(g: PlaneGraph) -> None:
                     break
     faces = 0
     seen = [False] * len(origin)
-    alive = g.d_alive
     for d in range(len(origin)):
-        if not alive[d] or seen[d]:
+        if seen[d] or origin[d] < 0:
             continue
         faces += 1
         e = d
@@ -632,8 +631,7 @@ def validate(g: PlaneGraph) -> None:
     run by tests, audit hooks, ``generate`` and the benchmark.
     """
     v_alive, v_deg = g.v_alive, g.v_deg
-    origin, twin, nxt, prv, alive = (g.d_origin, g.d_twin, g.d_next,
-                                     g.d_prev, g.d_alive)
+    origin, twin, nxt, prv = g.d_origin, g.d_twin, g.d_next, g.d_prev
     walked = n_alive = 0
     for v, d0 in enumerate(g.v_dart):
         if not v_alive[v]:
@@ -648,10 +646,11 @@ def validate(g: PlaneGraph) -> None:
             while True:
                 if len(heads) > deg:
                     raise EmbeddingCorruption(f"rotation at {v} exceeds degree")
-                if not alive[d] or origin[d] != v:
+                if origin[d] != v:
                     raise EmbeddingCorruption(f"foreign dart {d} at vertex {v}")
                 t = twin[d]
-                if t == d or not alive[t] or twin[t] != d:
+                # origin[t] < 0 first: index -1 would read the last vertex
+                if t == d or origin[t] < 0 or twin[t] != d:
                     raise EmbeddingCorruption(f"twin involution broken at dart {d}")
                 w = origin[t]
                 if not v_alive[w]:
@@ -669,7 +668,7 @@ def validate(g: PlaneGraph) -> None:
         if len(set(heads)) != deg:
             raise EmbeddingCorruption(f"parallel edges at vertex {v}")
         walked += deg
-    alive_darts = sum(alive)
+    alive_darts = len(origin) - origin.count(-1)
     if alive_darts != 2 * g.m_alive:
         raise EmbeddingCorruption("edge counter out of sync")
     if n_alive != g.n_alive:

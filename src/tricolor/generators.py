@@ -90,7 +90,7 @@ FACE_CAP = 64
 def _random_face(g: PlaneGraph, rng: random.Random) -> list[int] | None:
     for _ in range(32):
         d = rng.randrange(len(g.d_origin))
-        if not g.d_alive[d]:
+        if g.d_origin[d] < 0:
             continue
         walk, closed = g.walk_face(d, FACE_CAP)
         if closed:

@@ -28,8 +28,7 @@ class GraphSyntaxError(Exception):
 
 def parse_rotations(text: str) -> list[list[int]]:
     n = m = -1
-    rotations: list[list[int]] | None = None
-    seen = bytearray()
+    rotations: list[list[int] | None] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
@@ -51,8 +50,7 @@ def parse_rotations(text: str) -> list[list[int]]:
             if n > len(text):
                 raise GraphSyntaxError(lineno, f"header claims {n} vertices "
                                                f"in {len(text)} characters")
-            rotations = [[] for _ in range(n)]
-            seen = bytearray(n)
+            rotations, ids = [None] * n, list(range(n))
         elif tag == "v":
             if rotations is None:
                 raise GraphSyntaxError(lineno, "vertex line before header")
@@ -62,23 +60,22 @@ def parse_rotations(text: str) -> list[list[int]]:
                 raise GraphSyntaxError(lineno, "non-integer vertex id") from None
             if not nbrs:
                 raise GraphSyntaxError(lineno, "missing vertex id")
-            v = nbrs.pop(0)
+            v = nbrs[0]
             if not 0 <= v < n:
                 raise GraphSyntaxError(lineno, f"vertex id {v} out of range")
-            if seen[v]:
+            if rotations[v] is not None:
                 raise GraphSyntaxError(lineno, f"vertex {v} listed twice")
-            seen[v] = 1
-            if nbrs and (min(nbrs) < 0 or max(nbrs) >= n):
+            if min(nbrs) < 0 or max(nbrs) >= n:     # v is in range
                 w = next(w for w in nbrs if not 0 <= w < n)
                 raise GraphSyntaxError(lineno, f"neighbor {w} out of range")
-            rotations[v] = nbrs
+            # shared ints, in a slice: exact-size, with no spare capacity
+            rotations[v] = [ids[w] for w in nbrs][1:]
         elif not tag.startswith("#"):
             raise GraphSyntaxError(lineno, f"unknown record '{tag}'")
     if rotations is None:
         raise GraphSyntaxError(0, "missing header")
-    v = seen.find(0)
-    if v >= 0:
-        raise GraphSyntaxError(0, f"vertex {v} has no 'v' line")
+    if None in rotations:
+        raise GraphSyntaxError(0, f"vertex {rotations.index(None)} has no 'v' line")
     total = sum(map(len, rotations))
     if total != 2 * m:
         raise GraphSyntaxError(0, f"header claims {m} edges, found {total} darts")

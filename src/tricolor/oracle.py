@@ -172,7 +172,7 @@ def face_orbits(g: PlaneGraph) -> list[list[int]]:
     seen = [False] * len(g.d_origin)
     out = []
     for d in range(len(g.d_origin)):
-        if g.d_alive[d] and not seen[d]:
+        if g.d_origin[d] >= 0 and not seen[d]:
             orbit = g.trace_face(d)
             for e in orbit:
                 seen[e] = True

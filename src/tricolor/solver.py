@@ -166,7 +166,7 @@ AuditHook = Callable[[PlaneGraph, tuple[int, ...], AbstractSet[int]], None]
 
 
 class Solver:
-    """Owns and consumes one PlaneGraph; run() empties it.
+    """Owns and consumes one PlaneGraph; run() empties it down to C.
 
     ``precoloring``, if given, maps the vertices of one facial cycle of
     length 3..5 to colors in {0, 1, 2}, adjacent ones different; the
@@ -198,7 +198,8 @@ class Solver:
         self.records: list[ReductionRecord] = []
 
     def run(self) -> dict[int, int]:
-        """Consume the graph and return the coloring.  The cyclic garbage
+        """Consume the graph and return the coloring; a graph the loop
+        emptied is cleared before the unwind.  The cyclic garbage
         collector, process-wide state, is off during the loop and the
         unwind, and back on after them, on return or raise, if it was on."""
         g = self.graph
@@ -272,6 +273,9 @@ class Solver:
 
             # at most len(C) vertices are left, so all of C alive means only C
             assert all(alive[v] for v in C), (C, g.n_alive)
+            if not g.n_alive:       # the unwind reads only the records
+                del deg, alive
+                g.clear()
             return unwind(records, phi)
         finally:
             stats.pops += pops

@@ -98,9 +98,19 @@ class TestBuild:
         g = build([])
         assert g.n_alive == 0 and g.m_alive == 0
 
+    def test_more_vertices_than_darts(self):
+        # the shared ints cover every vertex id, not only the dart ids
+        g = build([[], [], [], [], [5], [4]])
+        validate(g)
+        assert (g.d_origin, g.d_next, g.v_dart) == ([4, 5], [0, 1],
+                                                     [-1] * 4 + [0, 1])
+        g = build([[], [], []])
+        validate(g)
+        assert (g.d_origin, g.d_next, g.d_prev) == ([], [], [])
+
 
 def _reference_arrays(rotations):
-    """build's eight arrays with the twins paired through one dict keyed
+    """build's seven arrays with the twins paired through one dict keyed
     by ``u * n + w`` over every dart, and build's fault messages: the
     first unknown, self-listed or repeated neighbor in dart order, else
     the first dart whose reverse is not listed."""
@@ -128,11 +138,11 @@ def _reference_arrays(rotations):
         nxt += [b + (i + 1) % k for i in range(k)]
         prv += [b + (i - 1) % k for i in range(k)]
     return ([True] * n, [len(r) for r in rotations], v_dart, origin, twin,
-            nxt, prv, [True] * len(heads))
+            nxt, prv)
 
 
 ARRAYS = ("v_alive", "v_deg", "v_dart", "d_origin", "d_twin", "d_next",
-          "d_prev", "d_alive")
+          "d_prev")
 
 #: graphs for the pairing tests, each from (size, seed); the hub graphs,
 #: the large stars and the gadget union have big vertices
@@ -231,7 +241,7 @@ class TestFaceTracing:
         for orbit in face_orbits(g):
             seen.extend(orbit)
         assert sorted(seen) == [d for d in range(len(g.d_origin))
-                                if g.d_alive[d]]
+                                if g.d_origin[d] >= 0]
 
 
 def _avoid_error(g, v, a, b):
@@ -365,7 +375,7 @@ def _remove_edge_by_edge(g, v):
 
 def _state(g):
     return (g.v_alive, g.v_deg, g.v_dart, g.d_origin, g.d_twin, g.d_next,
-            g.d_prev, g.d_alive, g.n_alive, g.m_alive, g.work)
+            g.d_prev, g.n_alive, g.m_alive, g.work)
 
 
 class TestRemoveVertex:
@@ -596,7 +606,7 @@ class TestRoundTrip:
         from tricolor.graphio import serialize
         g = quad(12, seed)
         before = serialize(g)
-        d = next(iter(d for d in range(len(g.d_origin)) if g.d_alive[d]))
+        d = next(iter(d for d in range(len(g.d_origin)) if g.d_origin[d] >= 0))
         u, w = g.d_origin[d], g.head(d)
         t = g.d_twin[d]
         ref_u = g.d_next[d] if g.d_next[d] != d else None
@@ -671,7 +681,9 @@ VALIDATE_FAULTS = [
     ("dead-keeps-dart", lambda g: g.v_dart.__setitem__(_dead_vertex(g), 0),
      "dead vertex 4 keeps a dart"),
     ("exceeds-degree", _set("v_deg", 0, 0), "rotation at 0 exceeds degree"),
-    ("foreign", _set("d_alive", 1, False), "foreign dart 1 at vertex 0"),
+    ("foreign", _set("d_origin", 1, -1), "foreign dart 1 at vertex 0"),
+    # dart 3 is the twin of dart 0; read as a vertex, -1 is the last one
+    ("dead-twin", _set("d_origin", 3, -1), "twin involution broken at dart 0"),
     ("degree-counter", _set("v_deg", 0, 1), "degree counter wrong at 0"),
     ("parallel", lambda g: g.add_edge_at(0, 0, 1, 2),
      "parallel edges at vertex 0"),

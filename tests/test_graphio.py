@@ -1,15 +1,16 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gadget_union
-from tricolor.embedding import EmbeddingError, validate
+from tricolor.embedding import EmbeddingError, build, validate
 from tricolor.generators import augmented, quad
 from tricolor.graphio import (
     CHUNK, GraphSyntaxError, format_coloring, parse, parse_coloring,
-    serialize,
+    parse_rotations, serialize,
 )
 from tricolor.instances import big_hub_graph, cycle_graph
 
@@ -44,6 +45,21 @@ def test_parse_serialize_identity_on_generated(seed):
     g = augmented(15, seed)
     text = serialize(g)
     assert serialize(parse(text)) == text
+
+
+def test_parsed_and_built_arrays_share_ints():
+    # the layout the memory peak of parse and build depends on: exact-size
+    # rotation lists, one int object per vertex id, and build's origins
+    # the same int objects as its dart ids
+    rotations = parse_rotations(serialize(quad(600, 1)))
+    assert all(sys.getsizeof(r) == sys.getsizeof(r[:]) for r in rotations)
+    first = {}
+    assert all(first.setdefault(w, w) is w for r in rotations for w in r)
+    assert len(first) == 600
+    g = build(rotations)
+    dart = {d: d for d in g.d_next}
+    assert len(g.d_origin) > 600
+    assert all(dart[u] is u for u in g.d_origin)
 
 
 def test_serializing_mutated_graph_rejected():

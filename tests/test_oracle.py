@@ -117,7 +117,7 @@ def test_from_plane_graph_mid_solve():
         assert list(sg.adj) == list(walk)
         assert all(list(sg.adj[v]) == list(walk[v]) for v in walk)
         seen_dead.append(g.n_alive < len(g.v_alive)
-                         and not all(g.d_alive))
+                         and not all(o >= 0 for o in g.d_origin))
 
     for g in (quad(40, 0), dodecahedron_graph(), grid_graph(6)):
         Solver(g, audit=audit).run()

@@ -29,6 +29,19 @@ def test_make_corpus_writes_valid_instances(tmp_path, monkeypatch, capsys):
         assert is_triangle_free(SimpleGraph.from_plane_graph(g)), path.name
 
 
+def test_stage_peaks_augmented(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "bench"))
+    import workloads
+    from tricolor.graphio import serialize
+
+    stage_peaks = _load("stage_peaks").stage_peaks
+    for g in workloads.WORKLOADS["augmented"].graphs(1):
+        peaks = stage_peaks(serialize(g))
+        assert list(peaks) == ["parse", "build", "triangle_check", "solve",
+                               "format"]
+        assert all(mb > 0 for mb in peaks.values()), peaks
+
+
 def test_fingerprint_gadgets(capsys):
     # each gadget union fires its fixed reduction counts (see
     # bench/workloads.GADGET_UNION_KINDS) whatever the shuffle seed

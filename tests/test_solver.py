@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tricolor.embedding import build
+from tricolor.embedding import build, validate
 from tricolor.generators import GenSpec, augmented, generate, quad
 from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph, grid_graph,
@@ -20,7 +20,7 @@ from tricolor.oracle import (
 from tricolor.reducer import ReductionRecord, event_endpoints
 from tricolor.solver import (
     ExhaustedQueueNonempty, ImproperPrecoloring, NotAFacialCycle, Solver,
-    TriangleFound, close_set, three_color,
+    TriangleFound, close_set, facial_cycle, three_color,
 )
 
 from conftest import (
@@ -398,6 +398,31 @@ class TestWakeOrder:
         woken = rule.woken
         Solver(gadget_union(), audit=rule).run()
         assert rule.woken > woken
+
+
+class TestGraphAfterRun:
+    def test_plain_run_clears_the_arrays(self):
+        g = augmented(300, 3)
+        work0 = g.work
+        s = Solver(g)
+        s.run()
+        assert (g.v_alive, g.v_deg, g.v_dart, g.d_origin, g.d_twin, g.d_next,
+                g.d_prev) == ([],) * 7
+        assert g.n_alive == g.m_alive == 0
+        assert g.work == work0 + s.stats.work > work0
+        validate(g)
+
+    def test_precolored_run_keeps_c(self):
+        for seed in range(3):
+            g = augmented(300, seed)
+            n = len(g.v_alive)
+            cyc = next(vs for vs, _ in facial_cycles(g) if len(vs) == 5)
+            s = Solver(g, precoloring=dict(zip(cyc, (0, 1, 0, 1, 2))))
+            s.run()
+            # C's vertices may carry a survivor's id; its edges stay
+            assert len(g.v_alive) == n and set(g.vertex_ids()) == set(s.phi)
+            assert g.m_alive == 5 and facial_cycle(g, s.phi)
+            validate(g)
 
 
 class TestStats:
