@@ -26,9 +26,17 @@ class GraphSyntaxError(Exception):
         self.line = line
 
 
-def parse_rotations(text: str) -> list[list[int]]:
+def parse_rotations(text: str) -> list[tuple[int, ...]]:
+    """Each vertex's rotation, as an exact-size tuple; ids are shared
+    int objects, one per vertex id.
+
+    A "v" line maps its tokens through one table from id text to id,
+    so a range check, an integer check and the mapping are one lookup.
+    A line the table refuses is read again by ``_vertex_line``, which
+    names its first fault.
+    """
     n = m = -1
-    rotations: list[list[int] | None] | None = None
+    rotations: list[tuple[int, ...] | None] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
@@ -50,26 +58,19 @@ def parse_rotations(text: str) -> list[list[int]]:
             if n > len(text):
                 raise GraphSyntaxError(lineno, f"header claims {n} vertices "
                                                f"in {len(text)} characters")
-            rotations, ids = [None] * n, list(range(n))
+            rotations = [None] * n
+            id_of = {str(i): i for i in range(n)}.__getitem__
         elif tag == "v":
             if rotations is None:
                 raise GraphSyntaxError(lineno, "vertex line before header")
             try:
-                nbrs = list(map(int, tokens[1:]))
-            except ValueError:
-                raise GraphSyntaxError(lineno, "non-integer vertex id") from None
-            if not nbrs:
-                raise GraphSyntaxError(lineno, "missing vertex id")
-            v = nbrs[0]
-            if not 0 <= v < n:
-                raise GraphSyntaxError(lineno, f"vertex id {v} out of range")
+                v = id_of(tokens[1])
+                rot = tuple(map(id_of, tokens[2:]))
+            except (IndexError, KeyError):
+                v, rot = _vertex_line(lineno, tokens, rotations, id_of)
             if rotations[v] is not None:
                 raise GraphSyntaxError(lineno, f"vertex {v} listed twice")
-            if min(nbrs) < 0 or max(nbrs) >= n:     # v is in range
-                w = next(w for w in nbrs if not 0 <= w < n)
-                raise GraphSyntaxError(lineno, f"neighbor {w} out of range")
-            # shared ints, in a slice: exact-size, with no spare capacity
-            rotations[v] = [ids[w] for w in nbrs][1:]
+            rotations[v] = rot
         elif not tag.startswith("#"):
             raise GraphSyntaxError(lineno, f"unknown record '{tag}'")
     if rotations is None:
@@ -80,6 +81,29 @@ def parse_rotations(text: str) -> list[list[int]]:
     if total != 2 * m:
         raise GraphSyntaxError(0, f"header claims {m} edges, found {total} darts")
     return rotations
+
+
+def _vertex_line(lineno: int, tokens: list[str], rotations: list,
+                 id_of) -> tuple[int, tuple[int, ...]]:
+    """The vertex and rotation of a "v" line whose tokens are not all
+    id texts.  Raises on the line's first fault; a line that only spells
+    an id another way ``int`` reads, such as "07", is read."""
+    n = len(rotations)
+    try:
+        nbrs = list(map(int, tokens[1:]))
+    except ValueError:
+        raise GraphSyntaxError(lineno, "non-integer vertex id") from None
+    if not nbrs:
+        raise GraphSyntaxError(lineno, "missing vertex id")
+    v = nbrs[0]
+    if not 0 <= v < n:
+        raise GraphSyntaxError(lineno, f"vertex id {v} out of range")
+    if rotations[v] is not None:
+        raise GraphSyntaxError(lineno, f"vertex {v} listed twice")
+    w = next((w for w in nbrs if not 0 <= w < n), None)
+    if w is not None:
+        raise GraphSyntaxError(lineno, f"neighbor {w} out of range")
+    return id_of(str(v)), tuple(id_of(str(w)) for w in nbrs[1:])
 
 
 def parse(text: str) -> PlaneGraph:

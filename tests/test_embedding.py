@@ -744,7 +744,7 @@ def test_build_numbers_darts_in_rotation_order(make):
     validate(g)
     start = 0
     for v, rot in enumerate(rotations):
-        assert list(g.neighbors(v)) == rot
+        assert list(g.neighbors(v)) == list(rot)
         assert list(g.darts_at(v)) == list(range(start, start + len(rot)))
         if rot:
             assert g.v_dart[v] == start and g.head(start) == rot[0]

@@ -29,6 +29,14 @@ def test_noncanonical_input_parses_same_graph():
     assert serialize(parse(rotated)) == canon
 
 
+def test_ids_spelled_another_way():
+    # the id table refuses "00" and "+3"; the line is read again with int()
+    canon = "p 4 4\nv 0 1 3\nv 1 0 2\nv 2 1 3\nv 3 0 2\n"
+    spelled = "p 4 4\nv 00 1 +3\nv 1 0 2\nv 2 01 3\nv 3 0 2\n"
+    assert parse_rotations(spelled) == parse_rotations(canon)
+    assert serialize(parse(spelled)) == canon
+
+
 def test_comments_and_blank_lines():
     g = parse("# a comment\n\np 2 1\nv 0 1\nv 1 0\n")
     assert g.m_alive == 1
@@ -49,7 +57,7 @@ def test_parse_serialize_identity_on_generated(seed):
 
 def test_parsed_and_built_arrays_share_ints():
     # the layout the memory peak of parse and build depends on: exact-size
-    # rotation lists, one int object per vertex id, and build's origins
+    # rotations, one int object per vertex id, and build's origins
     # the same int objects as its dart ids
     rotations = parse_rotations(serialize(quad(600, 1)))
     assert all(sys.getsizeof(r) == sys.getsizeof(r[:]) for r in rotations)
@@ -156,6 +164,11 @@ class TestSyntaxErrors:
         ("p 2 1\nv 0 1\nv 0 9\n", "line 3: vertex 0 listed twice"),
         ("p 3 1\nv 0 1 -2 7\n", "line 2: neighbor -2 out of range"),
         ("p 3 1\nv 0 1 3 -2\n", "line 2: neighbor 3 out of range"),
+        # a line with two faults names the one the checks reach first
+        ("p 2 1\nv 0 1\nv 0 x\n", "line 3: non-integer vertex id"),
+        ("p 2 1\nv 0 1\nv 0 5\n", "line 3: vertex 0 listed twice"),
+        ("p 2 1\nv 5 x\n", "line 2: non-integer vertex id"),
+        ("p 2 1\nv 5 7\n", "line 2: vertex id 5 out of range"),
         ("p 2 1\n# v 0 1\nq 0 1\n", "line 3: unknown record 'q'"),
         ("# only a comment\n", "line 0: missing header"),
         ("p 2 3\nv 0 1\nv 1 0\n", "line 0: header claims 3 edges, found 2 darts"),

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from tricolor.embedding import DEGREE_CAP
 from tricolor.generators import quad
 from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph, grid_graph,
@@ -104,18 +105,75 @@ class TestTriangleCheck:
             sg = SimpleGraph.from_edges(n, edges | {(a, b), (b, c), (a, c)})
             assert has_triangle_slow(sg) and not is_triangle_free(sg), seed
 
+    def test_hubs(self):
+        # vertices above DEGREE_CAP, adjacent hubs, and hubs whose only
+        # triangle runs through one hub edge
+        graphs = hub_graphs()
+        for name, sg in graphs:
+            assert max(map(len, sg.adj.values())) > DEGREE_CAP, name
+            assert is_triangle_free(sg) is not has_triangle_slow(sg), name
+        free = [name for name, sg in graphs if is_triangle_free(sg)]
+        assert free == ["big hub", "double star", "K2,70"]
+
+    def test_reads_are_linear(self):
+        # every element the check reads, counted: 2m to make each
+        # vertex's set, plus one lower-end tuple per edge; a check that
+        # scans the higher end reads a hub's tuple once per leaf
+        grid = SimpleGraph.from_plane_graph(grid_graph(7))
+        for name, sg in hub_graphs() + [("grid", grid)]:
+            m = sum(map(len, sg.adj.values())) // 2
+            bound = 2 * m + sum(min(len(sg.adj[u]), len(sg.adj[w]))
+                                for u, w in sg.edges())
+            Counted.reads = 0
+            is_triangle_free(SimpleGraph({v: Counted(ws)
+                                          for v, ws in sg.adj.items()}))
+            assert 0 < Counted.reads <= bound, (name, Counted.reads, bound)
+
+
+class Counted(tuple):
+    """A neighbor tuple that counts the elements read from it."""
+
+    reads = 0
+
+    def __iter__(self):
+        for w in tuple.__iter__(self):
+            Counted.reads += 1
+            yield w
+
+
+def hub_graphs() -> list[tuple[str, SimpleGraph]]:
+    """Triangle-free graphs with hubs above DEGREE_CAP, each followed by
+    a copy with one triangle through a hub edge."""
+    hub = SimpleGraph.from_plane_graph(big_hub_graph())
+    n = len(hub)
+    # the hub, vertex 120, is adjacent to every even rim vertex, so the
+    # chord 0-2 closes a triangle
+    hub_edges = list(hub.edges()) + [(0, 2)]
+    # double star: hubs 0 and 1, adjacent, with the even and odd leaves
+    star = [(0, 1)] + [(i % 2, i) for i in range(2, 142)]
+    k2n = [(h, i) for i in range(2, 72) for h in (0, 1)]
+    return [
+        ("big hub", hub),
+        ("big hub + rim chord", SimpleGraph.from_edges(n, hub_edges)),
+        ("double star", SimpleGraph.from_edges(142, star)),
+        ("double star + leaf edge", SimpleGraph.from_edges(142, star + [(0, 3)])),
+        ("K2,70", SimpleGraph.from_edges(72, k2n)),
+        ("K2,70 + pendant triangle",
+         SimpleGraph.from_edges(73, k2n + [(0, 72), (2, 72)])),
+    ]
+
 
 def test_from_plane_graph_mid_solve():
     # dead vertices and darts: the adjacency read off the dart arrays
-    # equals the neighbors walk, key order and set order included
+    # equals the neighbors walk as tuples, key order and rotation order
+    # included
     seen_dead = []
 
     def audit(g, queue, C):
         sg = SimpleGraph.from_plane_graph(g)
-        walk = {v: set(g.neighbors(v)) for v in g.vertex_ids()}
+        walk = {v: tuple(g.neighbors(v)) for v in g.vertex_ids()}
         assert sg.adj == walk
         assert list(sg.adj) == list(walk)
-        assert all(list(sg.adj[v]) == list(walk[v]) for v in walk)
         seen_dead.append(g.n_alive < len(g.v_alive)
                          and not all(o >= 0 for o in g.d_origin))
 
