@@ -6,9 +6,10 @@ Graph files:
     p <n> <m>
     v <id> <nbr> <nbr> ...      one line per vertex, clockwise order
 
-Ids are 0-based and dense.  serialize() emits vertices in ascending id
-order with each rotation rotated to start at its smallest neighbor, so
-parse o serialize is the identity on freshly built graphs.
+Ids are 0-based and dense, written as plain decimals ("7", not "07" or
+"+7").  serialize() emits vertices in ascending id order with each
+rotation rotated to start at its smallest neighbor, so parse o
+serialize is the identity on freshly built graphs.
 
 Every vertex needs its own "v" line, an isolated one too ("v <id>").
 
@@ -32,8 +33,8 @@ def parse_rotations(text: str) -> list[tuple[int, ...]]:
 
     A "v" line maps its tokens through one table from id text to id,
     so a range check, an integer check and the mapping are one lookup.
-    A line the table refuses is read again by ``_vertex_line``, which
-    names its first fault.
+    A line the table refuses is an error, and ``_vertex_fault`` names
+    its first fault.
     """
     n = m = -1
     rotations: list[tuple[int, ...] | None] | None = None
@@ -67,7 +68,7 @@ def parse_rotations(text: str) -> list[tuple[int, ...]]:
                 v = id_of(tokens[1])
                 rot = tuple(map(id_of, tokens[2:]))
             except (IndexError, KeyError):
-                v, rot = _vertex_line(lineno, tokens, rotations, id_of)
+                raise _vertex_fault(lineno, tokens, rotations) from None
             if rotations[v] is not None:
                 raise GraphSyntaxError(lineno, f"vertex {v} listed twice")
             rotations[v] = rot
@@ -83,27 +84,28 @@ def parse_rotations(text: str) -> list[tuple[int, ...]]:
     return rotations
 
 
-def _vertex_line(lineno: int, tokens: list[str], rotations: list,
-                 id_of) -> tuple[int, tuple[int, ...]]:
-    """The vertex and rotation of a "v" line whose tokens are not all
-    id texts.  Raises on the line's first fault; a line that only spells
-    an id another way ``int`` reads, such as "07", is read."""
+def _vertex_fault(lineno: int, tokens: list[str],
+                  rotations: list) -> GraphSyntaxError:
+    """The error naming the first fault of a "v" line whose tokens are
+    not all id texts."""
     n = len(rotations)
     try:
         nbrs = list(map(int, tokens[1:]))
     except ValueError:
-        raise GraphSyntaxError(lineno, "non-integer vertex id") from None
+        return GraphSyntaxError(lineno, "non-integer vertex id")
     if not nbrs:
-        raise GraphSyntaxError(lineno, "missing vertex id")
+        return GraphSyntaxError(lineno, "missing vertex id")
     v = nbrs[0]
     if not 0 <= v < n:
-        raise GraphSyntaxError(lineno, f"vertex id {v} out of range")
+        return GraphSyntaxError(lineno, f"vertex id {v} out of range")
     if rotations[v] is not None:
-        raise GraphSyntaxError(lineno, f"vertex {v} listed twice")
+        return GraphSyntaxError(lineno, f"vertex {v} listed twice")
     w = next((w for w in nbrs if not 0 <= w < n), None)
     if w is not None:
-        raise GraphSyntaxError(lineno, f"neighbor {w} out of range")
-    return id_of(str(v)), tuple(id_of(str(w)) for w in nbrs[1:])
+        return GraphSyntaxError(lineno, f"neighbor {w} out of range")
+    # every token is an id that int() spells another way
+    t = next(t for t in tokens[1:] if str(int(t)) != t)
+    return GraphSyntaxError(lineno, f"id '{t}' is not a plain decimal")
 
 
 def parse(text: str) -> PlaneGraph:

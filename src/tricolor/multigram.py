@@ -111,10 +111,10 @@ def pendant_darts(g: PlaneGraph, verts: tuple[int, ...], n: int) -> list[int]:
 def cycle_candidates(g: PlaneGraph, v: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Facial cycles of length 4..6 through v, as (vertices, darts).
 
-    Yielded face by face as each incident face is walked, in rotation
-    order: the forward listing from v, then the reversed one.  At most
-    ``_LONGEST`` sigma steps are spent per incident face, and a consumer
-    that stops early walks no further face.
+    Yielded once each, in walk order from v, as each incident face is
+    walked in rotation order.  At most ``_LONGEST`` sigma steps are spent
+    per incident face, and a consumer that stops early walks no further
+    face.
     """
     origin = g.d_origin
     for d in g.darts_at(v):
@@ -123,11 +123,8 @@ def cycle_candidates(g: PlaneGraph, v: int) -> Iterator[tuple[tuple[int, ...], t
         if not closed or k < 4:
             continue
         verts = tuple([origin[e] for e in walk])
-        if len(set(verts)) != k:
-            continue
-        darts = tuple(walk)
-        yield verts, darts
-        yield (verts[0], *verts[:0:-1]), (darts[0], *darts[:0:-1])
+        if len(set(verts)) == k:
+            yield verts, tuple(walk)
 
 
 def _has_shape(g: PlaneGraph, kind: str, verts: tuple[int, ...]) -> bool:
@@ -319,54 +316,43 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
     """Some (C-)secure multigram with pivot v, or None; constant work.
 
     Kinds are tried in KIND_ORDER; within a kind, incident faces in
-    rotation order, forward listing before reversed.  Tetragram, the
-    first cycle kind, is tried on each listing as ``cycle_candidates``
-    walks its face, so a secure one ends the search before the later
-    faces are walked; the listings are kept, and the later kinds are
-    tried on them once every face is walked.  The length and degree
-    tests here establish each listing's shape, so ``_secure`` is called
-    directly and a ``Multigram`` is built only for the hit, with
+    rotation order.  Tetragram is tried on each 4-face as
+    ``cycle_candidates`` walks it, so a secure one ends the search
+    before the later faces are walked.  Octagram then scans the 4-faces;
+    decagram, pentagram and hexagram scan each 5- or 6-face's forward
+    listing and then its reversed one (v1, vk, ..., v2).  The length and
+    degree tests here establish each listing's shape, so ``_secure`` is
+    called directly and a ``Multigram`` is built only for the hit, with
     ``tuple.__new__`` rather than the class call.
 
-    Tetragram and octagram skip the reversed listing (v1, v4, v3, v2)
-    of a 4-face.  The tetragram test reads v1, v3 and the pendant x of
-    v1, which ``dart_avoiding`` finds from the same pair {v2, v4} in
-    both listings; the octagram test reads only the vertex set.  So the
-    reversed test would repeat the forward result with the same reads,
-    and only ``work`` would differ.  Pentagram, decagram and hexagram
-    keep both listings: their tests read positions that reversal moves.
+    A 4-face needs only its forward listing.  The tetragram test reads
+    v1, v3 and the pendant x of v1, which ``dart_avoiding`` finds from
+    the same pair {v2, v4} in both listings; the octagram test reads
+    only the vertex set.  So the reversed test would repeat the forward
+    result with the same reads, and only ``work`` would differ.  The
+    other kinds read positions that reversal moves.
     """
     deg = g.v_deg
-    if deg[v] > 3:
+    if deg[v] > 3 or v in C:
         return None
     if deg[v] <= 2:
-        if v not in C:
-            return _new(Multigram, (MONOGRAM, (v,), (), ()))
-        return None
-    if v in C:
-        return None
-    cycles = []
+        return _new(Multigram, (MONOGRAM, (v,), (), ()))
+    fours, longer = [], []
     # the tetragram's one leading degree-3 vertex is the pivot itself
     k, _, n_aux = SHAPES[TETRAGRAM]
-    for cand in cycle_candidates(g, v):
-        cycles.append(cand)
-        verts, darts = cand
-        if len(verts) == k and len(cycles) % 2:    # forward: 1st, 3rd, ...
+    for verts, darts in cycle_candidates(g, v):
+        if len(verts) == k:
             aux = tuple(map(g.head, pendant_darts(g, verts, n_aux)))
             if _secure(g, TETRAGRAM, verts, aux, C):
                 return _new(Multigram, (TETRAGRAM, verts, aux, darts))
-    # each listing's run of leading degree-3 vertices, counted once
-    leads = []
-    for verts, _ in cycles:
-        lead = 1
-        while lead < len(verts) and deg[verts[lead]] == 3:
-            lead += 1
-        leads.append(lead)
+            fours.append((verts, darts))
+        else:
+            longer.append((verts, darts))
+            longer.append(((v, *verts[:0:-1]), (darts[0], *darts[:0:-1])))
     for kind in KIND_ORDER[2:]:
         k, n3, n_aux = SHAPES[kind]
-        step = 2 if kind == OCTAGRAM else 1     # forward listings only
-        for (verts, darts), lead in zip(cycles[::step], leads[::step]):
-            if len(verts) == k and lead >= n3:
+        for verts, darts in (fours if k == 4 else longer):
+            if len(verts) == k and all(deg[w] == 3 for w in verts[1:n3]):
                 aux = tuple(map(g.head, pendant_darts(g, verts, n_aux)))
                 if _secure(g, kind, verts, aux, C):
                     return _new(Multigram, (kind, verts, aux, darts))

@@ -155,6 +155,15 @@ def test_unlisted_vertex_exits_one(tmp_path, capsys):
     assert out.err == "error: line 0: vertex 0 has no 'v' line\n"
 
 
+def test_id_not_plain_decimal_exits_one(tmp_path, capsys):
+    path = tmp_path / "spelled.graph"
+    path.write_text("p 2 1\nv 0 +1\nv 1 0\n")
+    assert main(["color", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: line 2: id '+1' is not a plain decimal\n"
+
+
 def test_usage_error_exit_code(cube_file):
     # color has no --validate: its one gate runs on every input
     for argv in (["color"], ["color", "--validate", str(cube_file)]):

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -30,11 +29,15 @@ def test_noncanonical_input_parses_same_graph():
 
 
 def test_ids_spelled_another_way():
-    # the id table refuses "00" and "+3"; the line is read again with int()
+    # int() reads each of these as an id in range; the id table does not
     canon = "p 4 4\nv 0 1 3\nv 1 0 2\nv 2 1 3\nv 3 0 2\n"
-    spelled = "p 4 4\nv 00 1 +3\nv 1 0 2\nv 2 01 3\nv 3 0 2\n"
-    assert parse_rotations(spelled) == parse_rotations(canon)
-    assert serialize(parse(spelled)) == canon
+    parse(canon)
+    for line, token in [("v 00 1 3", "00"), ("v 0 1 +3", "+3"),
+                        ("v 0 0_1 3", "0_1"), ("v \uff10 1 3", "\uff10"),
+                        ("v 0 \u0661 3", "\u0661")]:
+        with pytest.raises(GraphSyntaxError) as err:
+            parse(canon.replace("v 0 1 3", line))
+        assert str(err.value) == f"line 2: id '{token}' is not a plain decimal"
 
 
 def test_comments_and_blank_lines():
@@ -56,11 +59,11 @@ def test_parse_serialize_identity_on_generated(seed):
 
 
 def test_parsed_and_built_arrays_share_ints():
-    # the layout the memory peak of parse and build depends on: exact-size
-    # rotations, one int object per vertex id, and build's origins
-    # the same int objects as its dart ids
+    # the layout the memory peak of parse and build depends on: rotations
+    # as tuples, which are exact-size, one int object per vertex id, and
+    # build's origins the same int objects as its dart ids
     rotations = parse_rotations(serialize(quad(600, 1)))
-    assert all(sys.getsizeof(r) == sys.getsizeof(r[:]) for r in rotations)
+    assert all(type(r) is tuple for r in rotations)
     first = {}
     assert all(first.setdefault(w, w) is w for r in rotations for w in r)
     assert len(first) == 600
