@@ -113,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", help="3-color an embedded graph")
     p.add_argument("input")
     p.add_argument("--precolor", metavar="FILE",
-                   help="'id color' lines covering one facial <=5-cycle")
+                   help="'id color' lines covering one facial 4- or 5-cycle")
     p.add_argument("--stats", action="store_true",
                    help="print run statistics to stderr")
     p.set_defaults(func=_cmd_color)

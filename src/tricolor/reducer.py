@@ -25,12 +25,12 @@ either way.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import AbstractSet, NamedTuple
 
-from .embedding import DEGREE_CAP, PlaneGraph
+from .embedding import PlaneGraph
 from .multigram import (
-    DECAGRAM, HEXAGRAM, MONOGRAM, OCTAGRAM, PENTAGRAM, TETRAGRAM,
-    Multigram, pendant_darts,
+    DECAGRAM, HEXAGRAM, MONOGRAM, NO_CYCLE, OCTAGRAM, PENTAGRAM, TETRAGRAM,
+    Multigram, admissible, pendant_darts,
 )
 
 
@@ -83,7 +83,8 @@ def _next_surviving(g: PlaneGraph, d: int, gone: tuple) -> int | None:
     return None if e == d else e
 
 
-def reduce(g: PlaneGraph, m: Multigram) -> ReductionRecord:
+def reduce(g: PlaneGraph, m: Multigram,
+           C: AbstractSet[int] = NO_CYCLE) -> ReductionRecord:
     """Apply the per-kind reduction of m, mutating g.
 
     Each kind states a plan, read off g before it changes: the vertices
@@ -93,7 +94,9 @@ def reduce(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     counts the edges surgery deleted and added.  ``gone`` goes
     last-listed first, so each deleted vertex keeps every neighbor
     ``extend`` colors before it.  m must be (C-)secure; the reduction
-    does not re-check it.
+    does not re-check it.  A tetragram or hexagram absorbs v3 into v1 if
+    v3 is admissible (small, off C), else v1 into v3; security makes
+    every other deleted or absorbed vertex admissible, so none is on C.
     """
     kind = m.kind
     verts = m.vertices
@@ -102,10 +105,8 @@ def reduce(g: PlaneGraph, m: Multigram) -> ReductionRecord:
     if kind == MONOGRAM or kind == OCTAGRAM:
         gone = verts
     elif kind in (TETRAGRAM, HEXAGRAM):
-        # the absorbed side must be small; only a tetragram's v3 can be
-        # big, and then it survives
         gone = ()
-        i, j = (2, 0) if g.v_deg[verts[2]] > DEGREE_CAP else (0, 2)
+        i, j = (0, 2) if admissible(g, verts[2], C) else (2, 0)
         joins = ((verts[i], verts[j], m.darts[i], m.darts[j]),)
     elif kind == DECAGRAM:
         gone = verts

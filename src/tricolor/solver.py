@@ -25,8 +25,7 @@ vertices, each deleted vertex with its neighbors and each absorbed
 vertex with its neighbors and survivor, and every edge a reduction
 deletes, moves or adds has both ends among them.
 Surgery changes the degree, rotation, ``v_dart`` or dart heads only at
-the ends of such edges and at the absorbed vertex, and renaming an
-absorbed cycle vertex to its survivor changes C only at those two.
+the ends of such edges and at the absorbed vertex.
 ``tests/test_reducer.py`` checks the rule state by state, for every
 secure multigram of the small corpus and every reduction of full runs.
 So a search that failed keeps failing until a reduction touches its
@@ -169,16 +168,16 @@ class Solver:
     """Owns and consumes one PlaneGraph; run() empties it down to C.
 
     ``precoloring``, if given, maps the vertices of one facial cycle of
-    length 3..5 to colors in {0, 1, 2}, adjacent ones different; the
+    length 4 or 5 to colors in {0, 1, 2}, adjacent ones different; the
     coloring run() returns agrees with it there.  Its keys are the
-    constraint cycle C (none for a plain run); a reduction that absorbs
-    a cycle vertex renames it in ``phi`` to its survivor.  An empty
+    constraint cycle C (none for a plain run), fixed for the whole run:
+    no reduction deletes or absorbs a vertex of C.  An empty
     precoloring is no cycle and raises NotAFacialCycle.
 
     ``audit`` is called at every loop head with the graph, a queue
-    snapshot and C, a live view of ``phi``'s keys; tests use it to
-    replay the worklist invariant against the slow oracle and to
-    validate the embedding after every reduction.
+    snapshot and C, the precoloring's keys; tests use it to replay the
+    worklist invariant against the slow oracle and to validate the
+    embedding after every reduction.
     """
 
     def __init__(self, g: PlaneGraph,
@@ -242,13 +241,10 @@ class Solver:
                         index.setdefault(u, []).append(v)
                     g.work += len(read)
                     continue
-                record = reduce(g, m)
+                record = reduce(g, m, C)
                 touched = event_endpoints(g, record)
                 records.append(record)
                 reductions[m.kind] += 1
-                for survivor, absorbed, _ in record.identifications:
-                    if absorbed in C:
-                        phi[survivor] = phi.pop(absorbed)
                 if index:       # empty while no failed search is indexed
                     woken = []
                     for u in touched:
@@ -292,7 +288,7 @@ def three_color(g: PlaneGraph, **kwargs) -> dict[int, int]:
 
 
 def facial_cycle(g: PlaneGraph, vertices: Iterable[int]) -> tuple[int, ...]:
-    """The facial cycle of length 3..5 whose vertex set is ``vertices``,
+    """The facial cycle of length 4 or 5 whose vertex set is ``vertices``,
     in walk order from its smallest id.
 
     The faces at the smallest id are read in rotation order and the first
@@ -300,11 +296,11 @@ def facial_cycle(g: PlaneGraph, vertices: Iterable[int]) -> tuple[int, ...]:
     only one cycle passes through a given set of at most five vertices.
     """
     ids = set(vertices)
-    if 3 <= len(ids) <= 5 and all(
+    if 4 <= len(ids) <= 5 and all(
             0 <= v < len(g.v_alive) and g.v_alive[v] for v in ids):
         for d in g.darts_at(min(ids)):
             verts = g.face_cycle(d, len(ids))
             if verts is not None and set(verts) == ids:
                 return verts
     raise NotAFacialCycle(
-        f"vertices {sorted(ids)} do not bound a face of length 3 to 5")
+        f"vertices {sorted(ids)} do not bound a face of length 4 or 5")

@@ -205,7 +205,19 @@ def test_precolor_unknown_vertex_message(tmp_path, cube_file, capsys):
     pre.write_text("0 0\n1 1\n2 2\n999 0\n")
     assert main(["color", "--precolor", str(pre), str(cube_file)]) == 1
     assert capsys.readouterr().err == (
-        "error: vertices [0, 1, 2, 999] do not bound a face of length 3 to 5\n")
+        "error: vertices [0, 1, 2, 999] do not bound a face of length 4 or 5\n")
+
+
+def test_precolored_triangle_exits_one(tmp_path, capsys):
+    # the library refuses a precolored 3-face too (tests/test_solver.py)
+    graph = tmp_path / "c3.graph"
+    graph.write_text(serialize(cycle_graph(3)))
+    pre = tmp_path / "c3.col"
+    pre.write_text("0 0\n1 1\n2 2\n")
+    assert main(["color", "--precolor", str(pre), str(graph)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:")
+    assert out.err.count("\n") == 1, out.err
 
 
 def test_oracle_cap_message(tmp_path, capsys):

@@ -310,32 +310,29 @@ class TestEventEndpoints:
         assert all(fired.values()), fired
 
     def test_covers_precolored_runs(self):
-        # the solver's own loop, which also renames an absorbed cycle
-        # vertex to its survivor in C: each loop head after the first
-        # follows exactly one reduction, the newest record
+        # the solver's own loop, in which C stays the precoloring's keys:
+        # each loop head after the first follows exactly one reduction,
+        # the newest record
         uncovered = []
-        renames = 0
+        moved_c = []
         for name, g, phi in _precolored_runs():
             solver = Solver(g.copy(), precoloring=phi)
             last = {}
 
             def audit(g, queue, C):
-                nonlocal renames
+                if set(C) != phi.keys():
+                    moved_c.append((name, set(C)))
                 if last:
                     record = solver.records[-1]
                     missing = _uncovered(last["states"], g, record)
-                    touched = set(event_endpoints(g, record))
-                    missing |= (last["C"] ^ C) - touched
-                    renames += len(last["C"] - C)
                     if missing:
                         uncovered.append((name, record, missing))
                 last["states"] = _vertex_states(g)
-                last["C"] = set(C)
 
             solver.audit = audit
             solver.run()
         assert uncovered == [], uncovered[:5]
-        assert renames > 0
+        assert moved_c == [], moved_c[:5]
 
     def test_reads_every_part_of_the_record(self):
         # the rule, not today's reductions, in which every survivor and

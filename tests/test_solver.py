@@ -1,4 +1,6 @@
 import gc
+import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -72,6 +74,27 @@ class TestThreeColor:
             three_color(g, audit=validating_audit)
 
 
+def _survivors_on_c(records, C) -> int:
+    """Asserts that no record deletes or absorbs a vertex of C; returns
+    how many identifications have their survivor on C."""
+    on_c = 0
+    for r in records:
+        assert not C & {*r.vertices[:len(r.removed)],
+                        *(absorbed for _, absorbed, _ in r.identifications)}, r
+        on_c += sum(survivor in C for survivor, _, _ in r.identifications)
+    return on_c
+
+
+def _coloring_patterns(k: int):
+    """Every proper 3-coloring of a k-cycle up to renaming of colors: each
+    color first appears after all smaller ones."""
+    for cols in itertools.product(range(3), repeat=k):
+        if (all(cols[i] != cols[i - 1] for i in range(k))
+                and all(c <= max(cols[:i], default=-1) + 1
+                        for i, c in enumerate(cols))):
+            yield cols
+
+
 class TestPrecolored:
     def test_base_case_cycle_is_whole_graph(self):
         g = cycle_graph(5)
@@ -119,16 +142,66 @@ class TestPrecolored:
         with pytest.raises(NotAFacialCycle):
             three_color(g, precoloring=dict(zip(bogus, (0, 1, 2))))
 
-    def test_tetragram_absorbing_cycle_vertex(self):
-        # C vertices may be absorbed by a tetragram identification; the
-        # output must still agree with phi on the original ids
+    def test_precolored_triangle_refused(self):
+        # C is a facial 4- or 5-cycle, as the CLI's triangle gate also
+        # requires
+        with pytest.raises(NotAFacialCycle, match="length 4 or 5"):
+            three_color(cycle_graph(3), precoloring={0: 0, 1: 1, 2: 2})
+
+    def test_no_reduction_absorbs_a_cycle_vertex(self):
+        # a tetragram whose v3 lies on C absorbs its pivot into v3, so no
+        # record deletes or absorbs a C vertex, and the output agrees
+        # with phi
+        on_c = 0
         for name, g in small_corpus():
             sg = SimpleGraph.from_plane_graph(g)
             for cyc in [vs for vs, _ in facial_cycles(g) if len(vs) == 4][:2]:
                 phi = dict(zip(cyc, (0, 1, 0, 1)))
-                col = three_color(g.copy(), precoloring=phi)
+                s = Solver(g.copy(), precoloring=phi)
+                col = s.run()
                 assert is_proper(sg, col), name
                 assert all(col[v] == phi[v] for v in cyc), name
+                on_c += _survivors_on_c(s.records, phi.keys())
+        assert on_c > 0
+
+    def test_at_scale_every_pattern(self, monkeypatch):
+        # two random facial 4-cycles and two 5-cycles of each graph (quad
+        # and grid are bipartite, so 4-cycles only) under every proper
+        # pattern; C is checked at every reduction, which each loop head
+        # but the first follows
+        reduce = tricolor.solver.reduce
+        phi = {}
+
+        def checking(g, m, C):
+            assert C == phi.keys(), (C, phi)
+            return reduce(g, m, C)
+
+        monkeypatch.setattr(tricolor.solver, "reduce", checking)
+        runs = on_c = 0
+        for kind, delete in (("augmented", 0.0), ("quad", 0.0), ("grid", 0.1)):
+            for seed in (1, 2):
+                g = generate(GenSpec(kind, 10_000, seed=seed,
+                                     delete_prob=delete))
+                sg = SimpleGraph.from_plane_graph(g)
+                faces = [vs for vs, _ in facial_cycles(g)]
+                rng = random.Random(seed)
+                cycles = []
+                for k in (4, 5):
+                    of_k = [vs for vs in faces if len(vs) == k]
+                    cycles += rng.sample(of_k, min(2, len(of_k)))
+                assert len(cycles) == (4 if kind == "augmented" else 2)
+                for cyc in cycles:
+                    for cols in _coloring_patterns(len(cyc)):
+                        phi = dict(zip(cyc, cols))
+                        s = Solver(g.copy(), precoloring=phi)
+                        col = s.run()
+                        runs += 1
+                        assert s.phi == phi, (kind, seed, cyc)
+                        assert is_proper(sg, col), (kind, seed, cyc)
+                        assert all(col[v] == c for v, c in phi.items())
+                        on_c += _survivors_on_c(s.records, phi.keys())
+        assert runs == 2 * (2 * 3 + 2 * 5) + 4 * 2 * 3
+        assert on_c > 0
 
     @given(st.sampled_from([quad, augmented]), st.integers(8, 40),
            st.integers(0, 10_000), st.data())
@@ -355,8 +428,8 @@ class _OldWakeRule:
                 self.index.setdefault(u, set()).add(v)
             return read
 
-        def recording(g, m):
-            self.record = reduce(g, m)
+        def recording(g, m, C):
+            self.record = reduce(g, m, C)
             return self.record
 
         monkeypatch.setattr(tricolor.solver, "footprint", registering)
@@ -419,9 +492,8 @@ class TestGraphAfterRun:
             cyc = next(vs for vs, _ in facial_cycles(g) if len(vs) == 5)
             s = Solver(g, precoloring=dict(zip(cyc, (0, 1, 0, 1, 2))))
             s.run()
-            # C's vertices may carry a survivor's id; its edges stay
-            assert len(g.v_alive) == n and set(g.vertex_ids()) == set(s.phi)
-            assert g.m_alive == 5 and facial_cycle(g, s.phi)
+            assert len(g.v_alive) == n and set(g.vertex_ids()) == set(cyc)
+            assert g.m_alive == 5 and facial_cycle(g, cyc)
             validate(g)
 
 
