@@ -24,13 +24,14 @@ on the cap.  The ``work`` counter accumulates primitive step counts so
 tests can assert the constant-work contracts.  ``remove_vertex``
 deletes a vertex with all its edges in one walk of its rotation.
 
-``RecordingGraph(g)`` is a view of g: it shares g's arrays, and its
-read primitives also append to its own ``reads`` every vertex whose
-degree, rotation or identity as a dart's origin they read.
-``multigram.footprint`` replays a pivot search that found nothing on
-such a view, so only the footprint of a failed search is recorded: the
-searches themselves, builds, validation, generators and surgery run on
-the plain graph and pay nothing for it.
+``RecordingGraph(g)`` is a view of g that wraps g's arrays: each read
+adds to the view's own ``reads`` the vertex whose degree, rotation or
+identity as a dart's origin it reads, so PlaneGraph's methods and inline
+array reads alike record on it.  ``multigram.footprint`` replays a
+pivot search that found nothing on such a view, so only the footprint
+of a failed search is recorded: the searches themselves, builds,
+validation, generators and surgery run on the plain graph and pay
+nothing for it.
 """
 
 from __future__ import annotations
@@ -171,21 +172,6 @@ class PlaneGraph:
 
     def adjacent(self, u: int, v: int) -> bool:
         return self.dart_between(u, v) is not None
-
-    def dart_avoiding(self, v: int, a: int, b: int) -> int:
-        """The first dart of v, in rotation order from ``v_dart[v]``, whose
-        head is neither a nor b; EmbeddingError if there is none."""
-        d0 = d = self.v_dart[v]
-        if d0 >= 0:
-            origin, twin, nxt = self.d_origin, self.d_twin, self.d_next
-            while True:
-                w = origin[twin[d]]
-                if w != a and w != b:
-                    return d
-                d = nxt[d]
-                if d == d0:
-                    break
-        raise EmbeddingError(f"no dart of {v} avoids {a} and {b}")
 
     # ------------------------------------------------------------------
     # face tracing
@@ -429,71 +415,47 @@ class PlaneGraph:
         return moved, collapsed
 
 
-class RecordingGraph(PlaneGraph):
-    """A read-only view of a PlaneGraph whose read primitives log what
-    they read to ``reads``.
+class _LoggedArray:
+    """A read-only view of one array: reading ``items[i]`` adds ``key[i]``
+    to ``reads``."""
 
-    The view shares g's arrays and keeps its own ``reads`` and ``work``,
-    so a search replayed on it, as ``multigram.footprint`` replays a
-    failed one, leaves g's ``work`` as it was.  ``adjacent`` reaches
-    ``dart_between`` through this override.  ``dart_between`` and
-    ``dart_avoiding`` log the heads of the rotation they scan only up to
-    the hit.
+    __slots__ = ("items", "key", "reads")
+
+    def __init__(self, items: list, key: Sequence[int],
+                 reads: set[int]) -> None:
+        self.items, self.key, self.reads = items, key, reads
+
+    def __getitem__(self, i: int):
+        self.reads.add(self.key[i])
+        return self.items[i]
+
+
+class RecordingGraph(PlaneGraph):
+    """A read-only view of a PlaneGraph that logs to ``reads`` every
+    vertex whose degree, rotation or identity as a dart's origin is read.
+
+    The view keeps PlaneGraph's methods and wraps g's arrays: a read of
+    ``v_deg[v]`` or ``v_dart[v]`` logs v, a read of ``d_next[d]`` or
+    ``d_prev[d]`` logs d's origin, and a read of ``d_origin[d]`` logs the
+    origin read.  A twin is a dart, not a vertex, so ``d_twin`` stays
+    g's own, as does ``v_alive``, which no search reads.  The view keeps
+    its own ``work``, so a search replayed on it, as
+    ``multigram.footprint`` replays a failed one, leaves g's as it was.
     """
 
     __slots__ = ("reads",)
 
     def __init__(self, g: PlaneGraph) -> None:
-        self.v_alive, self.v_deg, self.v_dart = g.v_alive, g.v_deg, g.v_dart
-        self.d_origin, self.d_twin = g.d_origin, g.d_twin
-        self.d_next, self.d_prev = g.d_next, g.d_prev
+        self.reads: set[int] = set()
+        ids = range(len(g.v_deg))
+        self.v_alive, self.d_twin = g.v_alive, g.d_twin
+        self.v_deg = _LoggedArray(g.v_deg, ids, self.reads)
+        self.v_dart = _LoggedArray(g.v_dart, ids, self.reads)
+        self.d_origin = _LoggedArray(g.d_origin, g.d_origin, self.reads)
+        self.d_next = _LoggedArray(g.d_next, g.d_origin, self.reads)
+        self.d_prev = _LoggedArray(g.d_prev, g.d_origin, self.reads)
         self.work = 0
-        self.reads: list[int] = []
 
-    def head(self, d: int) -> int:
-        w = self.d_origin[self.d_twin[d]]
-        self.reads.append(w)
-        return w
-
-    def darts_at(self, v: int) -> Iterator[int]:
-        self.reads.append(v)
-        return PlaneGraph.darts_at(self, v)
-
-    def neighbors(self, v: int) -> list[int]:
-        out = PlaneGraph.neighbors(self, v)
-        self.reads.append(v)
-        self.reads.extend(out)
-        return out
-
-    def dart_between(self, u: int, v: int) -> int | None:
-        # the degrees of u and v, then the heads of the scanned end up to
-        # the hit, which the base scan reads in rotation order
-        self.reads += (u, v)
-        d = PlaneGraph.dart_between(self, u, v)
-        a, b = (u, v) if self.v_deg[u] <= self.v_deg[v] else (v, u)
-        heads = PlaneGraph.neighbors(self, a)
-        if d is not None:
-            del heads[heads.index(b) + 1:]
-        self.reads.append(a)
-        self.reads += heads
-        return d
-
-    def dart_avoiding(self, v: int, a: int, b: int) -> int:
-        d = PlaneGraph.dart_avoiding(self, v, a, b)
-        heads = PlaneGraph.neighbors(self, v)
-        self.reads.append(v)
-        self.reads += heads[:heads.index(self.d_origin[self.d_twin[d]]) + 1]
-        return d
-
-    def walk_face(self, d: int, limit: int) -> tuple[list[int], bool]:
-        out, closed = PlaneGraph.walk_face(self, d, limit)
-        origin = self.d_origin
-        self.reads.extend([origin[e] for e in out])
-        if not closed:
-            # the rotation at the last dart's head was read to find that
-            # the walk goes on
-            self.reads.append(origin[self.d_twin[out[-1]]])
-        return out, closed
 
 def build(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
     """Build a PlaneGraph from per-vertex clockwise neighbor lists.

@@ -23,7 +23,9 @@ a triangle), so the test is skipped rather than scanned.
 The precolored facial cycle C is passed as the set of its vertex ids:
 only membership in C is ever tested.  A plain run passes ``NO_CYCLE``.
 
-Everything here is read-only on the graph.
+Everything here is read-only on the graph.  ``footprint`` replays a
+search that found nothing on a ``RecordingGraph``, whose arrays record
+every vertex the search read.
 """
 
 from __future__ import annotations
@@ -69,7 +71,10 @@ class Multigram(NamedTuple):
     pivot (just the vertex for a monogram).  ``darts[i]`` is the dart of
     the bounding face whose origin is ``vertices[i]`` -- note that for a
     reversed listing these are not the listing-order darts, they simply
-    locate each vertex's corner on the face.  ``aux`` holds the off-cycle
+    locate each vertex's corner on the face.  At a vertex of degree 3 the
+    dart after ``darts[i]`` in its rotation goes to its neighbor off the
+    cycle, in either listing: the dart before ``darts[i]`` is the twin of
+    the face's dart into the vertex.  ``aux`` holds the off-cycle
     neighbors of the leading vertices ``SHAPES`` names: x of the pivot
     (tetragram, octagram, hexagram) or x1..x4 (pentagram, decagram).
     """
@@ -99,13 +104,12 @@ def _no_forbidden_neighbor(g: PlaneGraph, v: int, C) -> bool:
     return True
 
 
-def pendant_darts(g: PlaneGraph, verts: tuple[int, ...], n: int) -> list[int]:
-    """For each of the first n vertices of the cycle verts, all of degree
-    3, the dart to its neighbor off the cycle."""
-    k = len(verts)
-    g.work += 3 * n
-    return [g.dart_avoiding(verts[i], verts[i - 1], verts[(i + 1) % k])
-            for i in range(n)]
+def pendant_darts(g: PlaneGraph, darts: tuple[int, ...], n: int) -> list[int]:
+    """For each of the first n face darts of a listing, whose origins all
+    have degree 3, the dart to that origin's neighbor off the cycle: the
+    dart after it in the origin's rotation."""
+    g.work += n
+    return [g.d_next[d] for d in darts[:n]]
 
 
 def cycle_candidates(g: PlaneGraph, v: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -258,8 +262,9 @@ def _secure(g: PlaneGraph, kind: str, verts: tuple[int, ...],
     """(C-)security, safety included, of the cycle kind listed as verts
     with the pendants aux, once its shape is established: by
     ``_has_shape`` in ``is_secure``, by the finder's own length and
-    degree tests on the listings it walks.  Every graph read goes
-    through g's methods, so a ``RecordingGraph`` logs them."""
+    degree tests on the listings it walks.  Every graph read, by a
+    method of g or inline from its arrays, is logged on a
+    ``RecordingGraph``."""
     deg = g.v_deg
     if kind == TETRAGRAM:
         v1, v3, x = verts[0], verts[2], aux[0]
@@ -326,11 +331,11 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
     ``tuple.__new__`` rather than the class call.
 
     A 4-face needs only its forward listing.  The tetragram test reads
-    v1, v3 and the pendant x of v1, which ``dart_avoiding`` finds from
-    the same pair {v2, v4} in both listings; the octagram test reads
-    only the vertex set.  So the reversed test would repeat the forward
-    result with the same reads, and only ``work`` would differ.  The
-    other kinds read positions that reversal moves.
+    v1, v3 and the pendant x of v1, which ``pendant_darts`` reads after
+    v1's face dart, the same dart in both listings; the octagram test
+    reads only the vertex set.  So the reversed test would repeat the
+    forward result with the same reads, and only ``work`` would differ.
+    The other kinds read positions that reversal moves.
     """
     deg = g.v_deg
     if deg[v] > 3 or v in C:
@@ -342,7 +347,7 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
     k, _, n_aux = SHAPES[TETRAGRAM]
     for verts, darts in cycle_candidates(g, v):
         if len(verts) == k:
-            aux = tuple(map(g.head, pendant_darts(g, verts, n_aux)))
+            aux = tuple(map(g.head, pendant_darts(g, darts, n_aux)))
             if _secure(g, TETRAGRAM, verts, aux, C):
                 return _new(Multigram, (TETRAGRAM, verts, aux, darts))
             fours.append((verts, darts))
@@ -353,7 +358,7 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
         k, n3, n_aux = SHAPES[kind]
         for verts, darts in (fours if k == 4 else longer):
             if len(verts) == k and all(deg[w] == 3 for w in verts[1:n3]):
-                aux = tuple(map(g.head, pendant_darts(g, verts, n_aux)))
+                aux = tuple(map(g.head, pendant_darts(g, darts, n_aux)))
                 if _secure(g, kind, verts, aux, C):
                     return _new(Multigram, (kind, verts, aux, darts))
     return None
@@ -371,6 +376,5 @@ def footprint(g: PlaneGraph, v: int, C: AbstractSet[int] = NO_CYCLE) -> set[int]
     """
     view = RecordingGraph(g)
     find_secure_with_pivot(view, v, C)
-    out = set(view.reads)
-    out.add(v)
-    return out
+    view.reads.add(v)
+    return view.reads

@@ -110,14 +110,14 @@ def reduce(g: PlaneGraph, m: Multigram,
         joins = ((verts[i], verts[j], m.darts[i], m.darts[j]),)
     elif kind == DECAGRAM:
         gone = verts
-        pend = pendant_darts(g, verts, 3)     # x1 and x3 only
+        pend = pendant_darts(g, m.darts, 3)   # x1 and x3 only
         chord = (m.aux[0], _next_surviving(g, g.d_twin[pend[0]], gone),
                  m.aux[2], _next_surviving(g, g.d_twin[pend[2]], gone))
     elif kind == PENTAGRAM:
         # x2 absorbs v5 and x3 absorbs x4 once v1..v4 are gone
         gone = verts[:4]
         _, x2, x3, x4 = m.aux
-        pend = pendant_darts(g, verts, 4)
+        pend = pendant_darts(g, m.darts, 4)
         joins = ((x2, verts[4], _next_surviving(g, g.d_twin[pend[1]], gone),
                   _next_surviving(g, m.darts[4], gone)),
                  (x3, x4, _next_surviving(g, g.d_twin[pend[2]], gone),

@@ -12,9 +12,10 @@ graph.  A failed search registers ``footprint(g, v, C)``: the pivot and
 every vertex whose degree, rotation or identity as a dart's origin the
 search read (the finder tests membership in C only of vertices whose
 degree it read), recorded by replaying the search on a
-``RecordingGraph`` view of the graph.  Most searches hit and pay nothing
-for recording.  An index maps each footprint vertex to the pivots whose
-footprint held it.  After a reduction the engine re-queues
+``RecordingGraph`` view of the graph, whose arrays log each read they
+hand out.  Most searches hit and pay nothing for recording.  An index
+maps each footprint vertex to the pivots whose footprint held it.
+After a reduction the engine re-queues
 ``event_endpoints(g, record)``, read off the reduction's record, plus
 every pivot indexed under it.  That tuple may repeat a vertex: the
 filter (alive, degree <= 3, not queued) marks ``in_queue`` as it admits

@@ -244,16 +244,11 @@ class TestFaceTracing:
                                 if g.d_origin[d] >= 0]
 
 
-def _avoid_error(g, v, a, b):
-    with pytest.raises(EmbeddingError, match="avoids") as err:
-        g.dart_avoiding(v, a, b)
-    return str(err.value)
-
-
 class TestReadRecording:
-    """On a RecordingGraph view, the finder's read primitives log every
-    vertex whose degree, rotation or dart identity they read; the plain
-    graph keeps no log, and its reads reach no view."""
+    """On a RecordingGraph view, the arrays log every vertex whose
+    degree, rotation or dart identity is read, whether by a primitive
+    or inline; the plain graph keeps no log, and its reads reach no
+    view."""
 
     def test_plain_graph_records_nothing(self):
         g = cube_graph()
@@ -261,7 +256,7 @@ class TestReadRecording:
         list(g.neighbors(0))
         g.walk_face(0, 7)
         g.dart_between(0, 1)
-        assert view.reads == [] and view.work == 0
+        assert view.reads == set() and view.work == 0
         assert not hasattr(g, "reads")
 
     def test_open_walk_records_the_next_origin(self):
@@ -271,21 +266,26 @@ class TestReadRecording:
         view = RecordingGraph(g)
         walk, closed = view.walk_face(0, 3)
         assert not closed
-        assert view.reads == [g.d_origin[e] for e in walk] + [g.head(walk[-1])]
+        assert view.reads == {*(g.d_origin[e] for e in walk), g.head(walk[-1])}
 
     def test_neighbors_and_head(self):
-        view = RecordingGraph(cube_graph())
+        g = cube_graph()
+        view = RecordingGraph(g)
         nbrs = list(view.neighbors(2))
-        assert view.reads == [2] + nbrs
+        assert view.reads == {2, *nbrs}
         view.reads.clear()
-        w = view.head(view.v_dart[5])
-        assert view.reads == [w]
+        w = view.head(g.v_dart[5])
+        assert view.reads == {w}
 
     def test_dart_between_records_both_ends_and_the_scan(self):
         view = RecordingGraph(grid_graph(3))
         assert view.dart_between(4, 8) is None  # center and a corner
-        assert view.reads[:3] == [4, 8, 8]      # degrees, then the corner
-        assert set(view.reads[3:]) == {5, 7}
+        assert view.reads == {4, 8, 5, 7}       # degrees, then the corner
+
+    def test_view_arrays_are_read_only(self):
+        view = RecordingGraph(cube_graph())
+        with pytest.raises(TypeError):
+            view.v_deg[0] = 1
 
     @pytest.mark.parametrize("call, read", [
         (lambda g: g.neighbors(0), {0, 2, 3, 4}),
@@ -301,14 +301,17 @@ class TestReadRecording:
         (lambda g: g.walk_face(0, 4), {0, 1, 2, 3}),
         # open after two darts: the head of the second is read, not 3
         (lambda g: g.walk_face(0, 2), {0, 1, 2}),
-        # 0's rotation is 2, 4, 3: a hit on its first dart reads 2 only
-        (lambda g: g.dart_avoiding(0, 4, 3), {0, 2}),
-        (lambda g: g.dart_avoiding(0, 2, 4), {0, 2, 3, 4}),
-        (lambda g: _avoid_error(g, 2, 0, 1), set()),
-        (lambda g: _avoid_error(g, 5, 0, 1), set()),
+        # reads made outside the methods; dart 0 is 0->2, and reading
+        # its twin logs nothing
+        (lambda g: admissible(g, 4), {4}),
+        (lambda g: g.v_dart[3], {3}),
+        (lambda g: g.d_origin[g.d_twin[0]], {2}),
+        (lambda g: g.d_next[0], {0}),
+        (lambda g: g.d_prev[0], {0}),
     ], ids=["neighbors", "neighbors-isolated", "dart-first", "dart-last",
             "dart-miss", "dart-isolated", "walk-closed", "walk-open",
-            "avoid-first", "avoid-last", "avoid-none", "avoid-isolated"])
+            "inline-admissible", "inline-v_dart", "inline-d_origin",
+            "inline-d_next", "inline-d_prev"])
     def test_footprint_reads_pinned(self, call, read):
         # K_{2,3} with parts {0, 1} and {2, 3, 4}, plus an isolated 5; a
         # failed search's footprint decides wake-ups, work and pops

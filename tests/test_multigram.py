@@ -24,7 +24,7 @@ from tricolor.solver import Solver
 from conftest import gadget_union, run_small_corpus
 
 #: regression ceiling for the work of one find_secure_with_pivot call
-#: during a solve (max observed by ``_each_search``: 299)
+#: during a solve (max observed by ``_each_search``: 291)
 WORK_CEILING = 400
 
 
@@ -215,14 +215,20 @@ def test_find_aux_matches_oracle_shapes():
     # is_secure_slow judges the aux it is handed, so the pendant rule of
     # find is checked here: every multigram find returns, at every loop
     # head of the small corpus solved plain and precolored on two facial
-    # 4- or 5-cycles, is listed by the oracle with the same aux
+    # 4- or 5-cycles, is listed by the oracle with the same aux; and on
+    # every listing the oracle makes, forward and reversed, the darts
+    # after the face darts lead to the oracle's aux
     found = 0
 
     def audit(g, queue, C):
         nonlocal found
         work = g.work
-        shapes = {(m.kind, m.vertices, m.aux)
-                  for m in multigram_shapes_slow(g)}
+        listings = multigram_shapes_slow(g)
+        for m in listings:
+            if m.aux:
+                pend = pendant_darts(g, m.darts, len(m.aux))
+                assert tuple(map(g.head, pend)) == m.aux, m
+        shapes = {(m.kind, m.vertices, m.aux) for m in listings}
         for v in g.vertex_ids():
             m = find_secure_with_pivot(g, v, C)
             if m is not None:
@@ -262,7 +268,7 @@ def find_all_listed_first(g, v, C=NO_CYCLE):
         for verts, darts in cycles:
             if len(verts) != k or any(g.v_deg[w] != 3 for w in verts[:n3]):
                 continue
-            aux = tuple(g.head(d) for d in pendant_darts(g, verts, n_aux))
+            aux = tuple(g.head(d) for d in pendant_darts(g, darts, n_aux))
             m = Multigram(kind, verts, aux, darts)
             if is_secure(g, m, C):
                 return m
@@ -300,7 +306,7 @@ def _each_search(check):
     check every vertex id.  Generated quad and augmented instances of 2k
     vertices, a union of the gadget constructions and an augmented
     instance of 1k vertices with shuffled ids, whose solve makes a find
-    call of 299 work, check the pivots the solver pops next, up to the
+    call of 291 work, check the pivots the solver pops next, up to the
     first hit: the searches the run itself makes."""
     count = 0
 

@@ -546,7 +546,7 @@ class TestStats:
             assert sum(r.vertices_removed for r in s.records) == n0, name
 
     def test_work_per_vertex_bounded(self):
-        # footprint re-insertion spends 9.9-11.0 work per vertex here;
+        # footprint re-insertion spends 8.8-9.7 work per vertex here;
         # re-queuing every vertex close to an edge event spent 371-433
         for kind in ("augmented", "quad"):
             for seed in (1, 2):
