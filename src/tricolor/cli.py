@@ -3,7 +3,7 @@
 Subcommands:
 
     color [--precolor FILE] [--stats] INPUT
-    check INPUT COLORING
+    check [--precolor FILE] INPUT COLORING
     gen --kind K --size N --seed S [--delete P] [--out FILE]
     oracle [--cap N] INPUT
 
@@ -69,15 +69,24 @@ def _print_stats(stats) -> None:
 def _cmd_check(args) -> int:
     g = _load_graph(args.input)
     coloring = parse_coloring(_read_text(args.coloring))
+    phi = {}
+    if args.precolor is not None:
+        phi = parse_coloring(_read_text(args.precolor))
     sg = SimpleGraph.from_plane_graph(g)
-    unknown = coloring.keys() - sg.adj.keys()
+    unknown = (coloring.keys() | phi.keys()) - sg.adj.keys()
     if unknown:
         sys.stderr.write(f"error: vertex {min(unknown)} is not in the graph\n")
         return 1
-    if is_proper(sg, coloring):
-        return 0
-    sys.stderr.write("improper or incomplete coloring\n")
-    return 1
+    if not is_proper(sg, coloring):
+        sys.stderr.write("improper or incomplete coloring\n")
+        return 1
+    differ = [v for v, c in phi.items() if coloring[v] != c]
+    if differ:
+        v = min(differ)
+        sys.stderr.write(f"vertex {v} has color {coloring[v]}, "
+                         f"precolored {phi[v]}\n")
+        return 1
+    return 0
 
 
 def _cmd_gen(args) -> int:
@@ -121,6 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify a coloring file")
     p.add_argument("input")
     p.add_argument("coloring")
+    p.add_argument("--precolor", metavar="FILE",
+                   help="'id color' lines the coloring must agree with")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("gen", help="generate a triangle-free plane graph")

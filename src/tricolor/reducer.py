@@ -8,9 +8,10 @@ neighbors when it was identified.  The deleted vertices are a prefix of
 the multigram's vertices in coloring order (all of them, or a
 pentagram's first four), so the record does not list them again.
 Coloring extension assigns each absorbed vertex its survivor's color and
-then colors the deleted ones with one bounded depth-first search
-(<= 3^5 assignments).  Extension can only fail on a corrupted record,
-which raises.
+then colors the deleted ones: one deleted vertex takes its first free
+color, several take one bounded depth-first search (<= 3^5
+assignments).  Extension can only fail on a corrupted record, which
+raises.
 
 A reduction's record is also the one statement of what it changed:
 ``event_endpoints`` reads off it, after the reduction, every vertex the
@@ -21,10 +22,27 @@ Records are built with ``tuple.__new__`` rather than the class call,
 which runs a Python-level ``__new__``; a reduction pays only for the
 tuple it keeps.  The class, its fields, equality and repr are the same
 either way.
+
+A run keeps no records: ``push`` appends each one to the record stack,
+a flat list of ints, as its body and then one code::
+
+    vertices, removed[0], removed[1], ...,
+    then per identification: survivor, absorbed, moved...;  code
+
+The body is ``event_endpoints`` of the record, so the solver pushes the
+tuple it re-queues from.  The code indexes a table shared by every
+stack, one entry per record shape met: the kind, the number of
+vertices, the length of each removed and moved tuple and the two edge
+counts.  The entry fixes where each field of the body lies, so a stack
+is read from its end, newest record first: ``unwind`` colors through it
+and ``decode`` rebuilds the records.  The ids are the graph's own int
+objects and the codes small ints, so a record costs one list slot per
+int: a monogram of degree d takes d + 2.
 """
 
 from __future__ import annotations
 
+from threading import Lock
 from typing import AbstractSet, NamedTuple
 
 from .embedding import PlaneGraph
@@ -145,24 +163,137 @@ def reduce(g: PlaneGraph, m: Multigram,
 
 
 # ----------------------------------------------------------------------
+# the record stack
+
+#: Most slots a grid run's record takes: every reduction there is a
+#: monogram, one vertex of degree <= 3, so its vertex, its neighbors and
+#: the code.
+MONOGRAM_SLOTS = 1 + 3 + 1
+
+# code -> (body length, offset of each survivor, (start, end) of each
+# removed tuple, kind, number of vertices, moved lengths, edges deleted,
+# edges added).  Reductions have few shapes: every length is at most the
+# degree cap and every edge count at most 126.  Codes are assigned in
+# order of first use, so a stack is read in the process that wrote it.
+_SHAPES: list[tuple] = []
+_CODES: dict[tuple, int] = {}
+_NEW_SHAPE = Lock()
+
+
+def shape_code(record: ReductionRecord) -> int:
+    """The code of record's shape, added to the table on first use.
+
+    Its key is the kind, the number of vertices, the two edge counts and
+    each removed tuple's length, then None and each moved tuple's
+    length.  A record with one removed tuple and no identification,
+    every monogram, leaves the None out and is keyed without unpacking.
+    """
+    kind, verts, removed, identifications, deleted, added = record
+    if len(removed) == 1 and not identifications:   # every monogram
+        key = (kind, len(verts), deleted, added, len(removed[0]))
+    else:
+        key = (kind, len(verts), deleted, added, *map(len, removed),
+               None, *[len(moved) for _, _, moved in identifications])
+    code = _CODES.get(key)
+    return _new_shape(key) if code is None else code
+
+
+def _new_shape(key: tuple) -> int:
+    kind, nv, deleted, added, *lens = key
+    cut = lens.index(None) if None in lens else len(lens)
+    if cut > nv:
+        raise ValueError(f"more removed tuples than vertices: {key}")
+    spans = []
+    at = nv
+    for n in lens[:cut]:
+        spans.append((at, at + n))
+        at += n
+    survivors = []
+    moved = tuple(lens[cut + 1:])
+    for n in moved:
+        survivors.append(at)
+        at += 2 + n
+    with _NEW_SHAPE:
+        if key not in _CODES:
+            _CODES[key] = len(_SHAPES)
+            _SHAPES.append((at, tuple(survivors), tuple(spans),
+                            kind, nv, moved, deleted, added))
+        return _CODES[key]
+
+
+def push(stack: list[int], record: ReductionRecord) -> None:
+    """Append record to the stack: its body, then its shape's code."""
+    stack += event_endpoints(None, record)
+    stack.append(shape_code(record))
+
+
+def decode(stack: list[int]) -> list[ReductionRecord]:
+    """The records pushed onto stack, oldest first."""
+    records = []
+    top = len(stack)
+    while top:
+        size, survivors, spans, kind, nv, moved, deleted, added = \
+            _SHAPES[stack[top - 1]]
+        lo = top = top - 1 - size
+        records.append(_new(ReductionRecord, (
+            kind, tuple(stack[lo:lo + nv]),
+            tuple([tuple(stack[lo + a:lo + b]) for a, b in spans]),
+            tuple([(stack[lo + s], stack[lo + s + 1],
+                    tuple(stack[lo + s + 2:lo + s + 2 + n]))
+                   for s, n in zip(survivors, moved)]),
+            deleted, added)))
+    records.reverse()
+    return records
+
+
+# ----------------------------------------------------------------------
 # coloring extension
 
-def extend(record: ReductionRecord, coloring: dict[int, int]) -> dict[int, int]:
-    """Pull a proper coloring of the reduced graph back one reduction.
+# used colors as a mask, bit c for color c -> the first color left free
+_FIRST_FREE = (0, 1, 0, 2, 0, 1, 0, None)
 
-    Mutates and returns ``coloring``.  Absorbed vertices copy their
-    survivor; deleted vertices are colored against their stored neighbor
-    lists by a depth-first search in record order, colors 0, 1, 2 in
-    turn, so the result is the lexicographically first proper
-    extension.  At most five vertices are deleted, so at most 3^5
-    assignments are tried; running out of them means a corrupted record
-    and raises ``ExtensionFailure``.
+
+def _extend_through(stack: list[int], coloring: dict[int, int]) -> None:
+    """Pull ``coloring`` back through every record of the stack, newest
+    first, mutating it.
+
+    Absorbed vertices copy their survivor.  One deleted vertex takes its
+    first color not on a stored neighbor; several go to ``_backtrack``.
+    Either way the result is the lexicographically first proper
+    extension.  Colors are 0, 1, 2, and an uncolored neighbor blocks no
+    color.
     """
-    for survivor, absorbed, _ in record.identifications:
-        if survivor not in coloring:
-            raise ExtensionFailure(f"survivor {survivor} uncolored")
-        coloring[absorbed] = coloring[survivor]
-    verts, removed = record.vertices, record.removed
+    get = coloring.get
+    top = len(stack)
+    while top:
+        size, survivors, spans = _SHAPES[stack[top - 1]][:3]
+        lo = top = top - 1 - size
+        for s in survivors:
+            survivor = stack[lo + s]
+            if survivor not in coloring:
+                raise ExtensionFailure(f"survivor {survivor} uncolored")
+            coloring[stack[lo + s + 1]] = coloring[survivor]
+        if len(spans) == 1:
+            a, b = spans[0]
+            used = 0
+            for u in stack[lo + a:lo + b]:
+                used |= 1 << get(u, 3)
+            c = _FIRST_FREE[used & 7]
+            if c is None:
+                raise ExtensionFailure(f"no color left for vertex {stack[lo]}")
+            coloring[stack[lo]] = c
+        elif spans:
+            _backtrack(stack[lo:lo + len(spans)],
+                       [stack[lo + a:lo + b] for a, b in spans], coloring)
+
+
+def _backtrack(verts, removed, coloring: dict[int, int]) -> None:
+    """Color verts[i] against the colors of removed[i], in order, by a
+    depth-first search over colors 0, 1, 2 in turn, so the result is the
+    lexicographically first proper extension.  At most five vertices are
+    deleted, so at most 3^5 assignments are tried; running out of them
+    means a corrupted record, raises ``ExtensionFailure`` and leaves
+    verts uncolored."""
     k = len(removed)
     choice = [0] * k
     i = 0
@@ -181,15 +312,21 @@ def extend(record: ReductionRecord, coloring: dict[int, int]) -> dict[int, int]:
             choice[i] = 0
             i -= 1
             if i < 0:
-                raise ExtensionFailure(record)
+                raise ExtensionFailure(f"no coloring of vertices {verts}")
             del coloring[verts[i]]
+
+
+def extend(record: ReductionRecord, coloring: dict[int, int]) -> dict[int, int]:
+    """Pull a proper coloring of the reduced graph back one reduction,
+    as ``unwind`` does, and return ``coloring``, which is mutated."""
+    stack: list[int] = []
+    push(stack, record)
+    _extend_through(stack, coloring)
     return coloring
 
 
-def unwind(records: list[ReductionRecord],
-           base: dict[int, int]) -> dict[int, int]:
-    """Fold extend over the record stack, newest first."""
+def unwind(stack: list[int], base: dict[int, int]) -> dict[int, int]:
+    """Extend a copy of base through the record stack, newest first."""
     coloring = dict(base)
-    for record in reversed(records):
-        extend(record, coloring)
+    _extend_through(stack, coloring)
     return coloring

@@ -43,25 +43,27 @@ together with ``PlaneGraph.edge_vicinity`` once the benchmark drops
 both span targets.
 
 The recursion of the underlying argument is replaced by an explicit
-record stack; colors flow back through it once the graph is gone.  For
+record stack; colors flow back through it once the graph is gone.  Each
+reduction's record lives for one loop iteration: the loop pushes it onto
+``Solver.stack``, one flat list of ints (the layout is in ``reducer``),
+as the tuple it re-queues from and the record's shape code, and
+``unwind`` reads that list newest record first.  For
 the precolored variant the loop stops when exactly the constraint cycle
 C, the keys of the precoloring, remains and seeds the unwind with the
-precoloring.  Those records live until the unwind, so the cyclic garbage
-collector would rescan them each time the heap grew by a quarter; the
-solve makes no reference cycles (tests check it) and reference counting
-frees all it allocates, so ``Solver.run`` pauses the collector.
+precoloring.
 """
 
 from __future__ import annotations
 
-import gc
 from collections import deque
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterable
 
 from .embedding import DEGREE_CAP, PlaneGraph
 from .multigram import KIND_ORDER, find_secure_with_pivot, footprint
-from .reducer import ReductionRecord, event_endpoints, reduce, unwind
+from .reducer import (
+    ReductionRecord, decode, event_endpoints, reduce, shape_code, unwind,
+)
 
 
 class TriangleFound(Exception):
@@ -195,18 +197,22 @@ class Solver:
                 raise ImproperPrecoloring("adjacent cycle vertices share a color")
         self.audit = audit
         self.stats = SolverStats()
-        self.records: list[ReductionRecord] = []
+        self.stack: list[int] = []
+
+    @property
+    def records(self) -> list[ReductionRecord]:
+        """The records of the reductions so far, oldest first, decoded
+        from ``stack`` on each read."""
+        return decode(self.stack)
 
     def run(self) -> dict[int, int]:
         """Consume the graph and return the coloring; a graph the loop
-        emptied is cleared before the unwind.  The cyclic garbage
-        collector, process-wide state, is off during the loop and the
-        unwind, and back on after them, on return or raise, if it was on."""
+        emptied is cleared before the unwind."""
         g = self.graph
         phi = self.phi
         C = phi.keys()
         stats = self.stats
-        records, audit, reductions = self.records, self.audit, stats.reductions
+        stack, audit, reductions = self.stack, self.audit, stats.reductions
         work0 = g.work
         queue: deque[int] = deque(
             v for v in g.vertex_ids() if g.v_deg[v] <= 3)
@@ -221,8 +227,6 @@ class Solver:
         # footprint index: vertex -> pivots whose footprint held it
         index: dict[int, list[int]] = {}
 
-        was_enabled = gc.isenabled()
-        gc.disable()
         try:
             if audit:
                 audit(g, tuple(queue), C)
@@ -244,7 +248,8 @@ class Solver:
                     continue
                 record = reduce(g, m, C)
                 touched = event_endpoints(g, record)
-                records.append(record)
+                stack += touched        # push(stack, record)
+                stack.append(shape_code(record))
                 reductions[m.kind] += 1
                 if index:       # empty while no failed search is indexed
                     woken = []
@@ -270,16 +275,14 @@ class Solver:
 
             # at most len(C) vertices are left, so all of C alive means only C
             assert all(alive[v] for v in C), (C, g.n_alive)
-            if not g.n_alive:       # the unwind reads only the records
+            if not g.n_alive:       # the unwind reads only the stack
                 del deg, alive
                 g.clear()
-            return unwind(records, phi)
+            return unwind(stack, phi)
         finally:
             stats.pops += pops
             stats.insertions += insertions
             stats.work += g.work - work0
-            if was_enabled:
-                gc.enable()
 
 
 def three_color(g: PlaneGraph, **kwargs) -> dict[int, int]:

@@ -67,6 +67,34 @@ def test_precolor_flow(tmp_path, cube_file, capsys):
     assert is_proper(sg, coloring)
 
 
+def test_check_precolor_agreement(tmp_path, cube_file, capsys):
+    g = cube_graph()
+    cyc = next(vs for vs, _ in facial_cycles(g) if len(vs) == 4)
+    pre = tmp_path / "pre.col"
+    pre.write_text("".join(f"{v} {c}\n" for v, c in zip(cyc, (0, 1, 0, 1))))
+    col = tmp_path / "cube.col"
+    assert main(["color", "--precolor", str(pre), str(cube_file)]) == 0
+    col.write_text(capsys.readouterr().out)
+    assert main(["check", "--precolor", str(pre), str(cube_file), str(col)]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_check_precolor_disagreement_exits_one(tmp_path, cube_file, capsys):
+    # a proper coloring that differs from the precoloring on one vertex
+    assert main(["color", str(cube_file)]) == 0
+    coloring = parse_coloring(capsys.readouterr().out)
+    col = tmp_path / "cube.col"
+    col.write_text("".join(f"{v} {c}\n" for v, c in coloring.items()))
+    v = min(coloring)
+    other = (coloring[v] + 1) % 3
+    pre = tmp_path / "pre.col"
+    pre.write_text(f"{v} {other}\n")
+    assert main(["check", "--precolor", str(pre), str(cube_file), str(col)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"vertex {v} has color {coloring[v]}, precolored {other}\n"
+
+
 def test_precolor_improper_exits_one(tmp_path, cube_file, capsys):
     g = cube_graph()
     cyc = next(vs for vs, _ in facial_cycles(g) if len(vs) == 4)

@@ -1,3 +1,7 @@
+import itertools
+import sys
+import threading
+
 import pytest
 
 from tricolor.embedding import DEGREE_CAP, build, validate
@@ -15,11 +19,13 @@ from tricolor.oracle import (
     facial_cycles, is_proper, is_triangle_free, multigram_shapes_slow,
 )
 from tricolor.reducer import (
-    ExtensionFailure, ReductionRecord, event_endpoints, extend, reduce, unwind,
+    ExtensionFailure, ReductionRecord, _backtrack, decode, event_endpoints,
+    extend, push, reduce, unwind,
 )
+import tricolor.solver
 from tricolor.solver import Solver
 
-from conftest import small_corpus
+from conftest import run_small_corpus, small_corpus
 
 
 def oracle_multigram(g, kind, pivot=None):
@@ -118,6 +124,15 @@ class TestReduceKinds:
         assert not is_secure(g, bogus)
 
 
+def _search_path(rec, coloring):
+    """extend with the depth-first search for the deleted vertices."""
+    for survivor, absorbed, _ in rec.identifications:
+        if survivor not in coloring:
+            raise ExtensionFailure(survivor)
+        coloring[absorbed] = coloring[survivor]
+    _backtrack(rec.vertices, rec.removed, coloring)
+
+
 class TestExtend:
     def test_tetragram_identification_colors(self):
         g = cycle_graph(4)
@@ -183,20 +198,137 @@ class TestExtend:
         assert all(hit.values()), hit
 
     def test_unwind_empty_stack(self):
-        assert unwind([], {3: 1}) == {3: 1}
+        stack = []
+        assert unwind(stack, {3: 1}) == {3: 1}
+        assert decode(stack) == []
 
     def test_unwind_full_dodecahedron(self):
         g = dodecahedron_graph()
         sg = SimpleGraph.from_plane_graph(g)
-        records = []
+        stack = []
         while g.n_alive:
             for v in list(g.vertex_ids()):
                 m = find_secure_with_pivot(g, v)
                 if m is not None:
-                    records.append(reduce(g, m))
+                    push(stack, reduce(g, m))
                     break
-        coloring = unwind(records, {})
+        coloring = unwind(stack, {})
         assert is_proper(sg, coloring)
+
+    def test_one_deleted_vertex_matches_backtracking(self):
+        # the first-free-color path against the search, alone and after
+        # an identification, on every coloring of up to four neighbors
+        # (a neighbor may be uncolored), those with no color left included
+        v, x = 9, 8
+        failures = 0
+        for k in range(5):
+            nbrs = tuple(range(1, k + 1))
+            for rec in (ReductionRecord(MONOGRAM, (v,), (nbrs,), (), k, 0),
+                        ReductionRecord(PENTAGRAM, (v, x), (nbrs,),
+                                        ((1, x, (2,)),) if k else (), k, 0)):
+                for cols in itertools.product((0, 1, 2, None), repeat=k):
+                    col = {u: c for u, c in zip(nbrs, cols) if c is not None}
+                    fast, slow = dict(col), dict(col)
+                    try:
+                        extend(rec, fast)
+                    except ExtensionFailure:
+                        failures += 1
+                        with pytest.raises(ExtensionFailure):
+                            _search_path(rec, slow)
+                    else:
+                        _search_path(rec, slow)
+                    assert fast == slow, (rec, col)
+        assert failures > 0
+
+
+class TestRecordStack:
+    def test_round_trip_hand_built(self):
+        # the hand-built records of TestExtend, the corrupted ones
+        # included, and records reduce builds for four kinds
+        records = [
+            ReductionRecord(MONOGRAM, (9,), ((1, 2),), (), 2, 0),
+            ReductionRecord(MONOGRAM, (9,), (), ((7, 9, ()),), 0, 0),
+            ReductionRecord(OCTAGRAM, (10, 11), ((1, 11), (10, 2, 3)), (), 0, 0),
+            ReductionRecord(OCTAGRAM, (10, 11), ((1, 2, 11), (10, 3, 4)), (),
+                            0, 0),
+            ReductionRecord(PENTAGRAM, (1, 2), ((2, 3, 4),),
+                            ((5, 6, (7, 8)), (9, 10, ())), 0, 0),
+        ]
+        for g, kind in ((hexagram_flower(), HEXAGRAM),
+                        (cube_graph(), OCTAGRAM),
+                        (pentagram_flower(), PENTAGRAM),
+                        (dodecahedron_graph(), DECAGRAM)):
+            records.append(reduce(g, oracle_multigram(g, kind)))
+        stack = []
+        for rec in records:
+            one = []
+            push(one, rec)
+            assert decode(one) == [rec], rec
+            push(stack, rec)
+        assert decode(stack) == records
+        assert all(type(r) is ReductionRecord for r in decode(stack))
+
+    def test_push_refuses_more_removed_than_vertices(self):
+        with pytest.raises(ValueError):
+            push([], ReductionRecord(MONOGRAM, (9,), ((1,), (2,)), (), 2, 0))
+
+    def test_shapes_added_from_threads(self):
+        # four threads push the same new shapes in different orders; a
+        # code given to two shapes would decode one of them wrongly
+        records = [ReductionRecord(f"threads{j}", (1,), ((2,) * (j % 4),),
+                                   (), j, 0) for j in range(2000)]
+        stacks = [[] for _ in range(4)]
+
+        def pushing(i):
+            for rec in records[i::2] + records[1 - i % 2::2]:
+                push(stacks[i], rec)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pushing, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, stack in enumerate(stacks):
+            assert decode(stack) == records[i::2] + records[1 - i % 2::2]
+
+    def test_round_trip_small_corpus(self, monkeypatch):
+        # every record reduce returns in the small-corpus runs, plain and
+        # precolored, comes back from its run's stack
+        built = []
+        reduce_ = tricolor.solver.reduce
+
+        def keeping(g, m, C):
+            built.append(reduce_(g, m, C))
+            return built[-1]
+
+        monkeypatch.setattr(tricolor.solver, "reduce", keeping)
+        decoded = []
+        for solver in run_small_corpus():
+            decoded += solver.records
+        assert len(built) > 1000
+        assert decoded == built
+        for rec in built:
+            one = []
+            push(one, rec)
+            assert decode(one) == [rec], rec
+
+    @pytest.mark.parametrize("make", [lambda: grid(100),
+                                      lambda: augmented(5000, 1)],
+                             ids=["grid10k", "augmented5k"])
+    def test_unwind_is_extend_folded(self, make):
+        solver = Solver(make())
+        coloring = solver.run()
+        folded = {}
+        for rec in reversed(solver.records):
+            extend(rec, folded)
+        assert unwind(solver.stack, {}) == folded == coloring
 
 
 class TestRoundTripProperty:

@@ -19,7 +19,7 @@ from tricolor.oracle import (
     SimpleGraph, all_secure_multigrams_slow, closeness_slow, facial_cycles,
     is_proper,
 )
-from tricolor.reducer import ReductionRecord, event_endpoints
+from tricolor.reducer import MONOGRAM_SLOTS, ReductionRecord, event_endpoints
 from tricolor.solver import (
     ExhaustedQueueNonempty, ImproperPrecoloring, NotAFacialCycle, Solver,
     TriangleFound, close_set, facial_cycle, three_color,
@@ -311,9 +311,9 @@ class TestWorklistInvariant:
 
 
 class TestCollectorPause:
-    """run() pauses the cyclic garbage collector.  That is only sound
-    while a run makes no reference cycles, which reference counting
-    alone would never free."""
+    """A run makes no reference cycles: reference counting alone frees
+    all it allocates, so the cyclic garbage collector, which run() does
+    not pause, finds nothing of it to free."""
 
     @staticmethod
     def _unreachable_after_run(make, phi=None) -> int:
@@ -347,31 +347,6 @@ class TestCollectorPause:
     def test_generated_makes_no_cycles(self, kind):
         spec = GenSpec(kind, 2000, seed=1)
         assert self._unreachable_after_run(lambda: generate(spec)) == 0
-
-    def test_collector_state_restored(self):
-        class Stop(Exception):
-            pass
-
-        def stop(g, queue, C):
-            assert not gc.isenabled()
-            raise Stop
-
-        was_enabled = gc.isenabled()
-        try:
-            gc.enable()
-            Solver(cube_graph()).run()
-            assert gc.isenabled()
-            with pytest.raises(Stop):
-                Solver(cube_graph(), audit=stop).run()
-            assert gc.isenabled()
-            gc.disable()
-            Solver(cube_graph()).run()
-            assert not gc.isenabled()
-        finally:
-            if was_enabled:
-                gc.enable()
-            else:
-                gc.disable()
 
 
 class TestRecordsAndHits:
@@ -572,6 +547,17 @@ class TestStats:
             s = Solver(g)
             s.run()
             assert s.stats.insertions / k ** 2 <= GRID_INSERTIONS_PER_VERTEX
+
+    def test_grid_stack_slots_bounded(self):
+        # every grid reduction is a monogram of degree <= 3, which the
+        # record stack keeps in at most MONOGRAM_SLOTS ints: its vertex,
+        # its neighbors then and its code, and each edge is deleted once
+        g = grid_graph(100)
+        n, m = g.n_alive, g.m_alive
+        s = Solver(g)
+        s.run()
+        assert s.stats.reductions["monogram"] == n == 10_000
+        assert len(s.stack) == 2 * n + m <= MONOGRAM_SLOTS * n
 
     def test_lemma5_bounds_tracked(self):
         g = dodecahedron_graph()
