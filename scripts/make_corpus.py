@@ -5,20 +5,26 @@ Useful for eyeballing the format and for driving the CLI by hand:
 
     python3 scripts/make_corpus.py corpus/
     tricolor color corpus/quad_60_s0.graph | tricolor check corpus/quad_60_s0.graph -
+
+The library is imported from the ``src/`` of the checkout the script
+lives in.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from tricolor.generators import GenSpec, generate
-from tricolor.graphio import serialize
-from tricolor.instances import (
-    cube_graph, cycle_graph, dodecahedron_graph, grid_graph, k23_graph,
-)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from tricolor.generators import GenSpec, generate
+    from tricolor.graphio import serialize
+    from tricolor.instances import (
+        cube_graph, cycle_graph, dodecahedron_graph, grid_graph, k23_graph,
+    )
+
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("outdir", type=Path)
     ap.add_argument("--seeds", type=int, default=3)

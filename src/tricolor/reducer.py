@@ -24,25 +24,24 @@ tuple it keeps.  The class, its fields, equality and repr are the same
 either way.
 
 A run keeps no records: ``push`` appends each one to the record stack,
-a flat list of ints, as its body and then one code::
+a flat list, as its body of ints and then one layout::
 
     vertices, removed[0], removed[1], ...,
-    then per identification: survivor, absorbed, moved...;  code
+    then per identification: survivor, absorbed, moved...;  layout
 
 The body is ``event_endpoints`` of the record, so the solver pushes the
-tuple it re-queues from.  The code indexes a table shared by every
-stack, one entry per record shape met: the kind, the number of
-vertices, the length of each removed and moved tuple and the two edge
-counts.  The entry fixes where each field of the body lies, so a stack
-is read from its end, newest record first: ``unwind`` colors through it
-and ``decode`` rebuilds the records.  The ids are the graph's own int
-objects and the codes small ints, so a record costs one list slot per
-int: a monogram of degree d takes d + 2.
+tuple it re-queues from.  The layout is a tuple shared by every record
+of one shape: the kind, the number of vertices, the length of each
+removed and moved tuple and the two edge counts, and where each field of
+the body lies.  So a stack is read from its end, newest record first,
+in any process: ``unwind`` colors through it and ``decode`` rebuilds
+the records.  The ids are the graph's own int objects and the layouts
+shared, so a record costs one list slot per int and one for its layout:
+a monogram of degree d takes d + 2.
 """
 
 from __future__ import annotations
 
-from threading import Lock
 from typing import AbstractSet, NamedTuple
 
 from .embedding import PlaneGraph
@@ -166,22 +165,21 @@ def reduce(g: PlaneGraph, m: Multigram,
 # the record stack
 
 #: Most slots a grid run's record takes: every reduction there is a
-#: monogram, one vertex of degree <= 3, so its vertex, its neighbors and
-#: the code.
-MONOGRAM_SLOTS = 1 + 3 + 1
+#: monogram, one vertex of degree <= 2, so its vertex, its neighbors and
+#: the layout.
+MONOGRAM_SLOTS = 1 + 2 + 1
 
-# code -> (body length, offset of each survivor, (start, end) of each
+# key -> (body length, offset of each survivor, (start, end) of each
 # removed tuple, kind, number of vertices, moved lengths, edges deleted,
 # edges added).  Reductions have few shapes: every length is at most the
-# degree cap and every edge count at most 126.  Codes are assigned in
-# order of first use, so a stack is read in the process that wrote it.
-_SHAPES: list[tuple] = []
-_CODES: dict[tuple, int] = {}
-_NEW_SHAPE = Lock()
+# degree cap and every edge count at most 126.  A layout depends only on
+# its key, so the memo keeps no order and any process rebuilds it alike.
+_LAYOUTS: dict[tuple, tuple] = {}
 
 
-def shape_code(record: ReductionRecord) -> int:
-    """The code of record's shape, added to the table on first use.
+def layout(record: ReductionRecord) -> tuple:
+    """The layout of record's shape, one tuple shared by every record of
+    that shape.
 
     Its key is the kind, the number of vertices, the two edge counts and
     each removed tuple's length, then None and each moved tuple's
@@ -194,46 +192,38 @@ def shape_code(record: ReductionRecord) -> int:
     else:
         key = (kind, len(verts), deleted, added, *map(len, removed),
                None, *[len(moved) for _, _, moved in identifications])
-    code = _CODES.get(key)
-    return _new_shape(key) if code is None else code
-
-
-def _new_shape(key: tuple) -> int:
-    kind, nv, deleted, added, *lens = key
-    cut = lens.index(None) if None in lens else len(lens)
-    if cut > nv:
+    found = _LAYOUTS.get(key)
+    if found is not None:
+        return found
+    if len(removed) > len(verts):
         raise ValueError(f"more removed tuples than vertices: {key}")
     spans = []
-    at = nv
-    for n in lens[:cut]:
-        spans.append((at, at + n))
-        at += n
+    at = len(verts)
+    for nbrs in removed:
+        spans.append((at, at + len(nbrs)))
+        at += len(nbrs)
     survivors = []
-    moved = tuple(lens[cut + 1:])
+    moved = tuple([len(nbrs) for _, _, nbrs in identifications])
     for n in moved:
         survivors.append(at)
         at += 2 + n
-    with _NEW_SHAPE:
-        if key not in _CODES:
-            _CODES[key] = len(_SHAPES)
-            _SHAPES.append((at, tuple(survivors), tuple(spans),
-                            kind, nv, moved, deleted, added))
-        return _CODES[key]
+    return _LAYOUTS.setdefault(key, (at, tuple(survivors), tuple(spans),
+                                     kind, len(verts), moved, deleted, added))
 
 
-def push(stack: list[int], record: ReductionRecord) -> None:
-    """Append record to the stack: its body, then its shape's code."""
+def push(stack: list, record: ReductionRecord) -> None:
+    """Append record to the stack: its body, then its layout."""
     stack += event_endpoints(None, record)
-    stack.append(shape_code(record))
+    stack.append(layout(record))
 
 
-def decode(stack: list[int]) -> list[ReductionRecord]:
+def decode(stack: list) -> list[ReductionRecord]:
     """The records pushed onto stack, oldest first."""
     records = []
     top = len(stack)
     while top:
         size, survivors, spans, kind, nv, moved, deleted, added = \
-            _SHAPES[stack[top - 1]]
+            stack[top - 1]
         lo = top = top - 1 - size
         records.append(_new(ReductionRecord, (
             kind, tuple(stack[lo:lo + nv]),
@@ -253,7 +243,7 @@ def decode(stack: list[int]) -> list[ReductionRecord]:
 _FIRST_FREE = (0, 1, 0, 2, 0, 1, 0, None)
 
 
-def _extend_through(stack: list[int], coloring: dict[int, int]) -> None:
+def _extend_through(stack: list, coloring: dict[int, int]) -> None:
     """Pull ``coloring`` back through every record of the stack, newest
     first, mutating it.
 
@@ -266,7 +256,7 @@ def _extend_through(stack: list[int], coloring: dict[int, int]) -> None:
     get = coloring.get
     top = len(stack)
     while top:
-        size, survivors, spans = _SHAPES[stack[top - 1]][:3]
+        size, survivors, spans = stack[top - 1][:3]
         lo = top = top - 1 - size
         for s in survivors:
             survivor = stack[lo + s]
@@ -319,13 +309,13 @@ def _backtrack(verts, removed, coloring: dict[int, int]) -> None:
 def extend(record: ReductionRecord, coloring: dict[int, int]) -> dict[int, int]:
     """Pull a proper coloring of the reduced graph back one reduction,
     as ``unwind`` does, and return ``coloring``, which is mutated."""
-    stack: list[int] = []
+    stack: list = []
     push(stack, record)
     _extend_through(stack, coloring)
     return coloring
 
 
-def unwind(stack: list[int], base: dict[int, int]) -> dict[int, int]:
+def unwind(stack: list, base: dict[int, int]) -> dict[int, int]:
     """Extend a copy of base through the record stack, newest first."""
     coloring = dict(base)
     _extend_through(stack, coloring)

@@ -45,9 +45,9 @@ both span targets.
 The recursion of the underlying argument is replaced by an explicit
 record stack; colors flow back through it once the graph is gone.  Each
 reduction's record lives for one loop iteration: the loop pushes it onto
-``Solver.stack``, one flat list of ints (the layout is in ``reducer``),
-as the tuple it re-queues from and the record's shape code, and
-``unwind`` reads that list newest record first.  For
+``Solver.stack``, one flat list (the format is in ``reducer``), as the
+tuple of ints it re-queues from and the record's shared layout, and
+``unwind`` reads that list newest record first, in any process.  For
 the precolored variant the loop stops when exactly the constraint cycle
 C, the keys of the precoloring, remains and seeds the unwind with the
 precoloring.
@@ -62,7 +62,7 @@ from typing import AbstractSet, Callable, Iterable
 from .embedding import DEGREE_CAP, PlaneGraph
 from .multigram import KIND_ORDER, find_secure_with_pivot, footprint
 from .reducer import (
-    ReductionRecord, decode, event_endpoints, reduce, shape_code, unwind,
+    ReductionRecord, decode, event_endpoints, layout, reduce, unwind,
 )
 
 
@@ -197,7 +197,7 @@ class Solver:
                 raise ImproperPrecoloring("adjacent cycle vertices share a color")
         self.audit = audit
         self.stats = SolverStats()
-        self.stack: list[int] = []
+        self.stack: list = []
 
     @property
     def records(self) -> list[ReductionRecord]:
@@ -249,7 +249,7 @@ class Solver:
                 record = reduce(g, m, C)
                 touched = event_endpoints(g, record)
                 stack += touched        # push(stack, record)
-                stack.append(shape_code(record))
+                stack.append(layout(record))
                 reductions[m.kind] += 1
                 if index:       # empty while no failed search is indexed
                     woken = []

@@ -1,7 +1,9 @@
+import io
+
 import pytest
 
 from tricolor.cli import main
-from tricolor.graphio import parse, parse_coloring, serialize
+from tricolor.graphio import format_coloring, parse, parse_coloring, serialize
 from tricolor.instances import cube_graph, cycle_graph, graph_from_faces
 from tricolor.multigram import KIND_ORDER
 from tricolor.oracle import SimpleGraph, facial_cycles, is_proper
@@ -31,6 +33,20 @@ def test_color_then_check(tmp_path, cube_file, capsys):
     assert main(["check", str(cube_file), str(colfile)]) == 0
     sg = SimpleGraph.from_plane_graph(cube_graph())
     assert is_proper(sg, coloring)
+
+
+def test_stdin_input(cube_file, capsys, monkeypatch):
+    # "-" reads the graph for color, and the coloring for check, from stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO(cube_file.read_text()))
+    assert main(["color", "-"]) == 0
+    out = capsys.readouterr().out
+    assert is_proper(SimpleGraph.from_plane_graph(cube_graph()),
+                     parse_coloring(out))
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    assert main(["check", str(cube_file), "-"]) == 0
+    one_color = format_coloring(dict.fromkeys(parse_coloring(out), 0))
+    monkeypatch.setattr("sys.stdin", io.StringIO(one_color))
+    assert main(["check", str(cube_file), "-"]) == 1
 
 
 def test_check_rejects_corrupted(tmp_path, cube_file, capsys):

@@ -1,6 +1,10 @@
 import itertools
+import os
+import pickle
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,8 @@ import tricolor.solver
 from tricolor.solver import Solver
 
 from conftest import run_small_corpus, small_corpus
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def oracle_multigram(g, kind, pivot=None):
@@ -274,7 +280,7 @@ class TestRecordStack:
 
     def test_shapes_added_from_threads(self):
         # four threads push the same new shapes in different orders; a
-        # code given to two shapes would decode one of them wrongly
+        # layout given to two shapes would decode one of them wrongly
         records = [ReductionRecord(f"threads{j}", (1,), ((2,) * (j % 4),),
                                    (), j, 0) for j in range(2000)]
         stacks = [[] for _ in range(4)]
@@ -329,6 +335,27 @@ class TestRecordStack:
         for rec in reversed(solver.records):
             extend(rec, folded)
         assert unwind(solver.stack, {}) == folded == coloring
+
+    def test_stack_read_in_fresh_process(self, tmp_path):
+        # each record carries its own layout, so an interpreter that
+        # never pushed a record decodes and unwinds the pickled stack
+        solver = Solver(augmented(300, 1))
+        coloring = solver.run()
+        dump = tmp_path / "stack.pickle"
+        dump.write_bytes(pickle.dumps((solver.stack, solver.records,
+                                       coloring)))
+        script = (
+            "import pickle, sys\n"
+            "from tricolor.reducer import decode, unwind\n"
+            "with open(sys.argv[1], 'rb') as f:\n"
+            "    stack, records, coloring = pickle.load(f)\n"
+            "assert decode(stack) == records\n"
+            "assert unwind(stack, {}) == coloring\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-c", script, str(dump)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestRoundTripProperty:

@@ -1,4 +1,6 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from tricolor.embedding import validate
@@ -27,6 +29,15 @@ def test_make_corpus_writes_valid_instances(tmp_path, monkeypatch, capsys):
         g = parse(path.read_text())
         validate(g)
         assert is_triangle_free(SimpleGraph.from_plane_graph(g)), path.name
+
+
+def test_make_corpus_runs_isolated(tmp_path):
+    # -I ignores PYTHONPATH: the script finds the library in its checkout
+    done = subprocess.run(
+        [sys.executable, "-I", str(SCRIPTS / "make_corpus.py"), str(tmp_path),
+         "--seeds", "1"], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert len(list(tmp_path.glob("*.graph"))) == 13
 
 
 def test_stage_peaks_augmented(monkeypatch):

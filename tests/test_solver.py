@@ -549,9 +549,9 @@ class TestStats:
             assert s.stats.insertions / k ** 2 <= GRID_INSERTIONS_PER_VERTEX
 
     def test_grid_stack_slots_bounded(self):
-        # every grid reduction is a monogram of degree <= 3, which the
-        # record stack keeps in at most MONOGRAM_SLOTS ints: its vertex,
-        # its neighbors then and its code, and each edge is deleted once
+        # every grid reduction is a monogram of degree <= 2, which the
+        # record stack keeps in at most MONOGRAM_SLOTS slots: its vertex,
+        # its neighbors then and its layout, and each edge is deleted once
         g = grid_graph(100)
         n, m = g.n_alive, g.m_alive
         s = Solver(g)
