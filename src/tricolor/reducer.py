@@ -37,7 +37,10 @@ the body lies.  So a stack is read from its end, newest record first,
 in any process: ``unwind`` colors through it and ``decode`` rebuilds
 the records.  The ids are the graph's own int objects and the layouts
 shared, so a record costs one list slot per int and one for its layout:
-a monogram of degree d takes d + 2.
+a monogram of degree d takes d + 2.  A monogram, one vertex of degree
+<= 2 off C, is never built as a record: ``push_monogram`` pushes its
+body straight from the deletion, then one of the three
+``MONOGRAM_LAYOUTS``.
 """
 
 from __future__ import annotations
@@ -215,6 +218,27 @@ def push(stack: list, record: ReductionRecord) -> None:
     """Append record to the stack: its body, then its layout."""
     stack += event_endpoints(None, record)
     stack.append(layout(record))
+
+
+#: The layout of a monogram of degree d, for d = 0, 1, 2: the memo's own
+#: tuples, so ``push_monogram`` pushes what ``push`` would.
+MONOGRAM_LAYOUTS = tuple(
+    layout(_new(ReductionRecord, (MONOGRAM, (0,), ((0,) * d,), (), d, 0)))
+    for d in range(3))
+
+
+def push_monogram(g: PlaneGraph, v: int, stack: list) -> tuple[int, ...]:
+    """Delete v, a vertex of degree <= 2 off C, and push its monogram's
+    record; return the record's body, ``(v, *neighbors)``.
+
+    Such a v is a secure monogram with no search, so this does what
+    ``find_secure_with_pivot``, ``reduce`` and ``push`` do to g and the
+    stack, ``work`` included, without building the multigram or the
+    record."""
+    body = (v, *g.remove_vertex(v))
+    stack += body
+    stack.append(MONOGRAM_LAYOUTS[len(body) - 1])
+    return body
 
 
 def decode(stack: list) -> list[ReductionRecord]:

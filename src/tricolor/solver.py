@@ -3,9 +3,13 @@
 The engine keeps a FIFO queue of candidate pivots (vertex ids, each at
 most once: ``in_queue`` guards every append; dead ids are skipped on
 pop), initialized with every vertex of degree at most three.  Each
-iteration pops a pivot and looks for a (C-)secure multigram there in
-constant time.  Only vertices of degree <= 3 enter the queue: nothing
-else can pivot a secure multigram.
+iteration pops a pivot.  A pivot of degree <= 2 off C is a secure
+monogram by definition, so ``push_monogram`` deletes it and pushes its
+record with no search, no ``Multigram`` and no ``ReductionRecord``;
+most reductions are such monograms.  At any other pivot the loop looks
+for a (C-)secure multigram in constant time and reduces it.
+Only vertices of degree <= 3 enter the queue: nothing else can pivot a
+secure multigram.
 
 Re-insertion is driven by footprints.  Each search runs on the plain
 graph.  A failed search registers ``footprint(g, v, C)``: the pivot and
@@ -16,8 +20,9 @@ degree it read), recorded by replaying the search on a
 hand out.  Most searches hit and pay nothing for recording.  An index
 maps each footprint vertex to the pivots whose footprint held it.
 After a reduction the engine re-queues
-``event_endpoints(g, record)``, read off the reduction's record, plus
-every pivot indexed under it.  That tuple may repeat a vertex: the
+``event_endpoints(g, record)``, read off the reduction's record (for a
+monogram, the same tuple, which ``push_monogram`` returns), plus every
+pivot indexed under it.  That tuple may repeat a vertex: the
 filter (alive, degree <= 3, not queued) marks ``in_queue`` as it admits
 one, which drops the repeats, and only the batch it appends is sorted,
 so each batch enters the queue in ascending id order and no set is
@@ -46,7 +51,8 @@ The recursion of the underlying argument is replaced by an explicit
 record stack; colors flow back through it once the graph is gone.  Each
 reduction's record lives for one loop iteration: the loop pushes it onto
 ``Solver.stack``, one flat list (the format is in ``reducer``), as the
-tuple of ints it re-queues from and the record's shared layout, and
+tuple of ints it re-queues from and the record's shared layout (a
+monogram is pushed in that form and never built as a record), and
 ``unwind`` reads that list newest record first, in any process.  For
 the precolored variant the loop stops when exactly the constraint cycle
 C, the keys of the precoloring, remains and seeds the unwind with the
@@ -60,9 +66,10 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterable
 
 from .embedding import DEGREE_CAP, PlaneGraph
-from .multigram import KIND_ORDER, find_secure_with_pivot, footprint
+from .multigram import KIND_ORDER, MONOGRAM, find_secure_with_pivot, footprint
 from .reducer import (
-    ReductionRecord, decode, event_endpoints, layout, reduce, unwind,
+    ReductionRecord, decode, event_endpoints, layout, push_monogram, reduce,
+    unwind,
 )
 
 
@@ -239,18 +246,22 @@ class Solver:
                 pops += 1
                 if not alive[v]:
                     continue
-                m = find_secure_with_pivot(g, v, C)
-                if m is None:
-                    read = footprint(g, v, C)
-                    for u in read:
-                        index.setdefault(u, []).append(v)
-                    g.work += len(read)
-                    continue
-                record = reduce(g, m, C)
-                touched = event_endpoints(g, record)
-                stack += touched        # push(stack, record)
-                stack.append(layout(record))
-                reductions[m.kind] += 1
+                if deg[v] <= 2 and v not in C:      # a secure monogram
+                    touched = push_monogram(g, v, stack)
+                    reductions[MONOGRAM] += 1
+                else:
+                    m = find_secure_with_pivot(g, v, C)
+                    if m is None:
+                        read = footprint(g, v, C)
+                        for u in read:
+                            index.setdefault(u, []).append(v)
+                        g.work += len(read)
+                        continue
+                    record = reduce(g, m, C)
+                    touched = event_endpoints(g, record)
+                    stack += touched        # push(stack, record)
+                    stack.append(layout(record))
+                    reductions[m.kind] += 1
                 if index:       # empty while no failed search is indexed
                     woken = []
                     for u in touched:

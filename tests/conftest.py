@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import pytest
 
+import tricolor.solver
 from tricolor.embedding import PlaneGraph, build, validate
 from tricolor.generators import augmented, grid, quad
 from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph, grid_graph,
     hexagram_flower, k23_graph, path_graph, pentagram_flower,
 )
+from tricolor.multigram import NO_CYCLE
 from tricolor.oracle import SimpleGraph, facial_cycles, is_triangle_free
+from tricolor.reducer import event_endpoints, push
 from tricolor.solver import Solver, TriangleFound
 
 #: frozen regression constant for queue insertions per vertex on grids
@@ -94,6 +97,18 @@ def gadget_union() -> PlaneGraph:
         + [make() for make in (pentagram_flower, hexagram_flower,
                                cube_graph, dodecahedron_graph, k23_graph)
            for _ in range(4)])
+
+
+def monogram_by_search(g, v, stack):
+    """What ``push_monogram`` does to g and the stack, the general way:
+    ``find_secure_with_pivot``, ``reduce`` and ``push``, looked up in
+    ``tricolor.solver`` at each call, so a test that wraps those names
+    sees monograms too.  The solver calls it only at a vertex of degree
+    <= 2 off C, where the search needs no C."""
+    m = tricolor.solver.find_secure_with_pivot(g, v)
+    record = tricolor.solver.reduce(g, m, NO_CYCLE)
+    push(stack, record)
+    return event_endpoints(g, record)
 
 
 def validating_audit(g, queue, C):

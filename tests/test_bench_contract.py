@@ -7,7 +7,9 @@ tracer installed; installing fails if any wrapped name is gone.
 ``solver.close_set`` is wrapped too but lies off the solve path, so its
 layer records no calls.  A solver that inlined a wrapped call would
 leave its layer short, so the test counts ``event_endpoints`` against
-``reduce``.
+``reduce``.  A monogram skips the search, ``reduce`` and
+``event_endpoints`` (``push_monogram`` does its work), so those layers
+count only the cycle kinds; the cube, all of degree 3, starts with one.
 """
 
 import sys

@@ -305,16 +305,27 @@ class TestRecordStack:
             assert decode(stack) == records[i::2] + records[1 - i % 2::2]
 
     def test_round_trip_small_corpus(self, monkeypatch):
-        # every record reduce returns in the small-corpus runs, plain and
-        # precolored, comes back from its run's stack
+        # every record of the small-corpus runs, plain and precolored,
+        # comes back from its run's stack: each one reduce returns, and
+        # for each vertex push_monogram deletes, the record reduce
+        # builds for that monogram, read off the body it returns
         built = []
         reduce_ = tricolor.solver.reduce
+        push_monogram_ = tricolor.solver.push_monogram
 
         def keeping(g, m, C):
             built.append(reduce_(g, m, C))
             return built[-1]
 
+        def keeping_monogram(g, v, stack):
+            body = push_monogram_(g, v, stack)
+            nbrs = body[1:]
+            built.append(ReductionRecord(MONOGRAM, (v,), (nbrs,), (),
+                                         len(nbrs), 0))
+            return body
+
         monkeypatch.setattr(tricolor.solver, "reduce", keeping)
+        monkeypatch.setattr(tricolor.solver, "push_monogram", keeping_monogram)
         decoded = []
         for solver in run_small_corpus():
             decoded += solver.records

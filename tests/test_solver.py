@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tricolor.embedding import build, validate
-from tricolor.generators import GenSpec, augmented, generate, quad
+from tricolor.generators import GenSpec, augmented, generate, grid, quad
 from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph, grid_graph,
     graph_from_faces, hexagram_flower, k23_graph, pentagram_flower,
@@ -19,7 +19,9 @@ from tricolor.oracle import (
     SimpleGraph, all_secure_multigrams_slow, closeness_slow, facial_cycles,
     is_proper,
 )
-from tricolor.reducer import MONOGRAM_SLOTS, ReductionRecord, event_endpoints
+from tricolor.reducer import (
+    MONOGRAM_SLOTS, ReductionRecord, decode, event_endpoints, unwind,
+)
 from tricolor.solver import (
     ExhaustedQueueNonempty, ImproperPrecoloring, NotAFacialCycle, Solver,
     TriangleFound, close_set, facial_cycle, three_color,
@@ -27,7 +29,8 @@ from tricolor.solver import (
 
 from conftest import (
     GRID_INSERTIONS_PER_VERTEX, disjoint_union, gadget_union,
-    run_small_corpus, small_corpus, small_corpus_builders, validating_audit,
+    monogram_by_search, run_small_corpus, small_corpus,
+    small_corpus_builders, validating_audit,
 )
 
 
@@ -168,15 +171,22 @@ class TestPrecolored:
         # two random facial 4-cycles and two 5-cycles of each graph (quad
         # and grid are bipartite, so 4-cycles only) under every proper
         # pattern; C is checked at every reduction, which each loop head
-        # but the first follows
+        # but the first follows: a monogram's vertex is off it
         reduce = tricolor.solver.reduce
+        push_monogram = tricolor.solver.push_monogram
         phi = {}
 
         def checking(g, m, C):
             assert C == phi.keys(), (C, phi)
             return reduce(g, m, C)
 
+        def checking_monogram(g, v, stack):
+            assert v not in phi, (v, phi)
+            return push_monogram(g, v, stack)
+
         monkeypatch.setattr(tricolor.solver, "reduce", checking)
+        monkeypatch.setattr(tricolor.solver, "push_monogram",
+                            checking_monogram)
         runs = on_c = 0
         for kind, delete in (("augmented", 0.0), ("quad", 0.0), ("grid", 0.1)):
             for seed in (1, 2):
@@ -367,6 +377,9 @@ class TestRecordsAndHits:
         for name in ("reduce", "find_secure_with_pivot"):
             monkeypatch.setattr(tricolor.solver, name,
                                 keeping(getattr(tricolor.solver, name)))
+        # monograms take the search and reduce too, so their lines build
+        monkeypatch.setattr(tricolor.solver, "push_monogram",
+                            monogram_by_search)
         run_small_corpus()
         Solver(generate(GenSpec("augmented", 2000, seed=1))).run()
         by_type = Counter(type(x) for x in kept)
@@ -382,6 +395,50 @@ class TestRecordsAndHits:
             assert x == called and repr(x) == repr(called), x
 
 
+def _same_slots(stack, other) -> bool:
+    """The two stacks hold equal ids and the very same layouts, slot by
+    slot."""
+    return len(stack) == len(other) and all(
+        x is y if type(x) is tuple else x == y for x, y in zip(stack, other))
+
+
+class TestMonogramStep:
+    """push_monogram against the path it stands in for: a run whose
+    monograms go through the search, reduce and push must leave the
+    same stack, coloring and stats."""
+
+    @staticmethod
+    def _both_ways(monkeypatch, runs):
+        fast = runs()
+        with monkeypatch.context() as m:
+            m.setattr(tricolor.solver, "push_monogram", monogram_by_search)
+            slow = runs()
+        assert len(fast) == len(slow) > 0
+        monograms = 0
+        for (a, col_a), (b, col_b) in zip(fast, slow):
+            assert _same_slots(a.stack, b.stack)
+            assert col_a == col_b
+            assert a.stats == b.stats
+            monograms += a.stats.reductions["monogram"]
+        assert monograms > 0
+
+    def test_small_corpus_plain_and_precolored(self, monkeypatch):
+        def runs():
+            # the coloring run returned: the stack unwound from phi
+            return [(s, unwind(s.stack, s.phi)) for s in run_small_corpus()]
+        self._both_ways(monkeypatch, runs)
+
+    @pytest.mark.parametrize("make", [lambda: grid(100),
+                                      lambda: augmented(5000, 1),
+                                      gadget_union],
+                             ids=["grid10k", "augmented5k", "gadgets"])
+    def test_generated(self, monkeypatch, make):
+        def runs():
+            s = Solver(make())
+            return [(s, s.run())]
+        self._both_ways(monkeypatch, runs)
+
+
 class _OldWakeRule:
     """Audit hook that replays, at every loop head, the rule the solver
     had when it woke from a set: the queue left after the pops since the
@@ -389,13 +446,15 @@ class _OldWakeRule:
     record plus every pivot indexed under it, less the dead, those of
     degree > 3 and those still queued.  The footprint index is kept from
     the registrations the solver makes through ``footprint``, and the
-    newest record from its calls of ``reduce``; a head with a graph not
-    seen before starts a run."""
+    newest record from its calls of ``reduce``, or decoded from what its
+    calls of ``push_monogram`` push; a head with a graph not seen before
+    starts a run."""
 
     def __init__(self, monkeypatch) -> None:
         self.graph = None
         self.woken = self.heads = 0
         footprint, reduce = tricolor.solver.footprint, tricolor.solver.reduce
+        push_monogram = tricolor.solver.push_monogram
 
         def registering(g, v, C):
             read = footprint(g, v, C)
@@ -407,8 +466,16 @@ class _OldWakeRule:
             self.record = reduce(g, m, C)
             return self.record
 
+        def recording_monogram(g, v, stack):
+            top = len(stack)
+            body = push_monogram(g, v, stack)
+            self.record, = decode(stack[top:])
+            return body
+
         monkeypatch.setattr(tricolor.solver, "footprint", registering)
         monkeypatch.setattr(tricolor.solver, "reduce", recording)
+        monkeypatch.setattr(tricolor.solver, "push_monogram",
+                            recording_monogram)
 
     def __call__(self, g, queue, C) -> None:
         self.heads += 1
