@@ -17,11 +17,11 @@ are never stored; they are read off by tracing.  A "facial cycle" here is
 any closed orbit that is a simple cycle, regardless of whether some other
 connected component is drawn inside it.
 
-Vertices of degree >= 60 are *big*; bounded queries (adjacency, vicinity
-scans) insist that at least one involved vertex is small
-(degree <= DEGREE_CAP = 59) and cost O(1) with constants depending only
-on the cap.  The ``work`` counter accumulates primitive step counts so
-tests can assert the constant-work contracts.  ``remove_vertex``
+Vertices of degree >= 60 are *big*; adjacency queries insist that at
+least one of the two vertices is small (degree <= DEGREE_CAP = 59) and
+cost O(1) with constants depending only on the cap, and ``walk_face``
+stops at a step limit.  The ``work`` counter accumulates primitive step
+counts so tests can assert the constant-work contracts.  ``remove_vertex``
 deletes a vertex with all its edges in one walk of its rotation.
 
 ``RecordingGraph(g)`` is a view of g that wraps g's arrays: each read
@@ -206,25 +206,10 @@ class PlaneGraph:
         verts = tuple(self.d_origin[e] for e in walk)
         return verts if len(set(verts)) == len(verts) else None
 
-    def edge_vicinity(self, d: int) -> tuple[list[int], bool]:
-        """Vertices within facial-walk distance 2 of edge(d)'s ends, on d's face.
-
-        Also reports whether the boundary component containing d has
-        length at most 6.  Constant work: at most 7 sigma steps.
-        """
-        walk, closed = self.walk_face(d, 7)
-        origin = self.d_origin
-        if closed and len(walk) <= 6:
-            verts = [origin[e] for e in walk]
-            return sorted(set(verts)), True
-        # open window: two back, the two ends, two forward
-        twin, prv = self.d_twin, self.d_prev
-        b1 = twin[prv[d]]
-        b2 = twin[prv[b1]]
-        picks = [origin[b2], origin[b1], origin[walk[0]],
-                 origin[walk[1]], origin[walk[2]], origin[walk[3]]]
-        self.work += 2
-        return sorted(set(picks)), False
+    # Placeholder for the paper's +-2 edge window, which footprints
+    # replace: bench/spans.py wraps this name and no path calls it.
+    # ROADMAP item 1 deletes it together with that span target.
+    edge_vicinity = None
 
     # ------------------------------------------------------------------
     # mutation

@@ -20,7 +20,7 @@ from .multigram import (
 
 
 ENUMERATE_CAP = 14   # vertices enumerate_3colorings takes
-SLOW_CAP = 200       # vertices the literal multigram and closeness take
+SLOW_CAP = 200       # vertices the literal multigram checks take
 
 
 class TooLarge(Exception):
@@ -428,32 +428,3 @@ def all_secure_multigrams_slow(g: PlaneGraph,
             out.append(m)
     return out
 
-
-# ----------------------------------------------------------------------
-# literal closeness
-
-def closeness_slow(g: PlaneGraph, u: int, v: int) -> bool:
-    """Close = small-vertex path of length <= 4, or a shared facial
-    cycle of length <= 6 (defined for small u, v only)."""
-    _check_cap(g.n_alive, SLOW_CAP)
-    if not (_small(g, u) and _small(g, v)):
-        return False
-    if u == v:
-        return True
-    # BFS inside the small-vertex-induced subgraph
-    dist = {u: 0}
-    frontier = [u]
-    for depth in range(1, 5):
-        nxt = []
-        for w in frontier:
-            for z in g.neighbors(w):
-                if z not in dist and _small(g, z):
-                    dist[z] = depth
-                    nxt.append(z)
-        frontier = nxt
-    if v in dist:
-        return True
-    for verts, _ in facial_cycles(g):
-        if len(verts) <= 6 and u in verts and v in verts:
-            return True
-    return False

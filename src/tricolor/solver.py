@@ -42,11 +42,6 @@ from one of those is a spare pop, never a missed one.  A touched
 vertex's entries are dropped once scanned.  Registrations and scanned
 entries count in ``work``.
 
-``close_set`` (the paper's closeness rule) is on no solver path.  It
-stays only because ``bench/spans.py`` resolves it by name; it goes
-together with ``PlaneGraph.edge_vicinity`` once the benchmark drops
-both span targets.
-
 The recursion of the underlying argument is replaced by an explicit
 record stack; colors flow back through it once the graph is gone.  Each
 reduction's record lives for one loop iteration: the loop pushes it onto
@@ -65,7 +60,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterable
 
-from .embedding import DEGREE_CAP, PlaneGraph
+from .embedding import PlaneGraph
 from .multigram import KIND_ORDER, MONOGRAM, find_secure_with_pivot, footprint
 from .reducer import (
     ReductionRecord, decode, event_endpoints, layout, push_monogram, reduce,
@@ -99,73 +94,10 @@ class SolverStats:
     work: int = 0
 
 
-# ----------------------------------------------------------------------
-# closeness
-
-def close_set(g: PlaneGraph, sources: Iterable[int]) -> set[int]:
-    """Union over small sources of their close vertices, in g's current
-    state: small-path balls of radius 4 plus <=6 facial walks.  Big
-    vertices are never close.
-    """
-    deg = g.v_deg
-    nxt = g.d_next
-    twin = g.d_twin
-    origin = g.d_origin
-    vdart = g.v_dart
-    seen: set[int] = set()
-    frontier: list[int] = []
-    out: set[int] = set()
-    add = out.add
-    for s in sources:
-        if deg[s] <= DEGREE_CAP and s not in seen:
-            seen.add(s)
-            frontier.append(s)
-            add(s)
-    steps = 0
-    for s in frontier:
-        d0 = vdart[s]
-        if d0 < 0:
-            continue
-        d = d0
-        while True:
-            # first pass finds the walk length, second collects
-            e = nxt[twin[d]]
-            n = 1
-            while e != d and n < 7:
-                e = nxt[twin[e]]
-                n += 1
-            steps += n
-            if e == d and n <= 6:
-                e = nxt[twin[d]]
-                while e != d:
-                    w = origin[e]
-                    if deg[w] <= DEGREE_CAP:
-                        add(w)
-                    e = nxt[twin[e]]
-            d = nxt[d]
-            if d == d0:
-                break
-    for _ in (1, 2, 3, 4):
-        nxt_frontier: list[int] = []
-        push = nxt_frontier.append
-        for u in frontier:
-            d0 = vdart[u]
-            if d0 < 0:
-                continue
-            d = d0
-            while True:
-                w = origin[twin[d]]
-                if w not in seen and deg[w] <= DEGREE_CAP:
-                    seen.add(w)
-                    push(w)
-                    add(w)
-                d = nxt[d]
-                steps += 1
-                if d == d0:
-                    break
-        frontier = nxt_frontier
-    g.work += steps
-    return out
+# Placeholder for the paper's closeness rule, which footprints replace:
+# bench/spans.py wraps this name and no path calls it.  ROADMAP item 1
+# deletes it together with that span target.
+close_set = None
 
 
 # ----------------------------------------------------------------------

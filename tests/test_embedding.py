@@ -524,25 +524,6 @@ class TestDegreeQueries:
             g.adjacent(0, 1)
 
 
-class TestEdgeVicinity:
-    def test_four_cycle(self):
-        g = cycle_graph(4)
-        verts, short = g.edge_vicinity(g.v_dart[0])
-        assert short and sorted(verts) == [0, 1, 2, 3]
-
-    def test_long_walk_window(self):
-        # two back, the two ends, two forward; vertex 10 is far
-        g = cycle_graph(20)
-        verts, short = g.edge_vicinity(g.dart_between(0, 1))
-        assert not short
-        assert verts == [0, 1, 2, 3, 18, 19]
-
-    def test_isolated_edge(self):
-        g = path_graph(2)
-        verts, short = g.edge_vicinity(g.v_dart[0])
-        assert short and sorted(verts) == [0, 1]
-
-
 class TestIdentify:
     def test_four_cycle_opposite(self):
         g = cycle_graph(4)
@@ -629,7 +610,7 @@ class TestWorkCounter:
             mid = (k // 2) * k + k // 2
             for name, op in [
                 ("adjacent", lambda: g.adjacent(mid, mid + 1)),
-                ("vicinity", lambda: g.edge_vicinity(g.v_dart[mid])),
+                ("walk", lambda: g.walk_face(g.v_dart[mid], 7)),
                 ("remove+add", lambda: g.remove_edge(g.v_dart[mid])),
             ]:
                 w0 = g.work

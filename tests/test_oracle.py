@@ -11,7 +11,7 @@ from tricolor.instances import (
 )
 from tricolor.oracle import (
     SimpleGraph, TooLarge, all_paths_upto, all_secure_multigrams_slow,
-    brute_force_3color, closeness_slow,
+    brute_force_3color,
     enumerate_3colorings, is_proper, is_triangle_free,
 )
 from tricolor.solver import Solver
@@ -202,23 +202,6 @@ class TestSecureEnumeration:
     def test_cap(self):
         with pytest.raises(TooLarge):
             all_secure_multigrams_slow(grid_graph(15))
-
-
-class TestCloseness:
-    def test_adjacent_smalls_close(self):
-        g = cycle_graph(4)
-        assert closeness_slow(g, 0, 1)
-
-    def test_big_vertex_never_close(self):
-        g = big_hub_graph()
-        assert not closeness_slow(g, 120, 0)
-
-    def test_through_big_hub_only_via_face(self):
-        g = big_hub_graph()
-        # rim vertices two apart share a 4-face with the hub inside it
-        assert closeness_slow(g, 0, 2)
-        # antipodal rim vertices: hub path blocked (big), rim path too long
-        assert not closeness_slow(g, 0, 60)
 
 
 def test_all_paths_upto():

@@ -16,7 +16,7 @@ from tricolor.instances import (
 import tricolor.solver
 from tricolor.multigram import KIND_ORDER, Multigram, find_secure_with_pivot
 from tricolor.oracle import (
-    SimpleGraph, all_secure_multigrams_slow, closeness_slow, facial_cycles,
+    SimpleGraph, all_secure_multigrams_slow, facial_cycles,
     is_proper,
 )
 from tricolor.reducer import (
@@ -24,7 +24,7 @@ from tricolor.reducer import (
 )
 from tricolor.solver import (
     ExhaustedQueueNonempty, ImproperPrecoloring, NotAFacialCycle, Solver,
-    TriangleFound, close_set, facial_cycle, three_color,
+    TriangleFound, facial_cycle, three_color,
 )
 
 from conftest import (
@@ -237,32 +237,6 @@ class TestPrecolored:
         col = three_color(g, precoloring=phi, audit=validating_audit)
         assert is_proper(sg, col) and set(col) == set(sg.adj)
         assert all(col[v] == c for v, c in phi.items())
-
-
-class TestCloseness:
-    def test_close_set_matches_slow_on_grid(self):
-        g = grid_graph(5)
-        for u in (0, 6, 12):
-            fast = close_set(g, [u])
-            slow = {w for w in g.vertex_ids() if closeness_slow(g, u, w)}
-            assert fast == slow
-
-    def test_close_set_covers_slow_everywhere(self):
-        for name, g in small_corpus():
-            if g.n_alive > 30:
-                continue
-            for u in list(g.vertex_ids())[:6]:
-                fast = close_set(g, [u])
-                slow = {w for w in g.vertex_ids() if closeness_slow(g, u, w)}
-                assert slow <= fast, (name, u)
-
-    def test_close_set_matches_slow_on_big_hub(self):
-        # the hub has degree exactly 60: big, so never close
-        g = big_hub_graph()
-        for u in (0, 1, 2, 121):
-            fast = close_set(g, [u])
-            slow = {w for w in g.vertex_ids() if closeness_slow(g, u, w)}
-            assert fast == slow, u
 
 
 class TestWorklistInvariant:
