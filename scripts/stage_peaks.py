@@ -3,11 +3,13 @@
 
     python3 scripts/stage_peaks.py --seed N
 
-Each set-up instance of the benchmark's grid and augmented workloads
-is serialized and then colored once through the calls ``tricolor
-color`` makes, in its order: parse (``parse_rotations``), build, the
-triangle check, the solve and the format.  The line of an instance gives, for each stage, the highest
-memory that ``tracemalloc`` saw allocated while the stage ran, in MB.
+Each set-up instance of the benchmark's grid, augmented and gadgets
+workloads is serialized and then colored once through the calls
+``tricolor color`` makes, in its order: parse (``parse_rotations``),
+build, the triangle check, the solve and the format.  The line of an
+instance gives, for each stage, the highest memory that ``tracemalloc``
+saw allocated while the stage ran, in MB.  Gadgets is the workload with
+the most reductions kept on the stack as record objects.
 Tracing starts just before the parse, so the input text is not counted;
 what earlier stages left alive is.  The largest of the five is the
 run's traced peak, so that stage is the one to shrink.
@@ -61,7 +63,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, required=True)
     args = ap.parse_args(argv)
-    for name in ("grid", "augmented"):
+    for name in ("grid", "augmented", "gadgets"):
         texts = [serialize(g) for g in workloads.WORKLOADS[name].graphs(args.seed)]
         for i, text in enumerate(texts):
             peaks = stage_peaks(text)

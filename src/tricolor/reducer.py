@@ -7,11 +7,11 @@ when it was deleted, and each absorbed vertex with its survivor and its
 neighbors when it was identified.  The deleted vertices are a prefix of
 the multigram's vertices in coloring order (all of them, or a
 pentagram's first four), so the record does not list them again.
-Coloring extension assigns each absorbed vertex its survivor's color and
-then colors the deleted ones: one deleted vertex takes its first free
-color, several take one bounded depth-first search (<= 3^5
-assignments).  Extension can only fail on a corrupted record, which
-raises.
+Coloring extension gives a monogram's vertex its first free color; in
+any other record it assigns each absorbed vertex its survivor's color
+and then colors the deleted ones by one bounded depth-first search
+(<= 3^5 assignments).  Extension can only fail on a corrupted record,
+which raises.
 
 A reduction's record is also the one statement of what it changed:
 ``event_endpoints`` reads off it, after the reduction, every vertex the
@@ -23,24 +23,15 @@ which runs a Python-level ``__new__``; a reduction pays only for the
 tuple it keeps.  The class, its fields, equality and repr are the same
 either way.
 
-A run keeps no records: ``push`` appends each one to the record stack,
-a flat list, as its body of ints and then one layout::
-
-    vertices, removed[0], removed[1], ...,
-    then per identification: survivor, absorbed, moved...;  layout
-
-The body is ``event_endpoints`` of the record, so the solver pushes the
-tuple it re-queues from.  The layout is a tuple shared by every record
-of one shape: the kind, the number of vertices, the length of each
-removed and moved tuple and the two edge counts, and where each field of
-the body lies.  So a stack is read from its end, newest record first,
-in any process: ``unwind`` colors through it and ``decode`` rebuilds
-the records.  The ids are the graph's own int objects and the layouts
-shared, so a record costs one list slot per int and one for its layout:
-a monogram of degree d takes d + 2.  A monogram, one vertex of degree
-<= 2 off C, is never built as a record: ``push_monogram`` pushes its
-body straight from the deletion, then one of the three
-``MONOGRAM_LAYOUTS``.
+A run keeps its reductions on one record stack, a flat list read from
+its end, newest record first: ``unwind`` colors through it and
+``decode`` rebuilds the records.  A monogram, one vertex of degree <= 2
+off C, is never built as a record: ``push_monogram`` pushes its vertex,
+its neighbors and then its degree d as a plain int, d + 2 slots that
+share their ids with the graph.  Every other record goes on the stack
+as itself, in one slot, so the top slot tells the two apart: an int
+ends a monogram, anything else is a record.  A stack holds only ints
+and records, so it pickles and reads in any process.
 """
 
 from __future__ import annotations
@@ -169,62 +160,25 @@ def reduce(g: PlaneGraph, m: Multigram,
 
 #: Most slots a grid run's record takes: every reduction there is a
 #: monogram, one vertex of degree <= 2, so its vertex, its neighbors and
-#: the layout.
+#: its degree.
 MONOGRAM_SLOTS = 1 + 2 + 1
-
-# key -> (body length, offset of each survivor, (start, end) of each
-# removed tuple, kind, number of vertices, moved lengths, edges deleted,
-# edges added).  Reductions have few shapes: every length is at most the
-# degree cap and every edge count at most 126.  A layout depends only on
-# its key, so the memo keeps no order and any process rebuilds it alike.
-_LAYOUTS: dict[tuple, tuple] = {}
-
-
-def layout(record: ReductionRecord) -> tuple:
-    """The layout of record's shape, one tuple shared by every record of
-    that shape.
-
-    Its key is the kind, the number of vertices, the two edge counts and
-    each removed tuple's length, then None and each moved tuple's
-    length.  A record with one removed tuple and no identification,
-    every monogram, leaves the None out and is keyed without unpacking.
-    """
-    kind, verts, removed, identifications, deleted, added = record
-    if len(removed) == 1 and not identifications:   # every monogram
-        key = (kind, len(verts), deleted, added, len(removed[0]))
-    else:
-        key = (kind, len(verts), deleted, added, *map(len, removed),
-               None, *[len(moved) for _, _, moved in identifications])
-    found = _LAYOUTS.get(key)
-    if found is not None:
-        return found
-    if len(removed) > len(verts):
-        raise ValueError(f"more removed tuples than vertices: {key}")
-    spans = []
-    at = len(verts)
-    for nbrs in removed:
-        spans.append((at, at + len(nbrs)))
-        at += len(nbrs)
-    survivors = []
-    moved = tuple([len(nbrs) for _, _, nbrs in identifications])
-    for n in moved:
-        survivors.append(at)
-        at += 2 + n
-    return _LAYOUTS.setdefault(key, (at, tuple(survivors), tuple(spans),
-                                     kind, len(verts), moved, deleted, added))
 
 
 def push(stack: list, record: ReductionRecord) -> None:
-    """Append record to the stack: its body, then its layout."""
-    stack += event_endpoints(None, record)
-    stack.append(layout(record))
-
-
-#: The layout of a monogram of degree d, for d = 0, 1, 2: the memo's own
-#: tuples, so ``push_monogram`` pushes what ``push`` would.
-MONOGRAM_LAYOUTS = tuple(
-    layout(_new(ReductionRecord, (MONOGRAM, (0,), ((0,) * d,), (), d, 0)))
-    for d in range(3))
+    """Append record to the stack: a monogram as ``push_monogram`` writes
+    it, its vertex, its neighbors and its degree, and any other record
+    as itself, in one slot."""
+    kind, verts, removed, identifications, deleted, added = record
+    if len(removed) > len(verts):
+        raise ValueError(f"more removed tuples than vertices: {record}")
+    if (kind == MONOGRAM and len(verts) == len(removed) == 1
+            and not identifications and deleted == len(removed[0])
+            and not added):
+        stack += verts
+        stack += removed[0]
+        stack.append(deleted)
+    else:
+        stack.append(record)
 
 
 def push_monogram(g: PlaneGraph, v: int, stack: list) -> tuple[int, ...]:
@@ -237,7 +191,7 @@ def push_monogram(g: PlaneGraph, v: int, stack: list) -> tuple[int, ...]:
     record."""
     body = (v, *g.remove_vertex(v))
     stack += body
-    stack.append(MONOGRAM_LAYOUTS[len(body) - 1])
+    stack.append(len(body) - 1)
     return body
 
 
@@ -246,16 +200,15 @@ def decode(stack: list) -> list[ReductionRecord]:
     records = []
     top = len(stack)
     while top:
-        size, survivors, spans, kind, nv, moved, deleted, added = \
-            stack[top - 1]
-        lo = top = top - 1 - size
-        records.append(_new(ReductionRecord, (
-            kind, tuple(stack[lo:lo + nv]),
-            tuple([tuple(stack[lo + a:lo + b]) for a, b in spans]),
-            tuple([(stack[lo + s], stack[lo + s + 1],
-                    tuple(stack[lo + s + 2:lo + s + 2 + n]))
-                   for s, n in zip(survivors, moved)]),
-            deleted, added)))
+        top -= 1
+        record = stack[top]
+        if type(record) is int:     # a monogram of degree d
+            d = record
+            top -= d + 1
+            record = _new(ReductionRecord, (
+                MONOGRAM, (stack[top],), (tuple(stack[top + 1:top + 1 + d]),),
+                (), d, 0))
+        records.append(record)
     records.reverse()
     return records
 
@@ -271,34 +224,35 @@ def _extend_through(stack: list, coloring: dict[int, int]) -> None:
     """Pull ``coloring`` back through every record of the stack, newest
     first, mutating it.
 
-    Absorbed vertices copy their survivor.  One deleted vertex takes its
-    first color not on a stored neighbor; several go to ``_backtrack``.
-    Either way the result is the lexicographically first proper
-    extension.  Colors are 0, 1, 2, and an uncolored neighbor blocks no
-    color.
+    A monogram's vertex takes its first color not on a stored neighbor.
+    In any other record, absorbed vertices copy their survivor and the
+    deleted ones go to ``_backtrack``.  Either way the result is the
+    lexicographically first proper extension.  Colors are 0, 1, 2, and
+    an uncolored neighbor blocks no color.
     """
     get = coloring.get
     top = len(stack)
     while top:
-        size, survivors, spans = stack[top - 1][:3]
-        lo = top = top - 1 - size
-        for s in survivors:
-            survivor = stack[lo + s]
-            if survivor not in coloring:
-                raise ExtensionFailure(f"survivor {survivor} uncolored")
-            coloring[stack[lo + s + 1]] = coloring[survivor]
-        if len(spans) == 1:
-            a, b = spans[0]
+        top -= 1
+        record = stack[top]
+        if type(record) is int:     # a monogram of degree d
+            d = record
             used = 0
-            for u in stack[lo + a:lo + b]:
+            for u in stack[top - d:top]:
                 used |= 1 << get(u, 3)
+            top -= d + 1
             c = _FIRST_FREE[used & 7]
             if c is None:
-                raise ExtensionFailure(f"no color left for vertex {stack[lo]}")
-            coloring[stack[lo]] = c
-        elif spans:
-            _backtrack(stack[lo:lo + len(spans)],
-                       [stack[lo + a:lo + b] for a, b in spans], coloring)
+                raise ExtensionFailure(
+                    f"no color left for vertex {stack[top]}")
+            coloring[stack[top]] = c
+        else:
+            for survivor, absorbed, _ in record.identifications:
+                if survivor not in coloring:
+                    raise ExtensionFailure(f"survivor {survivor} uncolored")
+                coloring[absorbed] = coloring[survivor]
+            if record.removed:
+                _backtrack(record.vertices, record.removed, coloring)
 
 
 def _backtrack(verts, removed, coloring: dict[int, int]) -> None:

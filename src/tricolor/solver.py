@@ -44,14 +44,13 @@ entries count in ``work``.
 
 The recursion of the underlying argument is replaced by an explicit
 record stack; colors flow back through it once the graph is gone.  Each
-reduction's record lives for one loop iteration: the loop pushes it onto
-``Solver.stack``, one flat list (the format is in ``reducer``), as the
-tuple of ints it re-queues from and the record's shared layout (a
-monogram is pushed in that form and never built as a record), and
-``unwind`` reads that list newest record first, in any process.  For
-the precolored variant the loop stops when exactly the constraint cycle
-C, the keys of the precoloring, remains and seeds the unwind with the
-precoloring.
+reduction goes onto ``Solver.stack``, one flat list (the format is in
+``reducer``): a monogram as its vertex, its neighbors and its degree,
+never built as a record, and any other reduction as the record
+``reduce`` returned, in one slot.  ``unwind`` reads that list newest
+record first, in any process.  For the precolored variant the loop
+stops when exactly the constraint cycle C, the keys of the precoloring,
+remains and seeds the unwind with the precoloring.
 """
 
 from __future__ import annotations
@@ -63,8 +62,7 @@ from typing import AbstractSet, Callable, Iterable
 from .embedding import PlaneGraph
 from .multigram import KIND_ORDER, MONOGRAM, find_secure_with_pivot, footprint
 from .reducer import (
-    ReductionRecord, decode, event_endpoints, layout, push_monogram, reduce,
-    unwind,
+    ReductionRecord, decode, event_endpoints, push_monogram, reduce, unwind,
 )
 
 
@@ -191,8 +189,7 @@ class Solver:
                         continue
                     record = reduce(g, m, C)
                     touched = event_endpoints(g, record)
-                    stack += touched        # push(stack, record)
-                    stack.append(layout(record))
+                    stack.append(record)    # push(stack, record)
                     reductions[m.kind] += 1
                 if index:       # empty while no failed search is indexed
                     woken = []

@@ -29,7 +29,7 @@ from tricolor.reducer import (
 import tricolor.solver
 from tricolor.solver import Solver
 
-from conftest import run_small_corpus, small_corpus
+from conftest import gadget_union, run_small_corpus, small_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -222,9 +222,10 @@ class TestExtend:
         assert is_proper(sg, coloring)
 
     def test_one_deleted_vertex_matches_backtracking(self):
-        # the first-free-color path against the search, alone and after
-        # an identification, on every coloring of up to four neighbors
-        # (a neighbor may be uncolored), those with no color left included
+        # a monogram's first-free-color path against the search, on every
+        # coloring of up to four neighbors (a neighbor may be uncolored),
+        # those with no color left included; the pentagram variant, one
+        # deleted vertex after an identification, goes through _backtrack
         v, x = 9, 8
         failures = 0
         for k in range(5):
@@ -245,6 +246,16 @@ class TestExtend:
                         _search_path(rec, slow)
                     assert fast == slow, (rec, col)
         assert failures > 0
+
+
+def _top_slots(stack):
+    """The top slot of each record on stack, newest first: a monogram's
+    degree d ends its d + 2 slots, and any other slot is one record."""
+    top = len(stack)
+    while top > 0:
+        slot = stack[top - 1]
+        yield slot
+        top -= slot + 2 if type(slot) is int else 1
 
 
 class TestRecordStack:
@@ -279,8 +290,9 @@ class TestRecordStack:
             push([], ReductionRecord(MONOGRAM, (9,), ((1,), (2,)), (), 2, 0))
 
     def test_shapes_added_from_threads(self):
-        # four threads push the same new shapes in different orders; a
-        # layout given to two shapes would decode one of them wrongly
+        # four threads push the same records in different orders; push
+        # keeps no state shared between stacks, so each thread's stack
+        # decodes to what that thread pushed
         records = [ReductionRecord(f"threads{j}", (1,), ((2,) * (j % 4),),
                                    (), j, 0) for j in range(2000)]
         stacks = [[] for _ in range(4)]
@@ -308,13 +320,17 @@ class TestRecordStack:
         # every record of the small-corpus runs, plain and precolored,
         # comes back from its run's stack: each one reduce returns, and
         # for each vertex push_monogram deletes, the record reduce
-        # builds for that monogram, read off the body it returns
+        # builds for that monogram, read off the body it returns.  Each
+        # record reduce returned is its own top slot, the very object,
+        # and each monogram's top slot is an int
         built = []
+        returned = []       # per built record: did reduce return it?
         reduce_ = tricolor.solver.reduce
         push_monogram_ = tricolor.solver.push_monogram
 
         def keeping(g, m, C):
             built.append(reduce_(g, m, C))
+            returned.append(True)
             return built[-1]
 
         def keeping_monogram(g, v, stack):
@@ -322,23 +338,33 @@ class TestRecordStack:
             nbrs = body[1:]
             built.append(ReductionRecord(MONOGRAM, (v,), (nbrs,), (),
                                          len(nbrs), 0))
+            returned.append(False)
             return body
 
         monkeypatch.setattr(tricolor.solver, "reduce", keeping)
         monkeypatch.setattr(tricolor.solver, "push_monogram", keeping_monogram)
         decoded = []
+        tops = []
         for solver in run_small_corpus():
             decoded += solver.records
+            tops += reversed(list(_top_slots(solver.stack)))
         assert len(built) > 1000
         assert decoded == built
+        assert any(returned) and not all(returned)
+        for rec, by_reduce, top in zip(built, returned, tops, strict=True):
+            if by_reduce:
+                assert top is rec, rec
+            else:
+                assert type(top) is int, rec
         for rec in built:
             one = []
             push(one, rec)
             assert decode(one) == [rec], rec
 
     @pytest.mark.parametrize("make", [lambda: grid(100),
-                                      lambda: augmented(5000, 1)],
-                             ids=["grid10k", "augmented5k"])
+                                      lambda: augmented(5000, 1),
+                                      gadget_union],
+                             ids=["grid10k", "augmented5k", "gadgets"])
     def test_unwind_is_extend_folded(self, make):
         solver = Solver(make())
         coloring = solver.run()
@@ -348,8 +374,9 @@ class TestRecordStack:
         assert unwind(solver.stack, {}) == folded == coloring
 
     def test_stack_read_in_fresh_process(self, tmp_path):
-        # each record carries its own layout, so an interpreter that
-        # never pushed a record decodes and unwinds the pickled stack
+        # the stack holds only ints and records, which pickle by their
+        # class, so an interpreter that never pushed a record decodes and
+        # unwinds the pickled stack
         solver = Solver(augmented(300, 1))
         coloring = solver.run()
         dump = tmp_path / "stack.pickle"

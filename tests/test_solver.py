@@ -370,8 +370,9 @@ class TestRecordsAndHits:
 
 
 def _same_slots(stack, other) -> bool:
-    """The two stacks hold equal ids and the very same layouts, slot by
-    slot."""
+    """The two stacks are equal slot by slot: the same ids and degrees
+    and equal records (a bare tuple slot would have to be the very same
+    object)."""
     return len(stack) == len(other) and all(
         x is y if type(x) is tuple else x == y for x, y in zip(stack, other))
 
@@ -592,7 +593,7 @@ class TestStats:
     def test_grid_stack_slots_bounded(self):
         # every grid reduction is a monogram of degree <= 2, which the
         # record stack keeps in at most MONOGRAM_SLOTS slots: its vertex,
-        # its neighbors then and its layout, and each edge is deleted once
+        # its neighbors then and its degree, and each edge is deleted once
         g = grid_graph(100)
         n, m = g.n_alive, g.m_alive
         s = Solver(g)
