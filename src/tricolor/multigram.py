@@ -84,10 +84,6 @@ class Multigram(NamedTuple):
     aux: tuple[int, ...] = ()
     darts: tuple[int, ...] = ()
 
-    @property
-    def pivot(self) -> int:
-        return self.vertices[0]
-
 
 def admissible(g: PlaneGraph, v: int, C: AbstractSet[int] = NO_CYCLE) -> bool:
     """Small and not on C."""

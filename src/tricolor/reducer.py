@@ -25,13 +25,14 @@ either way.
 
 A run keeps its reductions on one record stack, a flat list read from
 its end, newest record first: ``unwind`` colors through it and
-``decode`` rebuilds the records.  A monogram, one vertex of degree <= 2
-off C, is never built as a record: ``push_monogram`` pushes its vertex,
-its neighbors and then its degree d as a plain int, d + 2 slots that
-share their ids with the graph.  Every other record goes on the stack
-as itself, in one slot, so the top slot tells the two apart: an int
-ends a monogram, anything else is a record.  A stack holds only ints
-and records, so it pickles and reads in any process.
+``decode`` rebuilds the records.  ``push_monogram`` is its one flat
+writer: a monogram, one vertex of degree <= 2 off C, is never built as
+a record, and it pushes the vertex, its neighbors and then its degree d
+as a plain int, d + 2 slots that share their ids with the graph.  Any
+record, a monogram's too, goes on the stack as itself with
+``stack.append``, in one slot, so the top slot tells the two forms
+apart: an int ends a flat monogram, anything else is a record.  A stack
+holds only ints and records, so it pickles and reads in any process.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ class ReductionRecord(NamedTuple):
     identifications: tuple[tuple[int, int, tuple[int, ...]], ...]
     edges_deleted: int
     edges_added: int
-
-    @property
-    def vertices_removed(self) -> int:
-        return len(self.removed) + len(self.identifications)
 
 
 def event_endpoints(g: PlaneGraph, record: ReductionRecord) -> tuple[int, ...]:
@@ -104,7 +101,7 @@ def reduce(g: PlaneGraph, m: Multigram,
     identifications across a face (``joins``).  One path applies it and
     counts the edges surgery deleted and added.  ``gone`` goes
     last-listed first, so each deleted vertex keeps every neighbor
-    ``extend`` colors before it.  m must be (C-)secure; the reduction
+    ``unwind`` colors before it.  m must be (C-)secure; the reduction
     does not re-check it.  A tetragram or hexagram absorbs v3 into v1 if
     v3 is admissible (small, off C), else v1 into v3; security makes
     every other deleted or absorbed vertex admissible, so none is on C.
@@ -164,31 +161,15 @@ def reduce(g: PlaneGraph, m: Multigram,
 MONOGRAM_SLOTS = 1 + 2 + 1
 
 
-def push(stack: list, record: ReductionRecord) -> None:
-    """Append record to the stack: a monogram as ``push_monogram`` writes
-    it, its vertex, its neighbors and its degree, and any other record
-    as itself, in one slot."""
-    kind, verts, removed, identifications, deleted, added = record
-    if len(removed) > len(verts):
-        raise ValueError(f"more removed tuples than vertices: {record}")
-    if (kind == MONOGRAM and len(verts) == len(removed) == 1
-            and not identifications and deleted == len(removed[0])
-            and not added):
-        stack += verts
-        stack += removed[0]
-        stack.append(deleted)
-    else:
-        stack.append(record)
-
-
 def push_monogram(g: PlaneGraph, v: int, stack: list) -> tuple[int, ...]:
     """Delete v, a vertex of degree <= 2 off C, and push its monogram's
     record; return the record's body, ``(v, *neighbors)``.
 
-    Such a v is a secure monogram with no search, so this does what
-    ``find_secure_with_pivot``, ``reduce`` and ``push`` do to g and the
-    stack, ``work`` included, without building the multigram or the
-    record."""
+    Such a v is a secure monogram with no search, so this does to g
+    what ``find_secure_with_pivot`` and ``reduce`` do, ``work``
+    included, without building the multigram or the record; the stack
+    gets the record's flat form, which ``decode`` and ``unwind`` read as
+    they read the record appended as itself."""
     body = (v, *g.remove_vertex(v))
     stack += body
     stack.append(len(body) - 1)
@@ -282,15 +263,6 @@ def _backtrack(verts, removed, coloring: dict[int, int]) -> None:
             if i < 0:
                 raise ExtensionFailure(f"no coloring of vertices {verts}")
             del coloring[verts[i]]
-
-
-def extend(record: ReductionRecord, coloring: dict[int, int]) -> dict[int, int]:
-    """Pull a proper coloring of the reduced graph back one reduction,
-    as ``unwind`` does, and return ``coloring``, which is mutated."""
-    stack: list = []
-    push(stack, record)
-    _extend_through(stack, coloring)
-    return coloring
 
 
 def unwind(stack: list, base: dict[int, int]) -> dict[int, int]:

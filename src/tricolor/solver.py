@@ -189,7 +189,7 @@ class Solver:
                         continue
                     record = reduce(g, m, C)
                     touched = event_endpoints(g, record)
-                    stack.append(record)    # push(stack, record)
+                    stack.append(record)
                     reductions[m.kind] += 1
                 if index:       # empty while no failed search is indexed
                     woken = []

@@ -17,7 +17,7 @@ from tricolor.instances import (
 )
 from tricolor.multigram import NO_CYCLE
 from tricolor.oracle import SimpleGraph, facial_cycles, is_triangle_free
-from tricolor.reducer import event_endpoints, push
+from tricolor.reducer import event_endpoints
 from tricolor.solver import Solver, TriangleFound
 
 #: frozen regression constant for queue insertions per vertex on grids
@@ -100,14 +100,16 @@ def gadget_union() -> PlaneGraph:
 
 
 def monogram_by_search(g, v, stack):
-    """What ``push_monogram`` does to g and the stack, the general way:
-    ``find_secure_with_pivot``, ``reduce`` and ``push``, looked up in
+    """What ``push_monogram`` does to g, the general way:
+    ``find_secure_with_pivot`` and ``reduce``, looked up in
     ``tricolor.solver`` at each call, so a test that wraps those names
-    sees monograms too.  The solver calls it only at a vertex of degree
-    <= 2 off C, where the search needs no C."""
+    sees monograms too; the record goes on the stack as itself, as the
+    solver appends every other record, not in ``push_monogram``'s flat
+    form.  The solver calls it only at a vertex of degree <= 2 off C,
+    where the search needs no C."""
     m = tricolor.solver.find_secure_with_pivot(g, v)
     record = tricolor.solver.reduce(g, m, NO_CYCLE)
-    push(stack, record)
+    stack.append(record)
     return event_endpoints(g, record)
 
 

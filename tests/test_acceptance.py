@@ -131,8 +131,9 @@ def at_scale() -> ScaleResults:
                     res.max_edges_deleted = rec.edges_deleted
                 if rec.edges_added > res.max_edges_added:
                     res.max_edges_added = rec.edges_added
-                if rec.vertices_removed < res.min_vertices_removed:
-                    res.min_vertices_removed = rec.vertices_removed
+                removed = len(rec.removed) + len(rec.identifications)
+                if removed < res.min_vertices_removed:
+                    res.min_vertices_removed = removed
             res.reinsertion.add(solver)
             res.instances += 1
             res.vertices += len(sg.adj)
@@ -181,7 +182,7 @@ def test_criterion_3_lemma6_equivalence():
     vertices = listings = discrepancies = 0
     for name, g in small_corpus():
         slow = all_secure_multigrams_slow(g)
-        slow_pivots = {m.pivot for m in slow}
+        slow_pivots = {m.vertices[0] for m in slow}
         for v in g.vertex_ids():
             vertices += 1
             fast = find_secure_with_pivot(g, v)
@@ -208,7 +209,8 @@ def test_criterion_4_worklist_invariant():
     def audit(g, queue, C):
         nonlocal heads
         heads += 1
-        missing = ({m.pivot for m in all_secure_multigrams_slow(g, C)}
+        missing = ({m.vertices[0]
+                    for m in all_secure_multigrams_slow(g, C)}
                    - set(queue))
         if missing:
             violations.append(missing)

@@ -29,7 +29,7 @@ WORK_CEILING = 400
 
 
 def shapes_at(g, v):
-    return [m for m in multigram_shapes_slow(g) if m.pivot == v]
+    return [m for m in multigram_shapes_slow(g) if m.vertices[0] == v]
 
 
 class TestAdmissible:
@@ -59,7 +59,7 @@ class TestCandidates:
         # 3 incident 4-faces, both orientations each
         assert kinds.count(TETRAGRAM) == 6
         assert kinds.count(OCTAGRAM) == 6
-        assert all(m.pivot == 0 for m in ms)
+        assert all(m.vertices[0] == 0 for m in ms)
 
     def test_dodecahedron_vertex(self):
         g = dodecahedron_graph()
@@ -179,7 +179,7 @@ class TestOracleAgreement:
     ])
     def test_existence_matches(self, name, make):
         g = make()
-        pivots = {m.pivot for m in all_secure_multigrams_slow(g)}
+        pivots = {m.vertices[0] for m in all_secure_multigrams_slow(g)}
         for v in g.vertex_ids():
             assert (find_secure_with_pivot(g, v) is not None) == (v in pivots)
 
@@ -195,7 +195,7 @@ class TestOracleAgreement:
     def test_secure_pivots_have_degree_le3(self, seed):
         g = augmented(13, seed)
         for m in all_secure_multigrams_slow(g):
-            assert g.v_deg[m.pivot] <= 3
+            assert g.v_deg[m.vertices[0]] <= 3
 
     def test_c_security_agreement_with_cycles(self):
         g = pentagram_flower()
@@ -203,7 +203,8 @@ class TestOracleAgreement:
             if len(verts) > 6:
                 continue
             C = set(verts)
-            slow_pivots = {m.pivot for m in all_secure_multigrams_slow(g, C)}
+            slow_pivots = {m.vertices[0]
+                           for m in all_secure_multigrams_slow(g, C)}
             for v in g.vertex_ids():
                 got = find_secure_with_pivot(g, v, C)
                 assert (got is not None) == (v in slow_pivots)

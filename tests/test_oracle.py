@@ -190,7 +190,7 @@ class TestSecureEnumeration:
 
     def test_cube_tetragram_at_every_vertex(self):
         g = cube_graph()
-        pivots = {m.pivot for m in all_secure_multigrams_slow(g)
+        pivots = {m.vertices[0] for m in all_secure_multigrams_slow(g)
                   if m.kind == "tetragram"}
         assert pivots == set(range(8))
 

@@ -3,7 +3,6 @@ import os
 import pickle
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -12,7 +11,7 @@ from tricolor.embedding import DEGREE_CAP, build, validate
 from tricolor.generators import augmented, grid, quad
 from tricolor.instances import (
     big_hub_graph, cube_graph, cycle_graph, dodecahedron_graph,
-    hexagram_flower, pentagram_flower,
+    hexagram_flower, path_graph, pentagram_flower,
 )
 from tricolor.multigram import (
     DECAGRAM, HEXAGRAM, KIND_ORDER, MONOGRAM, OCTAGRAM, PENTAGRAM, TETRAGRAM,
@@ -23,8 +22,8 @@ from tricolor.oracle import (
     facial_cycles, is_proper, is_triangle_free, multigram_shapes_slow,
 )
 from tricolor.reducer import (
-    ExtensionFailure, ReductionRecord, _backtrack, decode, event_endpoints,
-    extend, push, reduce, unwind,
+    ExtensionFailure, ReductionRecord, _extend_through, decode,
+    event_endpoints, push_monogram, reduce, unwind,
 )
 import tricolor.solver
 from tricolor.solver import Solver
@@ -36,7 +35,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def oracle_multigram(g, kind, pivot=None):
     for m in all_secure_multigrams_slow(g):
-        if m.kind == kind and (pivot is None or m.pivot == pivot):
+        if m.kind == kind and (pivot is None or m.vertices[0] == pivot):
             return m
     raise AssertionError(f"no secure {kind}")
 
@@ -48,13 +47,14 @@ class TestReduceKinds:
         assert is_secure(g, m)
         rec = reduce(g, m)
         assert g.n_alive == 0
-        assert rec.vertices_removed == 1 and rec.edges_deleted == 0
+        assert rec.removed == ((),) and not rec.identifications
+        assert rec.edges_deleted == 0
 
     def test_tetragram_standalone_c4(self):
         # not secure (degree-2 pivot) but safe: the reduction is forced
         g = cycle_graph(4)
         m = next(m for m in multigram_shapes_slow(g)
-                 if m.kind == TETRAGRAM and m.pivot == 0)
+                 if m.kind == TETRAGRAM and m.vertices[0] == 0)
         rec = reduce(g, m)
         validate(g)
         assert (g.n_alive, g.m_alive) == (3, 2)
@@ -71,7 +71,7 @@ class TestReduceKinds:
         validate(g)
         assert (g.n_alive, g.m_alive) == (4, 4)
         assert rec.edges_deleted == 8 and rec.edges_added == 0
-        assert rec.vertices_removed == 4
+        assert len(rec.removed) == 4 and not rec.identifications
 
     def test_decagram_on_dodecahedron(self):
         g = dodecahedron_graph()
@@ -130,42 +130,33 @@ class TestReduceKinds:
         assert not is_secure(g, bogus)
 
 
-def _search_path(rec, coloring):
-    """extend with the depth-first search for the deleted vertices."""
-    for survivor, absorbed, _ in rec.identifications:
-        if survivor not in coloring:
-            raise ExtensionFailure(survivor)
-        coloring[absorbed] = coloring[survivor]
-    _backtrack(rec.vertices, rec.removed, coloring)
-
-
 class TestExtend:
     def test_tetragram_identification_colors(self):
         g = cycle_graph(4)
         m = next(m for m in multigram_shapes_slow(g)
-                 if m.kind == TETRAGRAM and m.pivot == 0)
+                 if m.kind == TETRAGRAM and m.vertices[0] == 0)
         rec = reduce(g, m)
         v1, v3 = m.vertices[0], m.vertices[2]
         coloring = {v1: 0, m.vertices[1]: 1, m.vertices[3]: 2}
-        out = extend(rec, coloring)
+        out = unwind([rec], coloring)
         assert out[v3] == out[v1] == 0
 
     def test_monogram_greedy(self):
         rec = ReductionRecord(MONOGRAM, (9,), ((1, 2),), (), 2, 0)
-        out = extend(rec, {1: 0, 2: 1})
+        out = unwind([rec], {1: 0, 2: 1})
         assert out[9] == 2
 
     def test_extension_failure_on_bad_record(self):
         rec = ReductionRecord(MONOGRAM, (9,), (), ((7, 9, ()),), 0, 0)
         with pytest.raises(ExtensionFailure):
-            extend(rec, {})
+            unwind([rec], {})
 
     def test_backtracks_where_greedy_fails(self):
         # a=1 first leaves b no color; the search must move a to 2
         a, b, u, w, z = 10, 11, 1, 2, 3
         rec = ReductionRecord(OCTAGRAM, (a, b), ((u, b), (a, w, z)), (),
                               0, 0)
-        out = extend(rec, {u: 0, w: 0, z: 2})
+        out = unwind([rec], {u: 0, w: 0, z: 2})
         assert (out[a], out[b]) == (2, 1)
 
     def test_no_extension_raises(self):
@@ -175,7 +166,7 @@ class TestExtend:
                               0, 0)
         coloring = {u: 0, x: 1, w: 0, z: 1}
         with pytest.raises(ExtensionFailure):
-            extend(rec, coloring)
+            _extend_through([rec], coloring)
         assert a not in coloring and b not in coloring
 
     def test_pentagram_proof_order_cases(self):
@@ -199,7 +190,7 @@ class TestExtend:
                 hit["eq23"] += 1
             else:
                 hit["distinct"] += 1
-            full = extend(rec, dict(col))
+            full = unwind([rec], col)
             assert is_proper(sg0, full)
         assert all(hit.values()), hit
 
@@ -216,35 +207,30 @@ class TestExtend:
             for v in list(g.vertex_ids()):
                 m = find_secure_with_pivot(g, v)
                 if m is not None:
-                    push(stack, reduce(g, m))
+                    stack.append(reduce(g, m))
                     break
         coloring = unwind(stack, {})
         assert is_proper(sg, coloring)
 
     def test_one_deleted_vertex_matches_backtracking(self):
-        # a monogram's first-free-color path against the search, on every
-        # coloring of up to four neighbors (a neighbor may be uncolored),
-        # those with no color left included; the pentagram variant, one
-        # deleted vertex after an identification, goes through _backtrack
-        v, x = 9, 8
+        # the flat slots push_monogram writes, [v, *neighbors, k],
+        # unwound, against the one-vertex search done by hand: the
+        # smallest color no colored neighbor has, else a failure; on
+        # every coloring of up to four neighbors (a neighbor may be
+        # uncolored), those with no color left included
+        v = 9
         failures = 0
         for k in range(5):
             nbrs = tuple(range(1, k + 1))
-            for rec in (ReductionRecord(MONOGRAM, (v,), (nbrs,), (), k, 0),
-                        ReductionRecord(PENTAGRAM, (v, x), (nbrs,),
-                                        ((1, x, (2,)),) if k else (), k, 0)):
-                for cols in itertools.product((0, 1, 2, None), repeat=k):
-                    col = {u: c for u, c in zip(nbrs, cols) if c is not None}
-                    fast, slow = dict(col), dict(col)
-                    try:
-                        extend(rec, fast)
-                    except ExtensionFailure:
-                        failures += 1
-                        with pytest.raises(ExtensionFailure):
-                            _search_path(rec, slow)
-                    else:
-                        _search_path(rec, slow)
-                    assert fast == slow, (rec, col)
+            for cols in itertools.product((0, 1, 2, None), repeat=k):
+                col = {u: c for u, c in zip(nbrs, cols) if c is not None}
+                free = [c for c in range(3) if c not in col.values()]
+                if free:
+                    assert unwind([v, *nbrs, k], col) == {**col, v: free[0]}
+                else:
+                    failures += 1
+                    with pytest.raises(ExtensionFailure):
+                        unwind([v, *nbrs, k], col)
         assert failures > 0
 
 
@@ -260,61 +246,29 @@ def _top_slots(stack):
 
 class TestRecordStack:
     def test_round_trip_hand_built(self):
-        # the hand-built records of TestExtend, the corrupted ones
-        # included, and records reduce builds for four kinds
-        records = [
-            ReductionRecord(MONOGRAM, (9,), ((1, 2),), (), 2, 0),
-            ReductionRecord(MONOGRAM, (9,), (), ((7, 9, ()),), 0, 0),
-            ReductionRecord(OCTAGRAM, (10, 11), ((1, 11), (10, 2, 3)), (), 0, 0),
-            ReductionRecord(OCTAGRAM, (10, 11), ((1, 2, 11), (10, 3, 4)), (),
-                            0, 0),
-            ReductionRecord(PENTAGRAM, (1, 2), ((2, 3, 4),),
-                            ((5, 6, (7, 8)), (9, 10, ())), 0, 0),
-        ]
-        for g, kind in ((hexagram_flower(), HEXAGRAM),
-                        (cube_graph(), OCTAGRAM),
-                        (pentagram_flower(), PENTAGRAM),
-                        (dodecahedron_graph(), DECAGRAM)):
-            records.append(reduce(g, oracle_multigram(g, kind)))
-        stack = []
-        for rec in records:
-            one = []
-            push(one, rec)
-            assert decode(one) == [rec], rec
-            push(stack, rec)
-        assert decode(stack) == records
-        assert all(type(r) is ReductionRecord for r in decode(stack))
-
-    def test_push_refuses_more_removed_than_vertices(self):
-        with pytest.raises(ValueError):
-            push([], ReductionRecord(MONOGRAM, (9,), ((1,), (2,)), (), 2, 0))
-
-    def test_shapes_added_from_threads(self):
-        # four threads push the same records in different orders; push
-        # keeps no state shared between stacks, so each thread's stack
-        # decodes to what that thread pushed
-        records = [ReductionRecord(f"threads{j}", (1,), ((2,) * (j % 4),),
-                                   (), j, 0) for j in range(2000)]
-        stacks = [[] for _ in range(4)]
-
-        def pushing(i):
-            for rec in records[i::2] + records[1 - i % 2::2]:
-                push(stacks[i], rec)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=pushing, args=(i,))
-                       for i in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for i, stack in enumerate(stacks):
-            assert decode(stack) == records[i::2] + records[1 - i % 2::2]
+        # records of four kinds, appended as themselves, between
+        # monograms of degree 0, 1 and 2 in push_monogram's flat form:
+        # decode rebuilds each monogram as the record reduce builds for
+        # it and hands back each appended record, the very object
+        stack, records = [], []
+        for (g, kind), (h, v) in zip(
+                ((hexagram_flower(), HEXAGRAM), (cube_graph(), OCTAGRAM),
+                 (pentagram_flower(), PENTAGRAM),
+                 (dodecahedron_graph(), DECAGRAM)),
+                ((build([[]]), 0), (path_graph(3), 0), (path_graph(3), 1),
+                 (cycle_graph(4), 0))):
+            rec = reduce(g, oracle_multigram(g, kind))
+            stack.append(rec)
+            records.append(rec)
+            records.append(reduce(h.copy(), Multigram(MONOGRAM, (v,))))
+            push_monogram(h, v, stack)
+        decoded = decode(stack)
+        assert decoded == records
+        assert all(type(r) is ReductionRecord for r in decoded)
+        assert all(x is y for x, y in zip(decoded[::2], records[::2]))
+        # each monogram in its d + 2 flat slots
+        assert len(stack) == 4 + sum(len(r.removed[0]) + 2
+                                     for r in records[1::2])
 
     def test_round_trip_small_corpus(self, monkeypatch):
         # every record of the small-corpus runs, plain and precolored,
@@ -356,21 +310,22 @@ class TestRecordStack:
                 assert top is rec, rec
             else:
                 assert type(top) is int, rec
-        for rec in built:
-            one = []
-            push(one, rec)
-            assert decode(one) == [rec], rec
 
     @pytest.mark.parametrize("make", [lambda: grid(100),
                                       lambda: augmented(5000, 1),
                                       gadget_union],
                              ids=["grid10k", "augmented5k", "gadgets"])
     def test_unwind_is_extend_folded(self, make):
+        # the stack unwound at once against its records one at a time;
+        # a monogram record kept as itself goes through _backtrack, so
+        # each monogram checks the flat first-free-color path against it
         solver = Solver(make())
         coloring = solver.run()
+        records = solver.records
+        assert any(r.kind == MONOGRAM for r in records)
         folded = {}
-        for rec in reversed(solver.records):
-            extend(rec, folded)
+        for rec in reversed(records):
+            folded = unwind([rec], folded)
         assert unwind(solver.stack, {}) == folded == coloring
 
     def test_stack_read_in_fresh_process(self, tmp_path):
@@ -409,10 +364,10 @@ class TestRoundTripProperty:
                 validate(g)
                 sg1 = SimpleGraph.from_plane_graph(g)
                 assert is_triangle_free(sg1), (name, m)
-                assert rec.vertices_removed >= 1
+                assert rec.removed or rec.identifications
                 assert rec.edges_deleted <= 126 and rec.edges_added <= 116
                 for col in enumerate_3colorings(sg1):
-                    assert is_proper(sg0, extend(rec, dict(col))), (name, m)
+                    assert is_proper(sg0, unwind([rec], col)), (name, m)
 
     def test_identification_pairs_have_small_member(self):
         for name, g0 in small_corpus():
@@ -444,7 +399,8 @@ def _uncovered(before, g, record):
     before it identifies)."""
     n0 = sum(alive for alive, _, _, _ in before)
     m0 = sum(deg for _, deg, _, _ in before) // 2
-    assert n0 - g.n_alive == record.vertices_removed, record
+    assert n0 - g.n_alive == (len(record.removed)
+                              + len(record.identifications)), record
     assert m0 - g.m_alive == record.edges_deleted - record.edges_added, record
     deleted = record.vertices[:len(record.removed)]
     for i, (v, nbrs) in enumerate(zip(deleted, record.removed)):

@@ -244,7 +244,8 @@ class TestWorklistInvariant:
         failures = []
 
         def audit(g, queue, C):
-            missing = ({m.pivot for m in all_secure_multigrams_slow(g, C)}
+            missing = ({m.vertices[0]
+                        for m in all_secure_multigrams_slow(g, C)}
                        - set(queue))
             if missing:
                 failures.append(sorted(missing))
@@ -369,18 +370,13 @@ class TestRecordsAndHits:
             assert x == called and repr(x) == repr(called), x
 
 
-def _same_slots(stack, other) -> bool:
-    """The two stacks are equal slot by slot: the same ids and degrees
-    and equal records (a bare tuple slot would have to be the very same
-    object)."""
-    return len(stack) == len(other) and all(
-        x is y if type(x) is tuple else x == y for x, y in zip(stack, other))
-
-
 class TestMonogramStep:
     """push_monogram against the path it stands in for: a run whose
-    monograms go through the search, reduce and push must leave the
-    same stack, coloring and stats."""
+    monograms go through the search and reduce, each record appended as
+    itself, must leave a stack that decodes to the same records, and the
+    same coloring and stats.  Every slot of that run's stack is a
+    record, so its unwind takes the record branch of ``_extend_through``
+    wherever the other takes the flat first-free-color one."""
 
     @staticmethod
     def _both_ways(monkeypatch, runs):
@@ -391,7 +387,8 @@ class TestMonogramStep:
         assert len(fast) == len(slow) > 0
         monograms = 0
         for (a, col_a), (b, col_b) in zip(fast, slow):
-            assert _same_slots(a.stack, b.stack)
+            assert decode(a.stack) == decode(b.stack)
+            assert all(type(slot) is ReductionRecord for slot in b.stack)
             assert col_a == col_b
             assert a.stats == b.stats
             monograms += a.stats.reductions["monogram"]
@@ -560,7 +557,8 @@ class TestStats:
             n0 = g.n_alive
             s = Solver(g)
             s.run()
-            assert sum(r.vertices_removed for r in s.records) == n0, name
+            assert sum(len(r.removed) + len(r.identifications)
+                       for r in s.records) == n0, name
 
     def test_work_per_vertex_bounded(self):
         # footprint re-insertion spends 8.8-9.7 work per vertex here;
