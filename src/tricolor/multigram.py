@@ -30,9 +30,9 @@ every vertex the search read.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterator, NamedTuple
+from typing import AbstractSet, NamedTuple
 
-from .embedding import DEGREE_CAP, PlaneGraph, RecordingGraph
+from .embedding import DEGREE_CAP, EmbeddingError, PlaneGraph, RecordingGraph
 
 MONOGRAM = "monogram"
 TETRAGRAM = "tetragram"
@@ -54,8 +54,8 @@ SHAPES = {
     HEXAGRAM: (6, 1, 1),
 }
 
-#: The longest face a cycle kind lies on: ``cycle_candidates`` walks no
-#: further.
+#: The longest face a cycle kind lies on: ``find_secure_with_pivot``
+#: walks no further.
 _LONGEST = max(k for k, _, _ in SHAPES.values())
 
 _new = tuple.__new__
@@ -106,25 +106,6 @@ def pendant_darts(g: PlaneGraph, darts: tuple[int, ...], n: int) -> list[int]:
     dart after it in the origin's rotation."""
     g.work += n
     return [g.d_next[d] for d in darts[:n]]
-
-
-def cycle_candidates(g: PlaneGraph, v: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Facial cycles of length 4..6 through v, as (vertices, darts).
-
-    Yielded once each, in walk order from v, as each incident face is
-    walked in rotation order.  At most ``_LONGEST`` sigma steps are spent
-    per incident face, and a consumer that stops early walks no further
-    face.
-    """
-    origin = g.d_origin
-    for d in g.darts_at(v):
-        walk, closed = g.walk_face(d, _LONGEST)
-        k = len(walk)
-        if not closed or k < 4:
-            continue
-        verts = tuple([origin[e] for e in walk])
-        if len(set(verts)) == k:
-            yield verts, tuple(walk)
 
 
 def _has_shape(g: PlaneGraph, kind: str, verts: tuple[int, ...]) -> bool:
@@ -317,44 +298,79 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
     """Some (C-)secure multigram with pivot v, or None; constant work.
 
     Kinds are tried in KIND_ORDER; within a kind, incident faces in
-    rotation order.  Tetragram is tried on each 4-face as
-    ``cycle_candidates`` walks it, so a secure one ends the search
-    before the later faces are walked.  Octagram then scans the 4-faces;
-    decagram, pentagram and hexagram scan each 5- or 6-face's forward
-    listing and then its reversed one (v1, vk, ..., v2).  The length and
-    degree tests here establish each listing's shape, so ``_secure`` is
-    called directly and a ``Multigram`` is built only for the hit, with
-    ``tuple.__new__`` rather than the class call.
+    rotation order.  The faces at v are walked here, straight from the
+    dart arrays, with the reads, the dead-dart check and the ``work`` of
+    ``PlaneGraph.walk_face(d, _LONGEST)``.  Tetragram is tried on each
+    4-face as it closes, so a secure one ends the search before the
+    later faces are walked.  Octagram then scans the 4-faces; decagram,
+    pentagram and hexagram scan each 5- or 6-face's forward listing and
+    then its reversed one (v1, vk, ..., v2).  Each listing carries its
+    leading run of degree-3 vertices, counted once; a kind's shape from
+    ``SHAPES`` matches a listing of its length when that run is long
+    enough, so ``_secure`` is called directly.  Each pendant in ``aux``
+    is read inline from the dart after its face dart, as
+    ``pendant_darts`` reads it, and a ``Multigram`` is built only for
+    the hit, with ``tuple.__new__`` rather than the class call.  A run
+    reads only degrees of face vertices, which the walk has read
+    already, so a failed search reads what a search that lists every
+    face first reads, and ``footprint`` records that.
 
     A 4-face needs only its forward listing.  The tetragram test reads
-    v1, v3 and the pendant x of v1, which ``pendant_darts`` reads after
-    v1's face dart, the same dart in both listings; the octagram test
-    reads only the vertex set.  So the reversed test would repeat the
-    forward result with the same reads, and only ``work`` would differ.
-    The other kinds read positions that reversal moves.
+    v1, v3 and the pendant x of v1, read after v1's face dart, the same
+    dart in both listings; the octagram test reads only the vertex set.
+    So the reversed test would repeat the forward result with the same
+    reads, and only ``work`` would differ.  The other kinds read
+    positions that reversal moves.
     """
     deg = g.v_deg
     if deg[v] > 3 or v in C:
         return None
     if deg[v] <= 2:
         return _new(Multigram, (MONOGRAM, (v,), (), ()))
-    fours, longer = [], []
-    # the tetragram's one leading degree-3 vertex is the pivot itself
-    k, _, n_aux = SHAPES[TETRAGRAM]
-    for verts, darts in cycle_candidates(g, v):
-        if len(verts) == k:
-            aux = tuple(map(g.head, pendant_darts(g, darts, n_aux)))
-            if _secure(g, TETRAGRAM, verts, aux, C):
-                return _new(Multigram, (TETRAGRAM, verts, aux, darts))
-            fours.append((verts, darts))
-        else:
-            longer.append((verts, darts))
-            longer.append(((v, *verts[:0:-1]), (darts[0], *darts[:0:-1])))
+    origin, twin, nxt = g.d_origin, g.d_twin, g.d_next
+    # the tetragram's one leading degree-3 vertex is the pivot itself,
+    # and its one pendant is the pivot's, after the face dart d
+    k4, _, n_aux = SHAPES[TETRAGRAM]
+    listings = []
+    d0 = d = g.v_dart[v]
+    while True:
+        if origin[d] < 0:
+            raise EmbeddingError(f"dead dart {d}")
+        walk = [d]
+        e = nxt[twin[d]]
+        k = 1
+        while e != d and k < _LONGEST:
+            walk.append(e)
+            k += 1
+            e = nxt[twin[e]]
+        g.work += k
+        if e == d and k >= k4:
+            verts = tuple(map(origin.__getitem__, walk))
+            if len(set(verts)) == k:
+                darts = tuple(walk)
+                if k == k4:
+                    aux = (origin[twin[nxt[d]]],)
+                    g.work += n_aux
+                    if _secure(g, TETRAGRAM, verts, aux, C):
+                        return _new(Multigram, (TETRAGRAM, verts, aux, darts))
+                    face = ((verts, darts),)
+                else:
+                    face = ((verts, darts),
+                            ((v, *verts[:0:-1]), (d, *darts[:0:-1])))
+                for lverts, ldarts in face:
+                    run = 1
+                    while run < k and deg[lverts[run]] == 3:
+                        run += 1
+                    listings.append((lverts, ldarts, run))
+        d = nxt[d]
+        if d == d0:
+            break
     for kind in KIND_ORDER[2:]:
         k, n3, n_aux = SHAPES[kind]
-        for verts, darts in (fours if k == 4 else longer):
-            if len(verts) == k and all(deg[w] == 3 for w in verts[1:n3]):
-                aux = tuple(map(g.head, pendant_darts(g, darts, n_aux)))
+        for verts, darts, run in listings:
+            if len(verts) == k and run >= n3:
+                aux = tuple([origin[twin[nxt[x]]] for x in darts[:n_aux]])
+                g.work += n_aux
                 if _secure(g, kind, verts, aux, C):
                     return _new(Multigram, (kind, verts, aux, darts))
     return None

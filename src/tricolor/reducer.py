@@ -155,12 +155,6 @@ def reduce(g: PlaneGraph, m: Multigram,
 # ----------------------------------------------------------------------
 # the record stack
 
-#: Most slots a grid run's record takes: every reduction there is a
-#: monogram, one vertex of degree <= 2, so its vertex, its neighbors and
-#: its degree.
-MONOGRAM_SLOTS = 1 + 2 + 1
-
-
 def push_monogram(g: PlaneGraph, v: int, stack: list) -> tuple[int, ...]:
     """Delete v, a vertex of degree <= 2 off C, and push its monogram's
     record; return the record's body, ``(v, *neighbors)``.

@@ -359,7 +359,9 @@ def test_footprint_is_the_recorded_search():
     # the plain search and the one on a recording view return the same
     # and count the same work, at most WORK_CEILING; footprint returns
     # the view's reads plus the pivot and leaves the graph's work as it
-    # was
+    # was.  A search that finds nothing reads every face before it
+    # returns, so its footprint is also what the reference finder, which
+    # lists every face before it tries a kind, reads on a fresh view
     def check(g, v, C):
         w0 = g.work
         m = find_secure_with_pivot(g, v, C)
@@ -370,6 +372,10 @@ def test_footprint_is_the_recorded_search():
         assert recorded == m and view.work == w1 - w0 and g.work == w1, v
         read = set(view.reads) | {v}
         assert footprint(g, v, C) == read, v
+        if m is None:
+            listed_first = RecordingGraph(g)
+            find_all_listed_first(listed_first, v, C)
+            assert read == listed_first.reads | {v}, v
         assert g.work == w1, v
         return m
 

@@ -20,7 +20,7 @@ from tricolor.oracle import (
     is_proper,
 )
 from tricolor.reducer import (
-    MONOGRAM_SLOTS, ReductionRecord, decode, event_endpoints, unwind,
+    ReductionRecord, decode, event_endpoints, unwind,
 )
 from tricolor.solver import (
     ExhaustedQueueNonempty, ImproperPrecoloring, NotAFacialCycle, Solver,
@@ -590,14 +590,14 @@ class TestStats:
 
     def test_grid_stack_slots_bounded(self):
         # every grid reduction is a monogram of degree <= 2, which the
-        # record stack keeps in at most MONOGRAM_SLOTS slots: its vertex,
-        # its neighbors then and its degree, and each edge is deleted once
+        # record stack keeps in at most four slots: its vertex, at most
+        # two neighbors then and its degree, and each edge is deleted once
         g = grid_graph(100)
         n, m = g.n_alive, g.m_alive
         s = Solver(g)
         s.run()
         assert s.stats.reductions["monogram"] == n == 10_000
-        assert len(s.stack) == 2 * n + m <= MONOGRAM_SLOTS * n
+        assert len(s.stack) == 2 * n + m <= 4 * n
 
     def test_lemma5_bounds_tracked(self):
         g = dodecahedron_graph()
