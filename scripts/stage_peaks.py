@@ -8,11 +8,12 @@ workloads is serialized and then colored once through the calls
 ``tricolor color`` makes, in its order: parse (``parse_rotations``),
 build, the triangle check, the solve and the format.  The line of an
 instance gives, for each stage, the highest memory that ``tracemalloc``
-saw allocated while the stage ran, in MB.  Gadgets is the workload with
+saw allocated while the stage ran, in MB, and then, as ``peak_stage``,
+the stage with the largest of the five.  Gadgets is the workload with
 the most reductions kept on the stack as record objects.
 Tracing starts just before the parse, so the input text is not counted;
 what earlier stages left alive is.  The largest of the five is the
-run's traced peak, so that stage is the one to shrink.
+run's traced peak, so ``peak_stage`` is the one to shrink.
 Run from the root of a checkout; the library is imported from its
 ``src/``.
 """
@@ -68,7 +69,8 @@ def main(argv=None) -> int:
         for i, text in enumerate(texts):
             peaks = stage_peaks(text)
             print(f"{name} {i} peak_mb " + " ".join(
-                f"{stage}={mb:.1f}" for stage, mb in peaks.items()))
+                f"{stage}={mb:.1f}" for stage, mb in peaks.items())
+                + f" peak_stage={max(peaks, key=peaks.get)}")
     return 0
 
 

@@ -23,16 +23,16 @@ which runs a Python-level ``__new__``; a reduction pays only for the
 tuple it keeps.  The class, its fields, equality and repr are the same
 either way.
 
-A run keeps its reductions on one record stack, a flat list read from
-its end, newest record first: ``unwind`` colors through it and
-``decode`` rebuilds the records.  ``push_monogram`` is its one flat
-writer: a monogram, one vertex of degree <= 2 off C, is never built as
-a record, and it pushes the vertex, its neighbors and then its degree d
-as a plain int, d + 2 slots that share their ids with the graph.  Any
-record, a monogram's too, goes on the stack as itself with
-``stack.append``, in one slot, so the top slot tells the two forms
-apart: an int ends a flat monogram, anything else is a record.  A stack
-holds only ints and records, so it pickles and reads in any process.
+A run keeps its reductions on one record stack, a list with one slot
+per reduction, read from its end, newest first: ``unwind`` colors
+through it and ``decode`` rebuilds the records.  A monogram, one vertex
+of degree <= 2 off C, is never built as a record: ``push_monogram``
+pushes it as the plain tuple ``(v, *neighbors)``, ids shared with the
+graph.  Any record, a monogram's too, goes on the stack as itself with
+``stack.append``, and a record is a ``ReductionRecord``, never a plain
+tuple, so the slot's type tells the two forms apart.  A stack holds
+only plain tuples of ints and records, so it pickles and reads in any
+process.
 """
 
 from __future__ import annotations
@@ -162,30 +162,21 @@ def push_monogram(g: PlaneGraph, v: int, stack: list) -> tuple[int, ...]:
     Such a v is a secure monogram with no search, so this does to g
     what ``find_secure_with_pivot`` and ``reduce`` do, ``work``
     included, without building the multigram or the record; the stack
-    gets the record's flat form, which ``decode`` and ``unwind`` read as
-    they read the record appended as itself."""
+    gets the body itself, in one slot, which ``decode`` and ``unwind``
+    read as they read the record appended as itself."""
     body = (v, *g.remove_vertex(v))
-    stack += body
-    stack.append(len(body) - 1)
+    stack.append(body)
     return body
 
 
 def decode(stack: list) -> list[ReductionRecord]:
-    """The records pushed onto stack, oldest first."""
-    records = []
-    top = len(stack)
-    while top:
-        top -= 1
-        record = stack[top]
-        if type(record) is int:     # a monogram of degree d
-            d = record
-            top -= d + 1
-            record = _new(ReductionRecord, (
-                MONOGRAM, (stack[top],), (tuple(stack[top + 1:top + 1 + d]),),
-                (), d, 0))
-        records.append(record)
-    records.reverse()
-    return records
+    """The records pushed onto stack, oldest first: each plain tuple
+    ``(v, *neighbors)`` rebuilt as the monogram record ``reduce`` builds
+    for it, and each record as itself."""
+    return [_new(ReductionRecord, (MONOGRAM, slot[:1], (slot[1:],), (),
+                                   len(slot) - 1, 0))
+            if type(slot) is tuple else slot
+            for slot in stack]
 
 
 # ----------------------------------------------------------------------
@@ -196,31 +187,26 @@ _FIRST_FREE = (0, 1, 0, 2, 0, 1, 0, None)
 
 
 def _extend_through(stack: list, coloring: dict[int, int]) -> None:
-    """Pull ``coloring`` back through every record of the stack, newest
+    """Pull ``coloring`` back through every slot of the stack, newest
     first, mutating it.
 
-    A monogram's vertex takes its first color not on a stored neighbor.
-    In any other record, absorbed vertices copy their survivor and the
-    deleted ones go to ``_backtrack``.  Either way the result is the
-    lexicographically first proper extension.  Colors are 0, 1, 2, and
-    an uncolored neighbor blocks no color.
+    A monogram's plain tuple ``(v, *neighbors)`` gives v its first color
+    not on a stored neighbor.  In any other record, absorbed vertices
+    copy their survivor and the deleted ones go to ``_backtrack``.
+    Either way the result is the lexicographically first proper
+    extension.  Colors are 0, 1, 2, and an uncolored neighbor blocks no
+    color.
     """
     get = coloring.get
-    top = len(stack)
-    while top:
-        top -= 1
-        record = stack[top]
-        if type(record) is int:     # a monogram of degree d
-            d = record
+    for record in reversed(stack):
+        if type(record) is tuple:   # a monogram, (v, *neighbors)
             used = 0
-            for u in stack[top - d:top]:
+            for u in record[1:]:
                 used |= 1 << get(u, 3)
-            top -= d + 1
             c = _FIRST_FREE[used & 7]
             if c is None:
-                raise ExtensionFailure(
-                    f"no color left for vertex {stack[top]}")
-            coloring[stack[top]] = c
+                raise ExtensionFailure(f"no color left for vertex {record[0]}")
+            coloring[record[0]] = c
         else:
             for survivor, absorbed, _ in record.identifications:
                 if survivor not in coloring:

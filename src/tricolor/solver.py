@@ -44,13 +44,13 @@ entries count in ``work``.
 
 The recursion of the underlying argument is replaced by an explicit
 record stack; colors flow back through it once the graph is gone.  Each
-reduction goes onto ``Solver.stack``, one flat list (the format is in
-``reducer``): a monogram as its vertex, its neighbors and its degree,
-never built as a record, and any other reduction as the record
-``reduce`` returned, in one slot.  ``unwind`` reads that list newest
-record first, in any process.  For the precolored variant the loop
-stops when exactly the constraint cycle C, the keys of the precoloring,
-remains and seeds the unwind with the precoloring.
+reduction goes onto ``Solver.stack`` in one slot (the format is in
+``reducer``): a monogram as the plain tuple ``(v, *neighbors)``, never
+built as a record, and any other reduction as the record ``reduce``
+returned.  ``unwind`` reads that list newest record first, in any
+process.  For the precolored variant the loop stops when exactly the
+constraint cycle C, the keys of the precoloring, remains and seeds the
+unwind with the precoloring.
 """
 
 from __future__ import annotations

@@ -104,8 +104,8 @@ def monogram_by_search(g, v, stack):
     ``find_secure_with_pivot`` and ``reduce``, looked up in
     ``tricolor.solver`` at each call, so a test that wraps those names
     sees monograms too; the record goes on the stack as itself, as the
-    solver appends every other record, not in ``push_monogram``'s flat
-    form.  The solver calls it only at a vertex of degree <= 2 off C,
+    solver appends every other record, not as ``push_monogram``'s plain
+    tuple.  The solver calls it only at a vertex of degree <= 2 off C,
     where the search needs no C."""
     m = tricolor.solver.find_secure_with_pivot(g, v)
     record = tricolor.solver.reduce(g, m, NO_CYCLE)

@@ -213,11 +213,11 @@ class TestExtend:
         assert is_proper(sg, coloring)
 
     def test_one_deleted_vertex_matches_backtracking(self):
-        # the flat slots push_monogram writes, [v, *neighbors, k],
-        # unwound, against the one-vertex search done by hand: the
-        # smallest color no colored neighbor has, else a failure; on
-        # every coloring of up to four neighbors (a neighbor may be
-        # uncolored), those with no color left included
+        # the one slot push_monogram writes, the plain tuple
+        # (v, *neighbors), unwound, against the one-vertex search done
+        # by hand: the smallest color no colored neighbor has, else a
+        # failure; on every coloring of up to four neighbors (a neighbor
+        # may be uncolored), those with no color left included
         v = 9
         failures = 0
         for k in range(5):
@@ -226,28 +226,18 @@ class TestExtend:
                 col = {u: c for u, c in zip(nbrs, cols) if c is not None}
                 free = [c for c in range(3) if c not in col.values()]
                 if free:
-                    assert unwind([v, *nbrs, k], col) == {**col, v: free[0]}
+                    assert unwind([(v, *nbrs)], col) == {**col, v: free[0]}
                 else:
                     failures += 1
                     with pytest.raises(ExtensionFailure):
-                        unwind([v, *nbrs, k], col)
+                        unwind([(v, *nbrs)], col)
         assert failures > 0
-
-
-def _top_slots(stack):
-    """The top slot of each record on stack, newest first: a monogram's
-    degree d ends its d + 2 slots, and any other slot is one record."""
-    top = len(stack)
-    while top > 0:
-        slot = stack[top - 1]
-        yield slot
-        top -= slot + 2 if type(slot) is int else 1
 
 
 class TestRecordStack:
     def test_round_trip_hand_built(self):
         # records of four kinds, appended as themselves, between
-        # monograms of degree 0, 1 and 2 in push_monogram's flat form:
+        # monograms of degree 0, 1 and 2 in push_monogram's plain tuple:
         # decode rebuilds each monogram as the record reduce builds for
         # it and hands back each appended record, the very object
         stack, records = [], []
@@ -266,17 +256,20 @@ class TestRecordStack:
         assert decoded == records
         assert all(type(r) is ReductionRecord for r in decoded)
         assert all(x is y for x, y in zip(decoded[::2], records[::2]))
-        # each monogram in its d + 2 flat slots
-        assert len(stack) == 4 + sum(len(r.removed[0]) + 2
-                                     for r in records[1::2])
+        # each monogram in one slot, (v, *neighbors)
+        assert len(stack) == len(records) == 8
+        assert stack[1::2] == [(*r.vertices, *r.removed[0])
+                               for r in records[1::2]]
+        assert all(type(slot) is tuple for slot in stack[1::2])
 
     def test_round_trip_small_corpus(self, monkeypatch):
         # every record of the small-corpus runs, plain and precolored,
         # comes back from its run's stack: each one reduce returns, and
         # for each vertex push_monogram deletes, the record reduce
         # builds for that monogram, read off the body it returns.  Each
-        # record reduce returned is its own top slot, the very object,
-        # and each monogram's top slot is an int
+        # reduction is one slot: a record reduce returned is its slot,
+        # the very object, and a monogram's slot is the plain tuple
+        # push_monogram returned
         built = []
         returned = []       # per built record: did reduce return it?
         reduce_ = tricolor.solver.reduce
@@ -298,27 +291,29 @@ class TestRecordStack:
         monkeypatch.setattr(tricolor.solver, "reduce", keeping)
         monkeypatch.setattr(tricolor.solver, "push_monogram", keeping_monogram)
         decoded = []
-        tops = []
+        slots = []
         for solver in run_small_corpus():
             decoded += solver.records
-            tops += reversed(list(_top_slots(solver.stack)))
+            slots += solver.stack
         assert len(built) > 1000
         assert decoded == built
         assert any(returned) and not all(returned)
-        for rec, by_reduce, top in zip(built, returned, tops, strict=True):
+        for rec, by_reduce, slot in zip(built, returned, slots, strict=True):
             if by_reduce:
-                assert top is rec, rec
+                assert slot is rec, rec
             else:
-                assert type(top) is int, rec
+                assert type(slot) is tuple, rec
+                assert slot == (*rec.vertices, *rec.removed[0]), rec
 
     @pytest.mark.parametrize("make", [lambda: grid(100),
                                       lambda: augmented(5000, 1),
                                       gadget_union],
                              ids=["grid10k", "augmented5k", "gadgets"])
-    def test_unwind_is_extend_folded(self, make):
-        # the stack unwound at once against its records one at a time;
-        # a monogram record kept as itself goes through _backtrack, so
-        # each monogram checks the flat first-free-color path against it
+    def test_unwind_equals_unwinding_each_record(self, make):
+        # the stack unwound at once against its records unwound one at a
+        # time, newest first; a monogram record kept as itself goes
+        # through _backtrack, so each monogram checks the first-free-color
+        # path of its plain tuple against it
         solver = Solver(make())
         coloring = solver.run()
         records = solver.records
@@ -329,9 +324,9 @@ class TestRecordStack:
         assert unwind(solver.stack, {}) == folded == coloring
 
     def test_stack_read_in_fresh_process(self, tmp_path):
-        # the stack holds only ints and records, which pickle by their
-        # class, so an interpreter that never pushed a record decodes and
-        # unwinds the pickled stack
+        # the stack holds only plain tuples of ints and records, which
+        # pickle by their class, so an interpreter that never pushed a
+        # record decodes and unwinds the pickled stack
         solver = Solver(augmented(300, 1))
         coloring = solver.run()
         dump = tmp_path / "stack.pickle"

@@ -370,13 +370,26 @@ class TestRecordsAndHits:
             assert x == called and repr(x) == repr(called), x
 
 
+def assert_one_slot_per_reduction(s):
+    """Each slot of a solved stack is one reduction and no slot is an
+    int: a monogram is the plain tuple ``push_monogram`` pushed, and any
+    other reduction its ``ReductionRecord``."""
+    reductions = s.stats.reductions
+    assert len(s.stack) == sum(reductions.values())
+    assert all(type(slot) in (tuple, ReductionRecord) for slot in s.stack)
+    assert sum(type(slot) is tuple
+               for slot in s.stack) == reductions["monogram"]
+
+
 class TestMonogramStep:
     """push_monogram against the path it stands in for: a run whose
     monograms go through the search and reduce, each record appended as
     itself, must leave a stack that decodes to the same records, and the
     same coloring and stats.  Every slot of that run's stack is a
     record, so its unwind takes the record branch of ``_extend_through``
-    wherever the other takes the flat first-free-color one."""
+    wherever the other takes the first-free-color one of a monogram's
+    plain tuple.  Each stack of the fast runs holds one slot per
+    reduction."""
 
     @staticmethod
     def _both_ways(monkeypatch, runs):
@@ -387,6 +400,7 @@ class TestMonogramStep:
         assert len(fast) == len(slow) > 0
         monograms = 0
         for (a, col_a), (b, col_b) in zip(fast, slow):
+            assert_one_slot_per_reduction(a)
             assert decode(a.stack) == decode(b.stack)
             assert all(type(slot) is ReductionRecord for slot in b.stack)
             assert col_a == col_b
@@ -570,6 +584,7 @@ class TestStats:
                 s = Solver(g)
                 s.run()
                 assert s.stats.work / n <= 150, (kind, seed, s.stats.work / n)
+                assert_one_slot_per_reduction(s)
 
     def test_work_excludes_generation(self):
         g = generate(GenSpec("augmented", 2000, seed=1))
@@ -590,14 +605,17 @@ class TestStats:
 
     def test_grid_stack_slots_bounded(self):
         # every grid reduction is a monogram of degree <= 2, which the
-        # record stack keeps in at most four slots: its vertex, at most
-        # two neighbors then and its degree, and each edge is deleted once
+        # record stack keeps in one slot, the plain tuple of its vertex
+        # and its at most two neighbors then; each edge is deleted once,
+        # so the tuples hold n + m ids in all
         g = grid_graph(100)
         n, m = g.n_alive, g.m_alive
         s = Solver(g)
         s.run()
         assert s.stats.reductions["monogram"] == n == 10_000
-        assert len(s.stack) == 2 * n + m <= 4 * n
+        assert len(s.stack) == n
+        assert all(type(slot) is tuple for slot in s.stack)
+        assert sum(map(len, s.stack)) == n + m
 
     def test_lemma5_bounds_tracked(self):
         g = dodecahedron_graph()
