@@ -146,15 +146,6 @@ def parse_coloring(text: str) -> dict[int, int]:
     return out
 
 
-#: Lines per chunk of ``format_coloring``'s output.
-CHUNK = 1024
-
-
 def format_coloring(coloring: dict[int, int]) -> str:
-    """One "<id> <color>" line per vertex, ids ascending.  Lines are
-    joined CHUNK at a time and then the chunks, so no list holds one
-    string per vertex."""
-    ids = sorted(coloring)
-    chunks = ["".join([f"{v} {coloring[v]}\n" for v in ids[i:i + CHUNK]])
-              for i in range(0, len(ids), CHUNK)]
-    return "".join(chunks)
+    """One "<id> <color>" line per vertex, ids ascending."""
+    return "".join([f"{v} {coloring[v]}\n" for v in sorted(coloring)])

@@ -58,8 +58,6 @@ SHAPES = {
 #: walks no further.
 _LONGEST = max(k for k, _, _ in SHAPES.values())
 
-_new = tuple.__new__
-
 #: The constraint cycle C of a plain run: no precolored vertex.
 NO_CYCLE: frozenset[int] = frozenset()
 
@@ -310,10 +308,9 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
     enough, so ``_secure`` is called directly.  Each pendant in ``aux``
     is read inline from the dart after its face dart, as
     ``pendant_darts`` reads it, and a ``Multigram`` is built only for
-    the hit, with ``tuple.__new__`` rather than the class call.  A run
-    reads only degrees of face vertices, which the walk has read
-    already, so a failed search reads what a search that lists every
-    face first reads, and ``footprint`` records that.
+    the hit.  A run reads only degrees of face vertices, which the walk
+    has read already, so a failed search reads what a search that lists
+    every face first reads, and ``footprint`` records that.
 
     A 4-face needs only its forward listing.  The tetragram test reads
     v1, v3 and the pendant x of v1, read after v1's face dart, the same
@@ -326,7 +323,7 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
     if deg[v] > 3 or v in C:
         return None
     if deg[v] <= 2:
-        return _new(Multigram, (MONOGRAM, (v,), (), ()))
+        return Multigram(MONOGRAM, (v,), (), ())
     origin, twin, nxt = g.d_origin, g.d_twin, g.d_next
     # the tetragram's one leading degree-3 vertex is the pivot itself,
     # and its one pendant is the pivot's, after the face dart d
@@ -352,7 +349,7 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
                     aux = (origin[twin[nxt[d]]],)
                     g.work += n_aux
                     if _secure(g, TETRAGRAM, verts, aux, C):
-                        return _new(Multigram, (TETRAGRAM, verts, aux, darts))
+                        return Multigram(TETRAGRAM, verts, aux, darts)
                     face = ((verts, darts),)
                 else:
                     face = ((verts, darts),
@@ -372,7 +369,7 @@ def find_secure_with_pivot(g: PlaneGraph, v: int,
                 aux = tuple([origin[twin[nxt[x]]] for x in darts[:n_aux]])
                 g.work += n_aux
                 if _secure(g, kind, verts, aux, C):
-                    return _new(Multigram, (kind, verts, aux, darts))
+                    return Multigram(kind, verts, aux, darts)
     return None
 
 

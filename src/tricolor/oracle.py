@@ -1,9 +1,12 @@
-"""Brute-force reference implementations used to validate the fast paths.
+"""Checks of colorings and graphs, and brute-force references for the
+fast paths.
 
-Everything here evaluates definitions literally (unrestricted path
-enumeration, full face lists, exhaustive coloring search) and is capped
-to small instances.  Exceeding a cap raises TooLarge instead of silently
-degrading.
+``SimpleGraph``, ``is_triangle_free`` and ``is_proper`` are linear and
+uncapped: ``tricolor color`` runs the triangle check and ``tricolor
+check`` the properness check on every input.  The rest evaluates
+definitions literally (unrestricted path enumeration, full face lists,
+exhaustive coloring search) and is capped to small instances.
+Exceeding a cap raises TooLarge instead of silently degrading.
 """
 
 from __future__ import annotations

@@ -18,11 +18,6 @@ A reduction's record is also the one statement of what it changed:
 reduction touched, as one tuple that may repeat a vertex, and the solver
 re-queues pivots from it.
 
-Records are built with ``tuple.__new__`` rather than the class call,
-which runs a Python-level ``__new__``; a reduction pays only for the
-tuple it keeps.  The class, its fields, equality and repr are the same
-either way.
-
 A run keeps its reductions on one record stack, a list with one slot
 per reduction, read from its end, newest first: ``unwind`` colors
 through it and ``decode`` rebuilds the records.  A monogram, one vertex
@@ -44,9 +39,6 @@ from .multigram import (
     DECAGRAM, HEXAGRAM, MONOGRAM, NO_CYCLE, OCTAGRAM, PENTAGRAM, TETRAGRAM,
     Multigram, admissible, pendant_darts,
 )
-
-
-_new = tuple.__new__
 
 
 class ExtensionFailure(Exception):
@@ -148,8 +140,8 @@ def reduce(g: PlaneGraph, m: Multigram,
         identifications += ((a, b, tuple(moved)),)
         deleted += len(moved) + len(collapsed)
         added += len(moved)
-    return _new(ReductionRecord, (kind, verts, removed, identifications,
-                                  deleted, added))
+    return ReductionRecord(kind, verts, removed, identifications,
+                           deleted, added)
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +165,8 @@ def decode(stack: list) -> list[ReductionRecord]:
     """The records pushed onto stack, oldest first: each plain tuple
     ``(v, *neighbors)`` rebuilt as the monogram record ``reduce`` builds
     for it, and each record as itself."""
-    return [_new(ReductionRecord, (MONOGRAM, slot[:1], (slot[1:],), (),
-                                   len(slot) - 1, 0))
+    return [ReductionRecord(MONOGRAM, slot[:1], (slot[1:],), (),
+                            len(slot) - 1, 0)
             if type(slot) is tuple else slot
             for slot in stack]
 

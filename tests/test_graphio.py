@@ -8,7 +8,7 @@ from conftest import gadget_union
 from tricolor.embedding import EmbeddingError, build, validate
 from tricolor.generators import augmented, quad
 from tricolor.graphio import (
-    CHUNK, GraphSyntaxError, format_coloring, parse, parse_coloring,
+    GraphSyntaxError, format_coloring, parse, parse_coloring,
     parse_rotations, serialize,
 )
 from tricolor.instances import big_hub_graph, cycle_graph
@@ -193,8 +193,7 @@ class TestColoringFiles:
         col = {0: 1, 5: 2, 3: 0}
         assert parse_coloring(format_coloring(col)) == col
 
-    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
-                                   3 * CHUNK + 7])
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 3079])
     def test_chunks_join_to_one_text(self, n):
         ids = list(range(n))
         random.Random(n).shuffle(ids)

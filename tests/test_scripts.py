@@ -4,7 +4,8 @@ import sys
 from pathlib import Path
 
 from tricolor.embedding import validate
-from tricolor.graphio import parse
+from tricolor.generators import grid
+from tricolor.graphio import parse, serialize
 from tricolor.oracle import SimpleGraph, is_triangle_free
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -43,7 +44,6 @@ def test_make_corpus_runs_isolated(tmp_path):
 def test_stage_peaks_augmented(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS.parent / "bench"))
     import workloads
-    from tricolor.graphio import serialize
 
     stage_peaks = _load("stage_peaks").stage_peaks
     for g in workloads.WORKLOADS["augmented"].graphs(1):
@@ -51,6 +51,13 @@ def test_stage_peaks_augmented(monkeypatch):
         assert list(peaks) == ["parse", "build", "triangle_check", "solve",
                                "format"]
         assert all(mb > 0 for mb in peaks.values()), peaks
+        # formatting in one join pays only while build sets the peak
+        assert peaks["format"] < peaks["build"], peaks
+
+
+def test_stage_peaks_grid_format_below_build():
+    peaks = _load("stage_peaks").stage_peaks(serialize(grid(100)))
+    assert peaks["format"] < peaks["build"], peaks
 
 
 def test_fingerprint_gadgets(capsys):

@@ -1,7 +1,6 @@
 import gc
 import itertools
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +13,7 @@ from tricolor.instances import (
     graph_from_faces, hexagram_flower, k23_graph, pentagram_flower,
 )
 import tricolor.solver
-from tricolor.multigram import KIND_ORDER, Multigram, find_secure_with_pivot
+from tricolor.multigram import find_secure_with_pivot
 from tricolor.oracle import (
     SimpleGraph, all_secure_multigrams_slow, facial_cycles,
     is_proper,
@@ -295,7 +294,7 @@ class TestWorklistInvariant:
         assert not failures, failures[:5]
 
 
-class TestCollectorPause:
+class TestNoReferenceCycles:
     """A run makes no reference cycles: reference counting alone frees
     all it allocates, so the cyclic garbage collector, which run() does
     not pause, finds nothing of it to free."""
@@ -332,42 +331,6 @@ class TestCollectorPause:
     def test_generated_makes_no_cycles(self, kind):
         spec = GenSpec(kind, 2000, seed=1)
         assert self._unreachable_after_run(lambda: generate(spec)) == 0
-
-
-class TestRecordsAndHits:
-    def test_built_as_the_class_call_builds_them(self, monkeypatch):
-        # reduce and the finder build their tuples without the class
-        # call; each must still be exactly what the class call builds
-        # from its fields
-        kept = []
-
-        def keeping(fn):
-            def kept_call(*args):
-                out = fn(*args)
-                if out is not None:
-                    kept.append(out)
-                return out
-            return kept_call
-
-        for name in ("reduce", "find_secure_with_pivot"):
-            monkeypatch.setattr(tricolor.solver, name,
-                                keeping(getattr(tricolor.solver, name)))
-        # monograms take the search and reduce too, so their lines build
-        monkeypatch.setattr(tricolor.solver, "push_monogram",
-                            monogram_by_search)
-        run_small_corpus()
-        Solver(generate(GenSpec("augmented", 2000, seed=1))).run()
-        by_type = Counter(type(x) for x in kept)
-        assert set(by_type) == {ReductionRecord, Multigram}
-        assert by_type[ReductionRecord] == by_type[Multigram] > 2000
-        # every line that builds a hit: no octagram fires here, and it
-        # shares its line with the decagram, pentagram and hexagram
-        assert {x.kind for x in kept} == set(KIND_ORDER) - {"octagram"}
-        for x in kept:
-            cls = type(x)
-            assert len(x) == len(cls._fields), x
-            called = cls(**x._asdict())
-            assert x == called and repr(x) == repr(called), x
 
 
 def assert_one_slot_per_reduction(s):
